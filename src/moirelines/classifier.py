@@ -13,10 +13,11 @@ locally constant in the problem parameters, which is what the sweep module
 exploits.  Chaotic lines have no such strip: their transverse extent keeps
 growing with trace length.
 
-The decision rule is purely operational: retrace the same line at twice and
+The decision rule is purely operational: follow the same line for twice and
 four times the arc length and compare strip widths.  Saturation within
 tau_sat is regular, growth beyond k_grow is chaotic, anything in between is
-reported honestly as undetermined.
+reported honestly as undetermined.  Each line is walked once, at four times
+the budget; the shorter traces are cut out of that walk.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .tracer import (
     LevelLine,
     LineStatus,
     TraceBudget,
+    cut_trace,
     energy_interval,
     find_seeds,
     trace_level_line,
@@ -260,31 +262,36 @@ def classify(
     quad_bound: int = DEFAULT_QUAD_BOUND,
     quad_tol: float | None = None,
     field: ChunkedField | None = None,
+    long_line: LevelLine | None = None,
 ) -> Classification:
     """Decide closed / regular / chaotic / undetermined for one line.
 
-    The line must have been traced from its seed with the given budget; it
-    is retraced at twice and four times the arc length and the strip widths
+    The line must have been traced from its seed with the given budget.  It
+    is followed for twice and four times the arc length and the strip widths
     are compared: saturation (within tau_sat) is regular, growth (beyond
-    k_grow) is chaotic.  For regular lines the quadruple search tolerance
-    defaults to 2 * residual / arc_length, the angular uncertainty of the
-    direction fit itself, floored at 1e-12 so an exactly straight line
-    still admits candidates.
+    k_grow) is chaotic.  long_line, when given, is the same seed already
+    traced at four times the budget; otherwise that trace is made here, and
+    the twice-budget line is cut out of it.  For regular lines the quadruple
+    search tolerance defaults to 2 * residual / arc_length, the angular
+    uncertainty of the direction fit itself, floored at 1e-12 so an exactly
+    straight line still admits candidates.
     """
     if line.is_closed:
         return Closed(diameter=_diameter(line.points))
     if field is None:
         field = ChunkedField(s, budget.cell_size)
-
-    lines = [line]
-    for factor in (2.0, 4.0):
-        retraced = trace_level_line(
-            s, line.seed, line.level, budget.scaled(factor), field=field
+    if long_line is None:
+        long_line = trace_level_line(
+            s, line.seed, line.level, budget.scaled(4.0), field=field
         )
-        if retraced.is_closed:
-            # The longer budget revealed a loop the short trace cut off.
-            return Closed(diameter=_diameter(retraced.points))
-        lines.append(retraced)
+    if long_line.is_closed:
+        # The longer budget revealed a loop the short trace cut off.
+        return Closed(diameter=_diameter(long_line.points))
+    double = budget.scaled(2.0)
+    mid_line = cut_trace(long_line, double) or trace_level_line(
+        s, line.seed, line.level, double, field=field
+    )
+    lines = [line, mid_line, long_line]
 
     try:
         fits = [fit_direction(ln) for ln in lines]
@@ -361,19 +368,26 @@ def classify_first_open(
     """Classify the first genuinely open line seeded in the window.
 
     Loops with perimeter above the arc budget masquerade as open until the
-    retrace pass closes them, so candidates whose classification comes back
-    Closed are skipped and the search moves to the next seed.  Returns the
-    line and its classification, or None when every seed yields a loop.
+    longer trace classification needs closes them, so each seed is traced
+    at four times the budget first and skipped when that trace closes (as a
+    closed line at one budget or a Closed classification, it would be
+    skipped all the same).  Returns the line and its classification, or
+    None when every seed yields a loop.
     """
     if field is None:
         field = ChunkedField(s, budget.cell_size)
+    long_budget = budget.scaled(4.0)
     for seed in find_seeds(s, level, window, budget.cell_size, field)[:max_seeds]:
-        line = trace_level_line(s, seed, level, budget, field=field)
+        long_line = trace_level_line(s, seed, level, long_budget, field=field)
+        if long_line.is_closed:
+            continue
+        line = cut_trace(long_line, budget) or trace_level_line(
+            s, seed, level, budget, field=field
+        )
         if line.status is not LineStatus.OPEN_BUDGET_EXHAUSTED:
             continue
-        c = classify(s, line, budget, tau_sat, k_grow, quad_bound, quad_tol, field=field)
-        if isinstance(c, Closed):
-            continue
+        c = classify(s, line, budget, tau_sat, k_grow, quad_bound, quad_tol,
+                     field=field, long_line=long_line)
         return line, c
     return None
 

@@ -83,10 +83,7 @@ def _window_from(args, s) -> Rect:
 
 
 def _budget_from(args, s) -> TraceBudget:
-    budget = TraceBudget.for_potential(s)
-    h = args.cell_h if args.cell_h is not None else budget.cell_size
-    arc = args.budget_l if args.budget_l is not None else budget.max_arc_length
-    return TraceBudget(h, arc, int(8 * arc / h) + 64)
+    return TraceBudget.for_potential(s, cell_size=args.cell_h, max_arc_length=args.budget_l)
 
 
 def _formats(args, default: tuple[str, ...]) -> set[str]:
@@ -329,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="potential definition file")
-    common.add_argument("--out", default=".", help="output directory")
+    common.add_argument("--out", default=".",
+                        help="output directory (default: the current directory)")
     common.add_argument(
         "--format",
         action="append",
@@ -357,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", parents=[common, budget], help="trace level lines"
     )
-    p_trace.add_argument("--level", type=float, required=True)
+    p_trace.add_argument("--level", type=float, required=True,
+                         help="level E of f to trace (required)")
     p_trace.add_argument("--max-lines", type=int, default=20,
-                         help="trace at most this many seeds")
+                         help="trace at most this many seeds (default: 20)")
     p_trace.set_defaults(func=cmd_trace)
 
     p_classify = sub.add_parser(
@@ -367,20 +366,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_classify.add_argument("--level", type=float, default=None,
                             help="default: midpoint of the open-line energy interval")
-    p_classify.add_argument("--tol-eps", type=float, default=1e-3, dest="tol_eps")
+    p_classify.add_argument("--tol-eps", type=float, default=1e-3, dest="tol_eps",
+                            help="energy-interval bracket tolerance (default: 1e-3)")
     p_classify.set_defaults(func=cmd_classify)
 
     sweep_common = argparse.ArgumentParser(add_help=False)
-    sweep_common.add_argument("--alpha-start", type=float, required=True)
-    sweep_common.add_argument("--alpha-end", type=float, required=True)
-    sweep_common.add_argument("--alpha-count", type=int, required=True)
-    sweep_common.add_argument("--shifts", type=int, default=3)
-    sweep_common.add_argument("--seed", type=int, default=0)
-    sweep_common.add_argument("--workers", type=int, default=1)
+    sweep_common.add_argument("--alpha-start", type=float, required=True,
+                              help="first twist angle in radians (required)")
+    sweep_common.add_argument("--alpha-end", type=float, required=True,
+                              help="last twist angle in radians (required)")
+    sweep_common.add_argument("--alpha-count", type=int, required=True,
+                              help="number of evenly spaced angles, at least 2 (required)")
+    sweep_common.add_argument("--shifts", type=int, default=3,
+                              help="random layer shifts classified per angle (default: 3)")
+    sweep_common.add_argument("--seed", type=int, default=0,
+                              help="seed of the per-angle shift samples (default: 0)")
+    sweep_common.add_argument("--workers", type=int, default=1,
+                              help="worker processes; results do not depend on it "
+                              "(default: 1)")
     sweep_common.add_argument("--level", type=float, default=None,
                               help="fixed level (default: per-angle interval midpoint)")
-    sweep_common.add_argument("--cell-h", type=float, default=None, dest="cell_h")
-    sweep_common.add_argument("--budget-L", type=float, default=None, dest="budget_l")
+    sweep_common.add_argument("--cell-h", type=float, default=None, dest="cell_h",
+                              help="marching grid spacing (default: shortest period / 16)")
+    sweep_common.add_argument("--budget-L", type=float, default=None, dest="budget_l",
+                              help="arc-length budget for open lines "
+                              "(default: 60 * longest period)")
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common, sweep_common], help="classify an angle grid"
@@ -391,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         "zones", parents=[common, sweep_common],
         help="sweep, then detect stability zones",
     )
-    p_zones.add_argument("--refine-tol", type=float, default=1e-3, dest="refine_tol")
+    p_zones.add_argument("--refine-tol", type=float, default=1e-3, dest="refine_tol",
+                         help="zone-edge bisection stops at this angle width "
+                         "(default: 1e-3)")
     p_zones.set_defaults(func=cmd_zones)
 
     return parser

@@ -37,16 +37,6 @@ def as_vec2(p) -> np.ndarray:
     return v
 
 
-def as_vec4(z) -> np.ndarray:
-    """Coerce to a finite float vector of shape (4,)."""
-    v = np.asarray(z, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"non-finite 4-vector: {v}")
-    return v
-
-
 def rot90(v: np.ndarray) -> np.ndarray:
     """Rotate a plane vector by +90 degrees (counterclockwise)."""
     return np.array([-v[1], v[0]])

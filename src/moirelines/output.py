@@ -69,14 +69,6 @@ def write_text(path, text: str):
         fh.write(text)
 
 
-def csv_lines(header: list[str], rows) -> str:
-    """Rows are iterables of already-formatted strings."""
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(row))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # SVG
 

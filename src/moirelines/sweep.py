@@ -145,12 +145,12 @@ def _sample_alpha(args) -> AlphaSample:
         )
         s0 = SuperpositionPotential(v, u, transform0, combiner)
         budget = TraceBudget.for_potential(
-            s0, cells_per_period=cfg.cells_per_period, length_periods=cfg.length_periods
+            s0,
+            cells_per_period=cfg.cells_per_period,
+            length_periods=cfg.length_periods,
+            cell_size=cfg.cell_h,
+            max_arc_length=cfg.budget_arc,
         )
-        if cfg.cell_h is not None or cfg.budget_arc is not None:
-            h = cfg.cell_h if cfg.cell_h is not None else budget.cell_size
-            arc = cfg.budget_arc if cfg.budget_arc is not None else budget.max_arc_length
-            budget = TraceBudget(h, arc, int(8 * arc / h) + 64)
         window = Rect.centered((0.0, 0.0), cfg.window_periods * s0.longest_period())
 
         interval = None

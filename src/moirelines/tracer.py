@@ -24,9 +24,12 @@ even when that window degenerates to a single level.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import hypot
 
 import numpy as np
 
@@ -86,11 +89,15 @@ class TraceBudget:
         cells_per_period: int = 16,
         length_periods: float = 200.0,
         max_cells: int | None = None,
+        cell_size: float | None = None,
+        max_arc_length: float | None = None,
     ) -> "TraceBudget":
-        """Defaults: h resolves the shortest period 16-fold, L spans
-        length_periods of the longest one."""
-        h = s.shortest_period() / cells_per_period
-        arc = length_periods * s.longest_period()
+        """Defaults: h resolves the shortest period cells_per_period-fold, L
+        spans length_periods of the longest one, and the cell cap allows 8
+        cells per unit of L/h.  cell_size and max_arc_length, when given,
+        replace the per-period h and L."""
+        h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
+        arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
         if max_cells is None:
             max_cells = int(8 * arc / h) + 64
         return TraceBudget(h, arc, max_cells)
@@ -105,6 +112,30 @@ class TraceBudget:
 
 
 @dataclass(frozen=True)
+class TraceRecord:
+    """How the two walks of a trace ran, so that traces of the same line
+    under smaller budgets can be cut out of it (see cut_trace).
+
+    start is the index of the start crossing in the points.  forward and
+    backward are the walks' stop reasons ("closed", "budget", "cells",
+    "window"; backward is None when the forward walk closed).  The *_jitter
+    fields give the 1-based cell of each walk's first nudged residual (None
+    if none); start_jitter says whether locating the start nudged one.
+    first_cell is the cell the forward walk entered first and exits the side
+    each cell of it was left through (0 bottom, 1 right, 2 top, 3 left).
+    """
+
+    start: int
+    forward: str
+    backward: str | None
+    forward_jitter: int | None
+    backward_jitter: int | None
+    start_jitter: bool
+    first_cell: tuple[int, int]
+    exits: bytes
+
+
+@dataclass(frozen=True)
 class LevelLine:
     """One traced polyline at a fixed level."""
 
@@ -115,6 +146,7 @@ class LevelLine:
     seed: np.ndarray
     cell_size: float
     jitter_scale: float = 0.0
+    record: TraceRecord | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -170,9 +202,14 @@ class ChunkedField:
             xs = (ci * CHUNK + np.arange(CHUNK + 1)) * self.h
             ys = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
             pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-            vals = eval_superposition(self._s, pts)
+            vals = np.ascontiguousarray(eval_superposition(self._s, pts))
             self._chunks[key] = vals
         return vals
+
+    def view(self, ci: int, cj: int) -> memoryview:
+        """Chunk (ci, cj) as a flat float view, row-major with CHUNK + 1
+        columns; indexing it is much cheaper than indexing the array."""
+        return memoryview(self._chunk(ci, cj)).cast("B").cast("d")
 
     def corner(self, gi: int, gj: int) -> float:
         ci, cj = gi // CHUNK, gj // CHUNK
@@ -211,6 +248,27 @@ def _window_corner_range(window: Rect, h: float) -> tuple[int, int, int, int]:
     return i0, j0, i1, j1
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n nodes joined by links a-b.
+
+    Roots hook onto the smallest root they are linked to, then every node
+    jumps to its root, until no link joins two trees.  Labels are the
+    smallest node of each component.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def find_seeds(
     s: SuperpositionPotential,
     level: float,
@@ -239,80 +297,109 @@ def find_seeds(
     g = np.where(np.abs(g) < delta, delta, g)
     pos = g > 0
 
-    # Edge keys are (orient, gi, gj) with the lower-left endpoint named.
-    edges: list[tuple[int, int, int]] = []
+    # Crossed edges are numbered horizontal first, then vertical, each in
+    # row-major order of its lower-left corner; -1 marks an uncrossed edge.
     h_cross = pos[:-1, :] != pos[1:, :]
     v_cross = pos[:, :-1] != pos[:, 1:]
-    for ii, jj in zip(*np.nonzero(h_cross)):
-        edges.append((_HORIZONTAL, i0 + int(ii), j0 + int(jj)))
-    for ii, jj in zip(*np.nonzero(v_cross)):
-        edges.append((_VERTICAL, i0 + int(ii), j0 + int(jj)))
-    if not edges:
+    n_h = int(np.count_nonzero(h_cross))
+    n = n_h + int(np.count_nonzero(v_cross))
+    if n == 0:
         return []
-
-    index = {e: k for k, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    h_id = np.full(h_cross.shape, -1)
+    h_id[h_cross] = np.arange(n_h)
+    v_id = np.full(v_cross.shape, -1)
+    v_id[v_cross] = np.arange(n_h, n)
 
     # Any two crossed edges of one cell are part of the same local crossing.
-    for i in range(i0, i1):
-        for j in range(j0, j1):
-            cell_edges = [
-                k
-                for e in (
-                    (_HORIZONTAL, i, j),
-                    (_HORIZONTAL, i, j + 1),
-                    (_VERTICAL, i, j),
-                    (_VERTICAL, i + 1, j),
-                )
-                if (k := index.get(e)) is not None
-            ]
-            for k in cell_edges[1:]:
-                union(cell_edges[0], k)
+    sides = (h_id[:, :-1], v_id[1:, :], h_id[:, 1:], v_id[:-1, :])
+    a, b = [], []
+    for p, q in itertools.combinations(sides, 2):
+        both = (p >= 0) & (q >= 0)
+        a.append(p[both])
+        b.append(q[both])
+    component = _components(n, np.concatenate(a), np.concatenate(b))
 
-    components: dict[int, tuple[int, int, int]] = {}
-    for e, k in index.items():
-        root = find(k)
-        best = components.get(root)
-        if best is None or (e[2], e[1], e[0]) < (best[2], best[1], best[0]):
-            components[root] = e
+    # Each component is represented by its first edge in (gj, gi, orient)
+    # order, and the seeds come out in that order too.
+    hi, hj = np.nonzero(h_cross)
+    vi, vj = np.nonzero(v_cross)
+    gi = i0 + np.concatenate((hi, vi))
+    gj = j0 + np.concatenate((hj, vj))
+    horizontal = np.arange(n) < n_h
+    order = np.lexsort((~horizontal, gi, gj))
+    _, first = np.unique(component[order], return_index=True)
+    pick = order[np.sort(first)]
 
-    seeds = []
-    for e in sorted(components.values(), key=lambda e: (e[2], e[1], e[0])):
-        orient, gi, gj = e
-        g0 = g[gi - i0, gj - j0]
-        if orient == _HORIZONTAL:
-            g1 = g[gi + 1 - i0, gj - j0]
-            t = g0 / (g0 - g1)
-            seeds.append(np.array([(gi + t) * h, gj * h]))
-        else:
-            g1 = g[gi - i0, gj + 1 - j0]
-            t = g0 / (g0 - g1)
-            seeds.append(np.array([gi * h, (gj + t) * h]))
-    return seeds
+    g0 = np.concatenate((g[:-1, :][h_cross], g[:, :-1][v_cross]))[pick]
+    g1 = np.concatenate((g[1:, :][h_cross], g[:, 1:][v_cross]))[pick]
+    t = g0 / (g0 - g1)
+    gi, gj, horizontal = gi[pick], gj[pick], horizontal[pick]
+    xs = np.where(horizontal, (gi + t) * h, gi * h)
+    ys = np.where(horizontal, gj * h, (gj + t) * h)
+    return [np.array(p) for p in zip(xs.tolist(), ys.tolist())]
+
+
+# Marching-squares tables.  Cell corners are numbered counterclockwise from
+# the lower-left, 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); cell sides are
+# 0:bottom 1:right 2:top 3:left.  Per side: its two corners, the grid edge it
+# is as (orient, di, dj) relative to the cell, and the step to the cell
+# across it.
+_SIDE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+_SIDE_EDGE = ((_HORIZONTAL, 0, 0), (_VERTICAL, 1, 0), (_HORIZONTAL, 0, 1), (_VERTICAL, 0, 0))
+_SIDE_STEP = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_CORNER_OFFSET = ((0, 0), (1, 0), (1, 1), (0, 1))
+_SADDLE = -1
+_INCONSISTENT = -2
+
+
+def _exit_tables() -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """Exit side of a cell for every entry side and corner sign pattern.
+
+    Indexed by 16 * entry + code, where bit k of code is set when corner k
+    lies above the level.  A saddle cell (all four sides crossed) maps to
+    _SADDLE, and its exit is then saddle[index][centre above level]: the
+    branches wrap the isolated-sign corners, the centre's sign says which
+    pair is isolated, and the exit shares the wrapped corner with the entry.
+    """
+    exits = []
+    saddle = {}
+    for entry in range(4):
+        for code in range(16):
+            above = [bool(code >> k & 1) for k in range(4)]
+            crossed = [e for e, (a, b) in enumerate(_SIDE_CORNERS) if above[a] != above[b]]
+            others = [e for e in crossed if e != entry]
+            if entry not in crossed:
+                exits.append(_INCONSISTENT)
+            elif len(others) == 1:
+                exits.append(others[0])
+            else:
+                exits.append(_SADDLE)
+
+                def wrap(corner_above: bool) -> int:
+                    target = next(c for c in _SIDE_CORNERS[entry] if above[c] == corner_above)
+                    return next(e for e in others if target in _SIDE_CORNERS[e])
+
+                saddle[16 * entry + code] = (wrap(True), wrap(False))
+    return tuple(exits), saddle
+
+
+_EXIT, _SADDLE_EXIT = _exit_tables()
+# A cell index lies outside [0, CHUNK) exactly when it has one of these bits
+# set (CHUNK is a power of two).
+_OFF_CHUNK = -CHUNK
+
+
+def _arc_lengths(x, y) -> np.ndarray:
+    """Running arc length along a polyline, step by step.
+
+    np.cumsum adds sequentially, so entry k equals the walk's running sum
+    of np.hypot steps bit for bit.
+    """
+    return np.cumsum(np.hypot(np.diff(x), np.diff(y)))
 
 
 class _Walker:
     """Marching-squares continuation at one level over a chunked field."""
-
-    # Cell corners counterclockwise from the lower-left: 0:(i,j) 1:(i+1,j)
-    # 2:(i+1,j+1) 3:(i,j+1).  Each edge named with its endpoints' slots.
-    _CELL_EDGES = (
-        (_HORIZONTAL, 0, 0, 0, 1),  # bottom: key offset (0,0), corners 0-1
-        (_VERTICAL, 1, 0, 1, 2),    # right:  key offset (1,0), corners 1-2
-        (_HORIZONTAL, 0, 1, 3, 2),  # top:    key offset (0,1), corners 3-2
-        (_VERTICAL, 0, 0, 0, 3),    # left:   key offset (0,0), corners 0-3
-    )
 
     def __init__(self, s: SuperpositionPotential, level: float, field: ChunkedField):
         self.s = s
@@ -329,104 +416,156 @@ class _Walker:
             return self.delta
         return g
 
-    def center_residual(self, cell: tuple[int, int]) -> float:
-        p = np.array([(cell[0] + 0.5) * self.h, (cell[1] + 0.5) * self.h])
+    def crossing(self, edge: tuple[int, int, int]) -> np.ndarray:
+        orient, gi, gj = edge
+        g0 = self.residual(gi, gj)
+        if orient == _HORIZONTAL:
+            t = g0 / (g0 - self.residual(gi + 1, gj))
+            return np.array([(gi + t) * self.h, gj * self.h])
+        t = g0 / (g0 - self.residual(gi, gj + 1))
+        return np.array([gi * self.h, (gj + t) * self.h])
+
+    def saddle_exit(self, index: int, i: int, j: int) -> int:
+        if _EXIT[index] == _INCONSISTENT:
+            raise RuntimeError(f"inconsistent sign pattern in cell {(i, j)}")
+        p = np.array([(i + 0.5) * self.h, (j + 0.5) * self.h])
         g = eval_superposition(self.s, p) - self.level
         if abs(g) < self.delta:
             self.jitter_hits += 1
-            return self.delta
-        return g
+            g = self.delta
+        return _SADDLE_EXIT[index][bool(g > 0)]
 
-    def edge_endpoints(self, edge: tuple[int, int, int]):
-        orient, gi, gj = edge
-        if orient == _HORIZONTAL:
-            return (gi, gj), (gi + 1, gj)
-        return (gi, gj), (gi, gj + 1)
+    def walk(self, i, j, entry, p0, start_edge, window, arc_limit, cell_limit):
+        """Continue from the start crossing p0 into cell (i, j), entered
+        through side `entry`, until a stop condition.
 
-    def crossing(self, edge: tuple[int, int, int]) -> np.ndarray:
-        (ai, aj), (bi, bj) = self.edge_endpoints(edge)
-        g0 = self.residual(ai, aj)
-        g1 = self.residual(bi, bj)
-        t = g0 / (g0 - g1)
-        return np.array(
-            [(ai + t * (bi - ai)) * self.h, (aj + t * (bj - aj)) * self.h]
-        )
-
-    def cell_edges(self, cell: tuple[int, int]):
-        i, j = cell
-        for orient, di, dj, ca, cb in self._CELL_EDGES:
-            yield (orient, i + di, j + dj), ca, cb
-
-    def crossed_edges(self, cell: tuple[int, int]):
-        i, j = cell
-        g = (
-            self.residual(i, j),
-            self.residual(i + 1, j),
-            self.residual(i + 1, j + 1),
-            self.residual(i, j + 1),
-        )
-        crossed = [
-            (edge, ca, cb) for edge, ca, cb in self.cell_edges(cell) if g[ca] * g[cb] < 0
-        ]
-        return g, crossed
-
-    def exit_edge(self, cell: tuple[int, int], entry: tuple[int, int, int]):
-        g, crossed = self.crossed_edges(cell)
-        others = [(e, ca, cb) for e, ca, cb in crossed if e != entry]
-        if len(others) == 1:
-            return others[0][0]
-        if len(others) == 3:
-            # Saddle cell: branches wrap the isolated-sign corners.  The
-            # center's sign says which pair is isolated; the exit shares the
-            # wrapped corner with the entry edge.
-            entry_corners = next((ca, cb) for e, ca, cb in crossed if e == entry)
-            gc = self.center_residual(cell)
-            want_sign = -1.0 if gc > 0 else 1.0
-            target = next(c for c in entry_corners if math.copysign(1, g[c]) == want_sign)
-            return next(e for e, ca, cb in others if target in (ca, cb))
-        raise RuntimeError(
-            f"inconsistent sign pattern in cell {cell}: {len(others) + 1} crossed edges"
-        )
-
-    @staticmethod
-    def neighbour(cell: tuple[int, int], edge: tuple[int, int, int]) -> tuple[int, int]:
-        i, j = cell
-        orient, gi, gj = edge
-        if orient == _HORIZONTAL:
-            return (i, j - 1) if gj == j else (i, j + 1)
-        return (i - 1, j) if gi == i else (i + 1, j)
-
-    def walk(self, start_edge, first_cell, p0, window, arc_limit, cell_limit):
-        """Continue from start_edge into first_cell until a stop condition.
-
-        Returns (points, arc, cells_used, reason); reason is one of
-        "closed", "budget", "cells", "window".
+        Returns (xs, ys, exits, arc, reason, first_jitter).  Vertex k is the
+        crossing on the side cell k was left through, exits[k - 1]; a closed
+        walk ends on p0 itself.  reason is one of "closed", "budget",
+        "cells", "window"; first_jitter is the 1-based index of the first
+        cell whose residuals were nudged, or None.
         """
-        pts: list[np.ndarray] = []
+        # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
+        level, delta, h = float(self.level), float(self.delta), float(self.h)
+        low = -delta
+        field = self.field
+        exit_of = _EXIT
+        stride = CHUNK + 1
+        diagonal = stride + 1
+        p0x, p0y = float(p0[0]), float(p0[1])
+        # Leaving cell (ia, ja) through side ea, or (ib, jb) through eb,
+        # crosses the start edge again.
+        orient, ia, ja = start_edge
+        if orient == _HORIZONTAL:
+            ea, ib, jb, eb = 0, ia, ja - 1, 2
+        else:
+            ea, ib, jb, eb = 3, ia - 1, ja, 1
+        clip = window is not None
+        if clip:
+            wx0, wy0, wx1, wy1 = window.x0, window.y0, window.x1, window.y1
+        # The running arc decides where the walk stops, so it must be the
+        # sequential sum of np.hypot steps bit for bit.  math.hypot is much
+        # cheaper but may differ in the last bit; it tracks the arc until
+        # the accumulated difference could matter, exact sums decide after.
+        soft_limit = arc_limit - 1e-15 * (cell_limit + 2) * abs(arc_limit)
+        exact = None
         arc = 0.0
-        cells = 0
-        p_prev = p0
-        cell = first_cell
-        edge = start_edge
+        px, py = p0x, p0y
+        xs, ys, exits = [], [], []
+        add_x, add_y, add_exit = xs.append, ys.append, exits.append
+        first_jitter = None
+        code_base = 16 * entry
+        oi, oj = i - i % CHUNK, j - j % CHUNK
+        view = field.view(oi // CHUNK, oj // CHUNK)
+        n = 0
         while True:
-            if cells >= cell_limit:
-                return pts, arc, cells, "cells"
-            cells += 1
-            out = self.exit_edge(cell, edge)
-            if out == start_edge:
-                pts.append(p0.copy())
-                arc += float(np.hypot(*(p0 - p_prev)))
-                return pts, arc, cells, "closed"
-            q = self.crossing(out)
-            pts.append(q)
-            arc += float(np.hypot(*(q - p_prev)))
-            p_prev = q
-            if window is not None and not window.contains(q):
-                return pts, arc, cells, "window"
-            if arc >= arc_limit:
-                return pts, arc, cells, "budget"
-            cell = self.neighbour(cell, out)
-            edge = out
+            if n >= cell_limit:
+                reason = "cells"
+                break
+            n += 1
+            # All four corners of a cell lie in one chunk.
+            li, lj = i - oi, j - oj
+            if (li | lj) & _OFF_CHUNK:
+                oi, oj = i - i % CHUNK, j - j % CHUNK
+                view = field.view(oi // CHUNK, oj // CHUNK)
+                li, lj = i - oi, j - oj
+            k = li * stride + lj
+            # Residuals within delta of zero count as +delta: the sign test
+            # is g > -delta, the nudge itself only matters for crossings.
+            code = code_base
+            g0 = view[k] - level
+            if g0 > low:
+                code += 1
+                if g0 < delta:
+                    g0, first_jitter = delta, first_jitter or n
+            g1 = view[k + stride] - level
+            if g1 > low:
+                code += 2
+                if g1 < delta:
+                    g1, first_jitter = delta, first_jitter or n
+            g2 = view[k + diagonal] - level
+            if g2 > low:
+                code += 4
+                if g2 < delta:
+                    g2, first_jitter = delta, first_jitter or n
+            g3 = view[k + 1] - level
+            if g3 > low:
+                code += 8
+                if g3 < delta:
+                    g3, first_jitter = delta, first_jitter or n
+            out = exit_of[code]
+            if out < 0:
+                hits = self.jitter_hits
+                out = self.saddle_exit(code, i, j)
+                if self.jitter_hits > hits:
+                    first_jitter = first_jitter or n
+            add_exit(out)
+            if (i == ia and j == ja and out == ea) or (i == ib and j == jb and out == eb):
+                add_x(p0x)
+                add_y(p0y)
+                reason = "closed"
+                break
+            # Crossing on the exit side, then step into the next cell, which
+            # is entered through the opposite side.
+            if out == 0:
+                t = g0 / (g0 - g1)
+                qx, qy = (i + t) * h, j * h
+                j -= 1
+                code_base = 32
+            elif out == 1:
+                t = g1 / (g1 - g2)
+                qx, qy = (i + 1) * h, (j + t) * h
+                i += 1
+                code_base = 48
+            elif out == 2:
+                t = g3 / (g3 - g2)
+                qx, qy = (i + t) * h, (j + 1) * h
+                j += 1
+                code_base = 0
+            else:
+                t = g0 / (g0 - g3)
+                qx, qy = i * h, (j + t) * h
+                i -= 1
+                code_base = 16
+            add_x(qx)
+            add_y(qy)
+            dx, dy = qx - px, qy - py
+            arc += hypot(dx, dy)
+            px, py = qx, qy
+            if clip and not (wx0 <= qx <= wx1 and wy0 <= qy <= wy1):
+                reason = "window"
+                break
+            if arc >= soft_limit:
+                if exact is None:
+                    exact = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1])
+                else:
+                    exact += float(np.hypot(dx, dy))
+                if exact >= arc_limit:
+                    reason = "budget"
+                    break
+                soft_limit = -math.inf
+        arc = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
+        return xs, ys, exits, arc, reason, first_jitter
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray):
@@ -443,14 +582,19 @@ def _locate_start(walker: _Walker, seed: np.ndarray):
         candidates.append((i, int(round(fy)) - 1))
         if abs(fx - round(fx)) < 1e-9:
             candidates.append((int(round(fx)) - 1, int(round(fy)) - 1))
-    for cell in candidates:
-        _, crossed = walker.crossed_edges(cell)
+    for ci, cj in candidates:
+        g = [walker.residual(ci + di, cj + dj) for di, dj in _CORNER_OFFSET]
+        crossed = [
+            (orient, ci + di, cj + dj)
+            for (a, b), (orient, di, dj) in zip(_SIDE_CORNERS, _SIDE_EDGE)
+            if g[a] * g[b] < 0
+        ]
         if crossed:
             best = min(
                 crossed,
-                key=lambda ec: (float(np.sum((walker.crossing(ec[0]) - seed) ** 2)), ec[0]),
+                key=lambda e: (float(np.sum((walker.crossing(e) - seed) ** 2)), e),
             )
-            return cell, best[0]
+            return (ci, cj), best
     raise SeedNotOnLevelError(
         f"no sign change of f - {walker.level} in the cell of seed {seed}"
     )
@@ -476,53 +620,187 @@ def trace_level_line(
         field = ChunkedField(s, budget.cell_size)
     seed = np.asarray(seed, dtype=float)
     walker = _Walker(s, level, field)
-    cell, start_edge = _locate_start(walker, seed)
+    _, start_edge = _locate_start(walker, seed)
 
     # Initial direction: enter the cell that keeps f > level on the left.
+    # Cells are given as (i, j, side entered through).
     orient, gi, gj = start_edge
     if orient == _HORIZONTAL:
-        up = walker.residual(gi, gj) > 0
-        fwd_cell = (gi, gj) if up else (gi, gj - 1)
-        bwd_cell = (gi, gj - 1) if up else (gi, gj)
+        fwd, bwd = (gi, gj, 0), (gi, gj - 1, 2)
+        if walker.residual(gi, gj) <= 0:
+            fwd, bwd = bwd, fwd
     else:
-        right = walker.residual(gi, gj + 1) > 0
-        fwd_cell = (gi, gj) if right else (gi - 1, gj)
-        bwd_cell = (gi - 1, gj) if right else (gi, gj)
+        fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
+        if walker.residual(gi, gj + 1) <= 0:
+            fwd, bwd = bwd, fwd
 
     p0 = walker.crossing(start_edge)
+    start_jitter = walker.jitter_hits > 0
     L = budget.max_arc_length
-    fpts, farc, fcells, freason = walker.walk(
-        start_edge, fwd_cell, p0, window, L / 2, budget.max_cells
+    fx, fy, fexits, farc, freason, fjitter = walker.walk(
+        *fwd, p0, start_edge, window, L / 2, budget.max_cells
     )
+    p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
-        points = [p0] + fpts
+        xs, ys = [p0x] + fx, [p0y] + fy
         status = LineStatus.CLOSED
         arc = farc
+        bx, breason, bjitter = [], None, None
     else:
-        bpts, barc, bcells, breason = walker.walk(
-            start_edge,
-            bwd_cell,
-            p0,
-            window,
-            L - farc,
-            budget.max_cells - fcells,
+        bx, by, _, barc, breason, bjitter = walker.walk(
+            *bwd, p0, start_edge, window, L - farc, budget.max_cells - len(fx)
         )
-        points = bpts[::-1] + [p0] + fpts
+        xs, ys = bx[::-1] + [p0x] + fx, by[::-1] + [p0y] + fy
         arc = farc + barc
         if freason == "window" and breason == "window":
             status = LineStatus.OPEN_LEFT_WINDOW
         else:
             status = LineStatus.OPEN_BUDGET_EXHAUSTED
 
+    jittered = start_jitter or fjitter is not None or bjitter is not None
     return LevelLine(
         level=level,
-        points=np.array(points),
+        points=np.column_stack((xs, ys)),
         status=status,
         arc_length=arc,
         seed=seed,
         cell_size=budget.cell_size,
-        jitter_scale=walker.delta if walker.jitter_hits else 0.0,
+        jitter_scale=walker.delta if jittered else 0.0,
+        record=TraceRecord(
+            start=len(bx),
+            forward=freason,
+            backward=breason,
+            forward_jitter=fjitter,
+            backward_jitter=bjitter,
+            start_jitter=start_jitter,
+            first_cell=fwd[:2],
+            exits=bytes(fexits),
+        ),
     )
+
+
+def _cut_walk(x, y, reason, arc_limit, cell_limit):
+    """Where a walk with other limits stops along the vertices (x, y) of a
+    walk that stopped for `reason`; x[0], y[0] is the start crossing.
+
+    Returns (vertices, arc, reason), or None if it would run past the end.
+    """
+    n = len(x) - 1
+    arcs = _arc_lengths(x, y)
+    budget_at = int(np.searchsorted(arcs, arc_limit)) + 1  # n + 1: never
+    if reason in ("closed", "window") and budget_at >= n:
+        # Both end a walk on its last vertex and are tested before the arc.
+        stop, why = n, reason
+    elif budget_at <= n:
+        stop, why = budget_at, "budget"
+    else:
+        stop, why = n + 1, None
+    if cell_limit < stop:
+        stop, why = max(cell_limit, 0), "cells"
+    if why is None:
+        return None
+    return stop, float(arcs[stop - 1]) if stop else 0.0, why
+
+
+def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
+    """The line trace_level_line returns for the same seed, level and window
+    under a smaller budget, cut out of this longer trace of it.
+
+    Walks are deterministic, so the shorter trace walks a prefix of each of
+    the longer one's walks and stops where the same rules, applied to the
+    same running arc and cell counts, stop it.  Returns None when the longer
+    trace ends before that point or carries no walk record.
+    """
+    rec = line.record
+    if rec is None:
+        return None
+    pts = line.points
+    s = rec.start
+    fwd = _cut_walk(pts[s:, 0], pts[s:, 1], rec.forward, budget.max_arc_length / 2,
+                    budget.max_cells)
+    if fwd is None:
+        return None
+    nf, farc, freason = fwd
+    nb, breason = 0, None
+    if freason == "closed":
+        status, arc = LineStatus.CLOSED, farc
+    else:
+        if rec.backward is None:
+            return None
+        back = pts[s::-1]
+        bwd = _cut_walk(back[:, 0], back[:, 1], rec.backward,
+                        budget.max_arc_length - farc, budget.max_cells - nf)
+        if bwd is None:
+            return None
+        nb, barc, breason = bwd
+        arc = farc + barc
+        if freason == "window" and breason == "window":
+            status = LineStatus.OPEN_LEFT_WINDOW
+        else:
+            status = LineStatus.OPEN_BUDGET_EXHAUSTED
+
+    def before(first_jitter, cells):
+        return first_jitter if first_jitter is not None and first_jitter <= cells else None
+
+    fjitter = before(rec.forward_jitter, nf)
+    bjitter = before(rec.backward_jitter, nb)
+    jittered = rec.start_jitter or fjitter is not None or bjitter is not None
+    return LevelLine(
+        level=line.level,
+        points=pts[s - nb : s + nf + 1],
+        status=status,
+        arc_length=arc,
+        seed=line.seed,
+        cell_size=line.cell_size,
+        jitter_scale=line.jitter_scale if jittered else 0.0,
+        record=TraceRecord(
+            start=nb,
+            forward=freason,
+            backward=breason,
+            forward_jitter=fjitter,
+            backward_jitter=bjitter,
+            start_jitter=rec.start_jitter,
+            first_cell=rec.first_cell,
+            exits=rec.exits[:nf],
+        ),
+    )
+
+
+def _edge_key(orient, gi, gj):
+    """One integer per grid edge (for |gi|, |gj| < 2**30)."""
+    return (gi * 2**32 + gj) * 2 + orient
+
+
+_STEP_BY_SIDE = np.array(_SIDE_STEP)
+_EDGE_BY_SIDE = np.array(_SIDE_EDGE)
+
+
+def _loop_edge_keys(line: LevelLine) -> np.ndarray:
+    """Key of the grid edge under vertex k of a closed line, at k - 1."""
+    rec = line.record
+    sides = np.frombuffer(rec.exits, dtype=np.uint8)
+    steps = _STEP_BY_SIDE[sides]
+    cells = np.asarray(rec.first_cell) + np.cumsum(steps, axis=0) - steps
+    edges = _EDGE_BY_SIDE[sides]
+    return _edge_key(edges[:, 0], cells[:, 0] + edges[:, 1], cells[:, 1] + edges[:, 2])
+
+
+def _restart_loop(loop: LevelLine, k: int, budget: TraceBudget):
+    """(points, arc) of the trace started at vertex k of a closed loop, or
+    None when that trace stops before it closes.
+
+    The trace walks the same cycle from vertex k on, and stops early only
+    on the cell cap or on the arc before its closing step.
+    """
+    pts = loop.points
+    n = len(pts) - 1
+    if n > budget.max_cells:
+        return None
+    ring = np.concatenate((pts[k:n], pts[: k + 1]))
+    arcs = _arc_lengths(ring[:, 0], ring[:, 1])
+    if n > 1 and arcs[-2] >= budget.max_arc_length / 2:
+        return None
+    return ring, float(arcs[-1])
 
 
 @dataclass(frozen=True)
@@ -573,17 +851,35 @@ class _IntervalProbe:
         seeds = find_seeds(self.s, level, self.window, self.budget.cell_size, self.field)
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
+        walker = _Walker(self.s, level, self.field)
+        loops = []  # (closed line, _loop_edge_keys) traced at this level
         best_arc = -1.0
         best_area = 0.0
         for seed in seeds[: self.max_seeds]:
-            line = trace_level_line(
-                self.s, seed, level, self.trace_budget, window=None, field=self.field
-            )
-            if line.status is not LineStatus.CLOSED:
+            # Every edge has one successor, so a seed on a loop traced here
+            # already would walk that same cycle from another vertex: derive
+            # that trace from the loop instead of walking it again.
+            key = _edge_key(*_locate_start(walker, seed)[1])
+            for loop, keys in loops:
+                (on,) = np.nonzero(keys == key)
+                if len(on):
+                    traced = _restart_loop(loop, int(on[0]) + 1, self.trace_budget)
+                    break
+            else:
+                line = trace_level_line(
+                    self.s, seed, level, self.trace_budget, window=None, field=self.field
+                )
+                if line.status is LineStatus.CLOSED:
+                    loops.append((line, _loop_edge_keys(line)))
+                    traced = line.points, line.arc_length
+                else:
+                    traced = None
+            if traced is None:
                 return _OPEN
-            if line.arc_length > best_arc:
-                best_arc = line.arc_length
-                best_area = signed_area(line.points)
+            points, arc = traced
+            if arc > best_arc:
+                best_arc = arc
+                best_area = signed_area(points)
         return _ABOVE if best_area > 0 else _BELOW
 
 

@@ -174,6 +174,58 @@ def dense_seed_count(f, level, window, h_fine) -> int:
     return count
 
 
+def loop_seeds(values, level, delta, i0, j0, h):
+    """Reference seed finder: union-find over every grid cell in plain loops.
+
+    values[a][b] is f at grid corner (i0 + a, j0 + b).  Residuals within
+    delta of zero count as +delta.  Crossed edges (orient, gi, gj), orient 0
+    horizontal and 1 vertical, are joined when they share a cell; each
+    component yields the crossing on its least edge in (gj, gi, orient)
+    order, and the crossings come out in that order.
+    """
+    g = [[v - level if abs(v - level) >= delta else delta for v in row] for row in values]
+    ni, nj = len(g), len(g[0])
+    edges = [
+        (0, i0 + a, j0 + b) for a in range(ni - 1) for b in range(nj)
+        if (g[a][b] > 0) != (g[a + 1][b] > 0)
+    ] + [
+        (1, i0 + a, j0 + b) for a in range(ni) for b in range(nj - 1)
+        if (g[a][b] > 0) != (g[a][b + 1] > 0)
+    ]
+    parent = {e: e for e in edges}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for i in range(i0, i0 + ni - 1):
+        for j in range(j0, j0 + nj - 1):
+            sides = [e for e in ((0, i, j), (0, i, j + 1), (1, i, j), (1, i + 1, j))
+                     if e in parent]
+            for e in sides[1:]:
+                parent[find(e)] = find(sides[0])
+
+    def key(e):
+        return (e[2], e[1], e[0])
+
+    best = {}
+    for e in edges:
+        root = find(e)
+        if root not in best or key(e) < key(best[root]):
+            best[root] = e
+    seeds = []
+    for orient, gi, gj in sorted(best.values(), key=key):
+        g0 = g[gi - i0][gj - j0]
+        if orient == 0:
+            t = g0 / (g0 - g[gi + 1 - i0][gj - j0])
+            seeds.append(((gi + t) * h, gj * h))
+        else:
+            t = g0 / (g0 - g[gi - i0][gj + 1 - j0])
+            seeds.append((gi * h, (gj + t) * h))
+    return seeds
+
+
 def distance_to_diagonal_net(x: float, y: float) -> float:
     """Distance to the net {x+y = pi mod 2pi} union {x-y = pi mod 2pi},
     the zero set of cos x + cos y."""

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from moirelines.cli import main
+from moirelines.cli import build_parser, main
 from moirelines.output import manifests_equivalent
 from moirelines.potential import eval_superposition
 from moirelines.config import parse_config
@@ -280,6 +281,23 @@ class TestSweepAndZones:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "no stability zones" in capsys.readouterr().err
+
+
+class TestHelp:
+    def test_every_option_has_help_stating_its_default(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+        checked = 0
+        for name, sub in [("", parser), *commands.choices.items()]:
+            for action in sub._actions:
+                if not action.option_strings:
+                    continue
+                flag = f"{name} {action.option_strings[-1]}"
+                assert action.help and action.help.strip(), flag
+                if action.default not in (None, argparse.SUPPRESS):
+                    assert "default" in action.help, flag
+                checked += 1
+        assert checked > 30
 
 
 class TestErrors:

@@ -7,7 +7,6 @@ import pytest
 from moirelines.config import ConfigError, load_config, parse_config
 from moirelines.output import (
     color_for_key,
-    csv_lines,
     fmt_float,
     lines_to_svg,
     manifests_equivalent,
@@ -180,10 +179,6 @@ class TestStableJson:
 
 
 class TestCsvAndFiles:
-    def test_csv_lines(self):
-        text = csv_lines(["a", "b"], [["1", "2"], ["3", "4"]])
-        assert text == "a,b\n1,2\n3,4\n"
-
     def test_write_text_exact_bytes(self, tmp_path):
         p = tmp_path / "out.csv"
         write_text(p, "a,b\n1,2\n")

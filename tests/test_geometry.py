@@ -10,7 +10,6 @@ from moirelines.geometry import (
     Rect,
     apply_transform,
     as_vec2,
-    as_vec4,
     embed,
     reciprocal_basis,
     rot90,
@@ -139,8 +138,6 @@ class TestVectorsAndRect:
             as_vec2((1.0, 2.0, 3.0))
         with pytest.raises(ValueError):
             as_vec2((float("inf"), 0.0))
-        with pytest.raises(ValueError):
-            as_vec4((1.0, 2.0))
 
     def test_rect(self):
         r = Rect(0.0, -1.0, 2.0, 1.0)

@@ -13,12 +13,19 @@ from moirelines.potential import (
     two_cosine_potential,
 )
 from moirelines.tracer import (
+    JITTER_REL,
     BudgetError,
     ChunkedField,
     LevelLine,
     LineStatus,
     SeedNotOnLevelError,
     TraceBudget,
+    _edge_key,
+    _locate_start,
+    _loop_edge_keys,
+    _restart_loop,
+    _Walker,
+    cut_trace,
     energy_interval,
     find_seeds,
     signed_area,
@@ -26,7 +33,7 @@ from moirelines.tracer import (
 )
 
 import oracles
-from families import single_harmonic_sum
+from families import hexagonal_pair, single_harmonic_sum, two_layer_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +120,29 @@ class TestFindSeeds:
             want = oracles.dense_seed_count(f, level, small_window,
                                             small_budget.cell_size / 2)
             assert len(seeds) == want
+
+    def test_matches_loop_reference(self, two_cos):
+        window = Rect(-7.3, -5.1, 9.2, 6.4)
+        cases = [
+            (two_cos, 0.0),
+            (two_cos, 0.5),
+            (single_harmonic_sum(delta=0.3, alpha=0.7), 0.05),
+            (two_layer_sum(0.2, 0.4, (1.0, 2.0)), -0.3),
+            (hexagonal_pair(0.4, (0.5, 0.1)), 0.3),
+        ]
+        for s, level in cases:
+            h = s.shortest_period() / 16
+            i0, j0 = math.floor(window.x0 / h), math.floor(window.y0 / h)
+            i1, j1 = math.ceil(window.x1 / h), math.ceil(window.y1 / h)
+            field = ChunkedField(s, h)
+            values = field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1).tolist()
+            # Also a level on a grid value, where the residual nudge fires.
+            for lv in (level, values[10][7]):
+                want = oracles.loop_seeds(values, lv, JITTER_REL * s.value_scale(),
+                                          i0, j0, h)
+                got = find_seeds(s, lv, window, h, field)
+                assert len(want) > 0
+                assert [tuple(p.tolist()) for p in got] == want
 
     def test_count_stable_under_refinement(self, two_cos, small_window):
         h = TWO_PI / 16
@@ -222,6 +252,154 @@ class TestTraceLevelLine:
         with pytest.raises(ValueError):
             LevelLine(0.0, np.zeros((1, 2)), LineStatus.CLOSED, 0.0,
                       np.zeros(2), 0.1)
+
+
+def assert_same_trace(a, b):
+    assert a.points.shape == b.points.shape
+    assert a.points.tobytes() == b.points.tobytes()
+    assert (a.arc_length, a.status, a.jitter_scale) == (b.arc_length, b.status, b.jitter_scale)
+    assert a.record == b.record
+
+
+class TestTraceOnce:
+    """Shorter traces cut out of a longer one, and loops restarted from
+    another vertex, equal the traces they replace bit for bit."""
+
+    def setup_method(self):
+        self.s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        self.base = TraceBudget.for_potential(self.s, cells_per_period=16,
+                                              length_periods=10.0)
+        self.field = ChunkedField(self.s, self.base.cell_size)
+        self.window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
+
+    def seeds(self, level, count=5):
+        return find_seeds(self.s, level, self.window, self.base.cell_size,
+                          self.field)[:count]
+
+    def test_cut_trace_equals_direct_trace(self):
+        h, arc = self.base.cell_size, self.base.max_arc_length
+        longs = (self.base.scaled(4.0), TraceBudget(h, 4 * arc, 60))
+        shorts = (
+            self.base,
+            self.base.scaled(2.0),
+            TraceBudget(h, arc, 30),
+            TraceBudget(h, 3.0, 10**6),
+            TraceBudget(h, 8 * arc, 10**6),
+        )
+        clip = Rect.centered((1.0, -0.5), 9.0)
+        # The last level sits on a grid value, so the residual nudge fires.
+        levels = (0.05, 0.9, float(self.field.corner(5, 3)))
+        outcomes = {"cut": 0, "none": 0, "jitter": 0}
+        for level in levels:
+            for seed in self.seeds(level):
+                for window in (None, clip):
+                    for long_budget in longs:
+                        long = trace_level_line(self.s, seed, level, long_budget,
+                                                window=window, field=self.field)
+                        for b in shorts:
+                            cut = cut_trace(long, b)
+                            if cut is None:
+                                outcomes["none"] += 1
+                                continue
+                            direct = trace_level_line(self.s, seed, level, b,
+                                                      window=window, field=self.field)
+                            assert_same_trace(cut, direct)
+                            outcomes["cut"] += 1
+                            outcomes["jitter"] += cut.jitter_scale > 0
+        assert min(outcomes.values()) > 0, outcomes
+
+    def forward_arcs(self, line):
+        fwd = line.points[line.record.start:]
+        return np.cumsum(np.hypot(*np.diff(fwd, axis=0).T))
+
+    def test_arc_limit_on_a_vertex_stops_there(self):
+        # The walk must compare the exact running arc with the limit: set
+        # the forward limit to the running arc at vertex k, stop at k.
+        # Cheaper sums that differ from it in the last bit get this wrong.
+        for seed in self.seeds(0.05, count=2):
+            long = trace_level_line(self.s, seed, 0.05, self.base.scaled(4.0),
+                                    field=self.field)
+            arcs = self.forward_arcs(long)
+            for k in range(1, min(len(arcs), 200)):
+                b = TraceBudget(self.base.cell_size, 2 * float(arcs[k - 1]), 10**6)
+                direct = trace_level_line(self.s, seed, 0.05, b, field=self.field)
+                assert len(direct.points) - direct.record.start - 1 == k
+                assert_same_trace(cut_trace(long, b), direct)
+
+    def test_closing_or_leaving_beats_the_arc_limit_on_the_last_vertex(self):
+        clip = Rect.centered((1.0, -0.5), 9.0)
+        checked = {"closed": 0, "window": 0}
+        for level, window in ((0.9, None), (0.05, clip)):
+            for seed in self.seeds(level, count=3):
+                long = trace_level_line(self.s, seed, level, self.base.scaled(4.0),
+                                        window=window, field=self.field)
+                if long.record.forward not in checked:
+                    continue
+                b = TraceBudget(self.base.cell_size, 2 * float(self.forward_arcs(long)[-1]),
+                                10**6)
+                direct = trace_level_line(self.s, seed, level, b, window=window,
+                                          field=self.field)
+                assert direct.record.forward == long.record.forward
+                assert_same_trace(cut_trace(long, b), direct)
+                checked[long.record.forward] += 1
+        assert min(checked.values()) > 0, checked
+
+    def test_cut_trace_keeps_only_the_nudges_inside_the_cut(self):
+        # Restart 30 vertices before and after a nudged grid value on the
+        # line: only the longer trace reaches it, forward or backward.
+        level = float(self.field.corner(5, 3))
+        short = TraceBudget(self.base.cell_size, 3.0, 10**6)
+        nudged = {"forward": 0, "backward": 0}
+        for seed in self.seeds(level):
+            near = trace_level_line(self.s, seed, level, self.base, field=self.field)
+            if near.is_closed or near.record.forward_jitter is None:
+                continue
+            at = near.record.start + near.record.forward_jitter
+            for k in (at - 30, at + 30):
+                vertex = near.points[k]
+                long = trace_level_line(self.s, vertex, level, self.base, field=self.field)
+                cut = cut_trace(long, short)
+                direct = trace_level_line(self.s, vertex, level, short, field=self.field)
+                assert_same_trace(cut, direct)
+                assert cut.jitter_scale == 0
+                nudged["forward"] += long.record.forward_jitter is not None
+                nudged["backward"] += long.record.backward_jitter is not None
+        assert min(nudged.values()) > 0, nudged
+
+    def test_cut_trace_needs_a_walk_record(self, make_polyline):
+        line = make_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert cut_trace(line, self.base) is None
+
+    def test_restarted_loop_equals_trace_from_its_vertex(self):
+        level = 0.9
+        restarts = {True: 0, False: 0}
+        for seed in self.seeds(level, count=3):
+            loop = trace_level_line(self.s, seed, level, self.base, field=self.field)
+            assert loop.is_closed
+            keys = _loop_edge_keys(loop)
+            n = len(loop.points) - 1
+            steps = np.hypot(*np.diff(loop.points, axis=0).T)
+            # Arc limits between the shortest and the longest arc before a
+            # closing step: loops close from some vertices and not others.
+            tight = TraceBudget(self.base.cell_size,
+                                2 * (loop.arc_length - float(np.median(steps))), 10**6)
+            capped = TraceBudget(self.base.cell_size, self.base.max_arc_length, n - 1)
+            walker = _Walker(self.s, level, self.field)
+            for k in range(1, n + 1, 3):
+                vertex = loop.points[k]
+                assert _edge_key(*_locate_start(walker, vertex)[1]) == keys[k - 1]
+                for b in (self.base, tight, capped):
+                    restarted = _restart_loop(loop, k, b)
+                    direct = trace_level_line(self.s, vertex, level, b, field=self.field)
+                    restarts[restarted is not None] += 1
+                    if restarted is None:
+                        assert not direct.is_closed
+                    else:
+                        points, arc = restarted
+                        assert direct.is_closed
+                        assert points.tobytes() == direct.points.tobytes()
+                        assert arc == direct.arc_length
+        assert min(restarts.values()) > 0, restarts
 
 
 class TestEnergyInterval:
