@@ -367,12 +367,11 @@ def classify_first_open(
 ) -> tuple[LevelLine, Classification] | None:
     """Classify the first genuinely open line seeded in the window.
 
-    Loops with perimeter above the arc budget masquerade as open until the
-    longer trace classification needs closes them, so each seed is traced
-    at four times the budget first and skipped when that trace closes (as a
-    closed line at one budget or a Closed classification, it would be
-    skipped all the same).  Returns the line and its classification, or
-    None when every seed yields a loop.
+    Loops with perimeter above the arc budget masquerade as open at one
+    budget.  So each seed is traced once, at the four times the budget that
+    classification follows it for, and skipped when that trace closes: at
+    one budget it is then a closed line or classifies as Closed.  Returns
+    the line and its classification, or None when every seed yields a loop.
     """
     if field is None:
         field = ChunkedField(s, budget.cell_size)

@@ -643,7 +643,6 @@ def trace_level_line(
     p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
         xs, ys = [p0x] + fx, [p0y] + fy
-        status = LineStatus.CLOSED
         arc = farc
         bx, breason, bjitter = [], None, None
     else:
@@ -652,16 +651,12 @@ def trace_level_line(
         )
         xs, ys = bx[::-1] + [p0x] + fx, by[::-1] + [p0y] + fy
         arc = farc + barc
-        if freason == "window" and breason == "window":
-            status = LineStatus.OPEN_LEFT_WINDOW
-        else:
-            status = LineStatus.OPEN_BUDGET_EXHAUSTED
 
     jittered = start_jitter or fjitter is not None or bjitter is not None
     return LevelLine(
         level=level,
         points=np.column_stack((xs, ys)),
-        status=status,
+        status=_status(freason, breason),
         arc_length=arc,
         seed=seed,
         cell_size=budget.cell_size,
@@ -677,6 +672,15 @@ def trace_level_line(
             exits=bytes(fexits),
         ),
     )
+
+
+def _status(forward: str, backward: str | None) -> LineStatus:
+    """Line status from the stop reasons of its forward and backward walks."""
+    if forward == "closed":
+        return LineStatus.CLOSED
+    if forward == "window" and backward == "window":
+        return LineStatus.OPEN_LEFT_WINDOW
+    return LineStatus.OPEN_BUDGET_EXHAUSTED
 
 
 def _cut_walk(x, y, reason, arc_limit, cell_limit):
@@ -709,7 +713,8 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
     Walks are deterministic, so the shorter trace walks a prefix of each of
     the longer one's walks and stops where the same rules, applied to the
     same running arc and cell counts, stop it.  Returns None when the longer
-    trace ends before that point or carries no walk record.
+    trace ends before that point or carries no walk record.  The cut line
+    carries none.
     """
     rec = line.record
     if rec is None:
@@ -721,10 +726,8 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
     if fwd is None:
         return None
     nf, farc, freason = fwd
-    nb, breason = 0, None
-    if freason == "closed":
-        status, arc = LineStatus.CLOSED, farc
-    else:
+    nb, breason, arc = 0, None, farc
+    if freason != "closed":
         if rec.backward is None:
             return None
         back = pts[s::-1]
@@ -734,35 +737,23 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
             return None
         nb, barc, breason = bwd
         arc = farc + barc
-        if freason == "window" and breason == "window":
-            status = LineStatus.OPEN_LEFT_WINDOW
-        else:
-            status = LineStatus.OPEN_BUDGET_EXHAUSTED
 
-    def before(first_jitter, cells):
-        return first_jitter if first_jitter is not None and first_jitter <= cells else None
+    def nudged(first_jitter, cells):
+        return first_jitter is not None and first_jitter <= cells
 
-    fjitter = before(rec.forward_jitter, nf)
-    bjitter = before(rec.backward_jitter, nb)
-    jittered = rec.start_jitter or fjitter is not None or bjitter is not None
+    jittered = (
+        rec.start_jitter
+        or nudged(rec.forward_jitter, nf)
+        or nudged(rec.backward_jitter, nb)
+    )
     return LevelLine(
         level=line.level,
         points=pts[s - nb : s + nf + 1],
-        status=status,
+        status=_status(freason, breason),
         arc_length=arc,
         seed=line.seed,
         cell_size=line.cell_size,
         jitter_scale=line.jitter_scale if jittered else 0.0,
-        record=TraceRecord(
-            start=nb,
-            forward=freason,
-            backward=breason,
-            forward_jitter=fjitter,
-            backward_jitter=bjitter,
-            start_jitter=rec.start_jitter,
-            first_cell=rec.first_cell,
-            exits=rec.exits[:nf],
-        ),
     )
 
 
@@ -798,7 +789,7 @@ def _restart_loop(loop: LevelLine, k: int, budget: TraceBudget):
         return None
     ring = np.concatenate((pts[k:n], pts[: k + 1]))
     arcs = _arc_lengths(ring[:, 0], ring[:, 1])
-    if n > 1 and arcs[-2] >= budget.max_arc_length / 2:
+    if arcs[-2] >= budget.max_arc_length / 2:
         return None
     return ring, float(arcs[-1])
 

@@ -258,7 +258,6 @@ def assert_same_trace(a, b):
     assert a.points.shape == b.points.shape
     assert a.points.tobytes() == b.points.tobytes()
     assert (a.arc_length, a.status, a.jitter_scale) == (b.arc_length, b.status, b.jitter_scale)
-    assert a.record == b.record
 
 
 class TestTraceOnce:
@@ -283,6 +282,7 @@ class TestTraceOnce:
             self.base,
             self.base.scaled(2.0),
             TraceBudget(h, arc, 30),
+            TraceBudget(h, arc, 1),
             TraceBudget(h, 3.0, 10**6),
             TraceBudget(h, 8 * arc, 10**6),
         )
@@ -365,6 +365,29 @@ class TestTraceOnce:
                 nudged["forward"] += long.record.forward_jitter is not None
                 nudged["backward"] += long.record.backward_jitter is not None
         assert min(nudged.values()) > 0, nudged
+
+    def test_a_nudge_met_locating_the_start_counts_in_every_cut(self):
+        # One-cell traces from seeds next to a nudged grid value: for some,
+        # only locating the start read it, so only that marks the cut.
+        h = self.base.cell_size
+        one_cell = TraceBudget(h, self.base.max_arc_length, 1)
+        start_only = 0
+        for ci, cj in ((-7, -14), (7, -15), (8, 1)):
+            level = float(self.field.corner(ci, cj))
+            around = Rect((ci - 1.5) * h, (cj - 1.5) * h, (ci + 1.5) * h, (cj + 1.5) * h)
+            for seed in find_seeds(self.s, level, around, h, self.field):
+                long = trace_level_line(self.s, seed, level, self.base.scaled(4.0),
+                                        field=self.field)
+                cut = cut_trace(long, one_cell)
+                if cut is None:  # a loop: no backward walk to cut from
+                    assert long.is_closed
+                    continue
+                direct = trace_level_line(self.s, seed, level, one_cell, field=self.field)
+                assert_same_trace(cut, direct)
+                r = direct.record
+                start_only += (r.start_jitter and r.forward_jitter is None
+                               and r.backward_jitter is None)
+        assert start_only > 0
 
     def test_cut_trace_needs_a_walk_record(self, make_polyline):
         line = make_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
