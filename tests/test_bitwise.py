@@ -1,13 +1,17 @@
-"""Bit-for-bit regression pins for tracing, the energy interval and classify.
+"""Bit-for-bit regression pins for tracing, the energy interval, classify
+and the routines built on them.
 
-The digests were recorded before the marching-squares walker was rewritten
-for speed; any change to a traced vertex, an arc length, a stop status or a
-jitter flag changes them.  Every line is traced three ways: with the plain
-budget, with a cell cap that stops it early, and clipped to a small window,
-so every stop rule of the walk is covered.
+The line digests were recorded before the marching-squares walker was
+rewritten for speed; any change to a traced vertex, an arc length, a stop
+status or a jitter flag changes them.  Every line is traced three ways: with
+the plain budget, with a cell cap that stops it early, and clipped to a small
+window, so every stop rule of the walk is covered.
 
 The potential is the README example: V = cos x + cos y, U = 0.3 cos x',
-alpha = 0.7.
+alpha = 0.7.  The CLI classify, shift-family and sweep pins were recorded
+before those three callers were made to share one classification routine;
+they cover the all-loops classify fallback, the degenerate-interval
+midpoint, per-shift intervals and sweeps with and without a fixed level.
 """
 
 import hashlib
@@ -16,8 +20,23 @@ import struct
 
 import pytest
 
-from moirelines.classifier import Regular, classify, classify_first_open
+from moirelines.classifier import (
+    Regular,
+    classification_to_dict,
+    classify,
+    classify_first_open,
+    shift_family_check,
+)
+from moirelines.cli import main
 from moirelines.geometry import Rect
+from moirelines.output import stable_json
+from moirelines.potential import (
+    FourierTerm,
+    PeriodicPotential,
+    square_lattice,
+    two_cosine_potential,
+)
+from moirelines.sweep import SweepConfig, result_to_dict, sweep_angle, sweep_to_csv
 from moirelines.tracer import (
     ChunkedField,
     TraceBudget,
@@ -105,3 +124,97 @@ def test_interval_and_classify_bitwise():
     assert again.quadruple == c.quadruple
     assert again.direction.tobytes() == c.direction.tobytes()
     assert (again.strip_width, again.residual) == (c.strip_width, c.residual)
+
+
+# The unperturbed two-cosine field f = cos x + cos y as a CLI config.
+TWO_COS_CFG = """\
+[v.lattice]
+e1 = 6.283185307179586 0.0
+e2 = 0.0 6.283185307179586
+[v.terms]
+term = 1 0 1.0
+term = 0 1 1.0
+[u.lattice]
+e1 = 6.283185307179586 0.0
+e2 = 0.0 6.283185307179586
+[u.terms]
+term = 1 0 0.0
+"""
+
+# SHA-256 over stdout then classification.json of one `classify` run.
+CLI_CLASSIFY_DIGESTS = {
+    "all-loops": "4f81790b3a1a4fc40b9fb562a33a2a3c8748f218663e13d31730bec16459f701",
+    "degenerate-midpoint": "01fcea3e4fbdafe7716b29eb14a958ca73343486580cb69fdc2463b0ba15f1cc",
+}
+SHIFT_FAMILY_DIGEST = "1716170ebcdee79750198c3f7c98ce44603a012146c57948ca0d55af9c30946a"
+# SHA-256 over sweep_to_csv then the JSON of result_to_dict.
+SWEEP_DIGESTS = {
+    "interval": "264a093d8d0d8d7bf5ff5c53a1fcd17f996b6de64d8c290df85582cde791f9bf",
+    "fixed-level": "ac237f22ed2bdff73ec67d0b2209207f19b05367cfc0a20e307b6a64b3f73737",
+    "all-loops": "50a9e0864510b6d56d6de2a185e9b19f5949aa16683f0f5095fd60f4e865b7b6",
+}
+
+
+def _sha256(*texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        # Every seed at level 0.5 closes: the first loop is reported.
+        ("all-loops", ["--level", "0.5", "--budget-L", str(40.0 * TWO_PI)]),
+        # The interval collapses onto the critical level; its midpoint is used.
+        ("degenerate-midpoint", [
+            "--budget-L", str(20.0 * TWO_PI), "--window=-12.6,-12.6,12.6,12.6",
+        ]),
+    ],
+)
+def test_cli_classify_bitwise(name, args, tmp_path, capsys):
+    cfg = tmp_path / "twocos.cfg"
+    cfg.write_text(TWO_COS_CFG)
+    out = tmp_path / "run"
+    code = main(["classify", "--config", str(cfg), *args, "--out", str(out)])
+    assert code == 0
+    stdout = capsys.readouterr().out
+    report = (out / "classification.json").read_text()
+    assert _sha256(stdout, report) == CLI_CLASSIFY_DIGESTS[name]
+
+
+def test_shift_family_bitwise():
+    v = two_cosine_potential(TWO_PI)
+    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, 0.3),))
+    budget = TraceBudget(TWO_PI / 16, 30.0 * TWO_PI, int(8 * 30 * 16) + 64)
+    window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
+    report = shift_family_check(
+        v, u, 0.7, shifts=[(0.0, 0.0), (2.0, 1.0)],
+        budget=budget, window=window, tol_eps=1e-2,
+    )
+    summary = {
+        "classifications": [classification_to_dict(c) for c in report.classifications],
+        "intervals": [
+            [iv.lo, iv.hi, iv.found, iv.degenerate, iv.n_probes]
+            for iv in report.intervals
+        ],
+        "levels": list(report.levels),
+    }
+    assert _sha256(stable_json(summary, indent=2)) == SHIFT_FAMILY_DIGEST
+
+
+# At level 0.9 every line is a loop: each shift reports no open line.
+@pytest.mark.parametrize(
+    "name, level", [("interval", None), ("fixed-level", 0.0), ("all-loops", 0.9)]
+)
+def test_sweep_bitwise(name, level):
+    s, _, _ = _setup()
+    config = SweepConfig(
+        alpha_start=0.62, alpha_end=0.67, alpha_count=3, shifts_per_alpha=2,
+        seed=9, level=level, length_periods=30.0,
+    )
+    result = sweep_angle(s.v, s.u, config, s.combiner)
+    assert all(sample.verdict != "error" for sample in result.samples)
+    text = stable_json(result_to_dict(result), indent=2)
+    assert _sha256(sweep_to_csv(result), text) == SWEEP_DIGESTS[name]
