@@ -23,7 +23,6 @@ the budget; the shorter traces are cut out of that walk.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -40,8 +39,8 @@ from .potential import (
 )
 from .tracer import (
     ChunkedField,
+    EnergyInterval,
     LevelLine,
-    LineStatus,
     TraceBudget,
     cut_trace,
     energy_interval,
@@ -260,7 +259,6 @@ def classify(
     tau_sat: float = DEFAULT_TAU_SAT,
     k_grow: float = DEFAULT_K_GROW,
     quad_bound: int = DEFAULT_QUAD_BOUND,
-    quad_tol: float | None = None,
     field: ChunkedField | None = None,
     long_line: LevelLine | None = None,
 ) -> Classification:
@@ -272,7 +270,7 @@ def classify(
     k_grow) is chaotic.  long_line, when given, is the same seed already
     traced at four times the budget; otherwise that trace is made here, and
     the twice-budget line is cut out of it.  For regular lines the quadruple
-    search tolerance defaults to 2 * residual / arc_length, the angular
+    search tolerance is 2 * residual / arc_length, the angular
     uncertainty of the direction fit itself, floored at 1e-12 so an exactly
     straight line still admits candidates.
     """
@@ -306,9 +304,7 @@ def classify(
     growth = widths[2] / w1
     if growth <= 1.0 + tau_sat:
         fit = fits[2]
-        long_line = lines[2]
-        if quad_tol is None:
-            quad_tol = max(2.0 * fit.residual / long_line.arc_length, 1e-12)
+        quad_tol = max(2.0 * fit.residual / lines[2].arc_length, 1e-12)
         q = recover_quadruple(
             fit.direction, s.v.lattice, s.rotated_u_lattice(), quad_bound, quad_tol
         )
@@ -335,24 +331,6 @@ def classify(
     )
 
 
-def first_open_line(
-    s: SuperpositionPotential,
-    level: float,
-    window: Rect,
-    budget: TraceBudget,
-    field: ChunkedField | None = None,
-    max_seeds: int = 10,
-) -> LevelLine | None:
-    """Trace seeds in the window until one yields an open line, if any."""
-    if field is None:
-        field = ChunkedField(s, budget.cell_size)
-    for seed in find_seeds(s, level, window, budget.cell_size, field)[:max_seeds]:
-        line = trace_level_line(s, seed, level, budget, field=field)
-        if line.status is LineStatus.OPEN_BUDGET_EXHAUSTED:
-            return line
-    return None
-
-
 def classify_first_open(
     s: SuperpositionPotential,
     level: float,
@@ -361,7 +339,6 @@ def classify_first_open(
     tau_sat: float = DEFAULT_TAU_SAT,
     k_grow: float = DEFAULT_K_GROW,
     quad_bound: int = DEFAULT_QUAD_BOUND,
-    quad_tol: float | None = None,
     field: ChunkedField | None = None,
     max_seeds: int = 10,
 ) -> tuple[LevelLine, Classification] | None:
@@ -369,26 +346,82 @@ def classify_first_open(
 
     Loops with perimeter above the arc budget masquerade as open at one
     budget.  So each seed is traced once, at the four times the budget that
-    classification follows it for, and skipped when that trace closes: at
-    one budget it is then a closed line or classifies as Closed.  Returns
-    the line and its classification, or None when every seed yields a loop.
+    classification follows it for, and skipped when that trace closes.
+    Returns the first open line and its classification; when every seed
+    closes, the first seed's loop and Closed; None when the window holds no
+    seed.
     """
     if field is None:
         field = ChunkedField(s, budget.cell_size)
     long_budget = budget.scaled(4.0)
+    first_loop = None
     for seed in find_seeds(s, level, window, budget.cell_size, field)[:max_seeds]:
         long_line = trace_level_line(s, seed, level, long_budget, field=field)
         if long_line.is_closed:
+            if first_loop is None:
+                first_loop = long_line
             continue
+        # Open at four times the budget, so open (budget exhausted) at one.
         line = cut_trace(long_line, budget) or trace_level_line(
             s, seed, level, budget, field=field
         )
-        if line.status is not LineStatus.OPEN_BUDGET_EXHAUSTED:
-            continue
-        c = classify(s, line, budget, tau_sat, k_grow, quad_bound, quad_tol,
+        c = classify(s, line, budget, tau_sat, k_grow, quad_bound,
                      field=field, long_line=long_line)
         return line, c
-    return None
+    if first_loop is None:
+        return None
+    return first_loop, Closed(diameter=_diameter(first_loop.points))
+
+
+def classify_potential(
+    s: SuperpositionPotential,
+    window: Rect,
+    budget: TraceBudget,
+    level: float | None = None,
+    tol_eps: float = 1e-3,
+    tau_sat: float = DEFAULT_TAU_SAT,
+    k_grow: float = DEFAULT_K_GROW,
+    quad_bound: int = DEFAULT_QUAD_BOUND,
+    max_seeds: int = 10,
+) -> tuple[EnergyInterval | None, float | None, Classification | None]:
+    """The paper's step for one potential: find the energies carrying open
+    lines, then classify an open line at one of them.
+
+    Without a level, the open-line interval is searched over
+    +-1.01 * value_scale() and its midpoint classified.  Returns (interval,
+    level, classification): interval is None when a level is given; level
+    and classification are None when no interval is found, and the
+    classification is None when the window holds no seed at the level.
+    """
+    interval = None
+    if level is None:
+        scale = 1.01 * s.value_scale()
+        interval = energy_interval(s, window, budget, -scale, scale, tol_eps)
+        if not interval.found:
+            return interval, None, None
+        level = 0.5 * (interval.lo + interval.hi)
+    hit = classify_first_open(
+        s, level, window, budget, tau_sat, k_grow, quad_bound, max_seeds=max_seeds
+    )
+    return interval, level, None if hit is None else hit[1]
+
+
+def classify_family_member(
+    s: SuperpositionPotential,
+    window: Rect,
+    budget: TraceBudget,
+    level: float | None = None,
+    **options,
+) -> tuple[EnergyInterval | None, float | None, Classification | None]:
+    """classify_potential, with the same options, for one shift of a family.
+
+    A family verdict needs an open line at every shift, so a level where
+    this shift yields none (no seed, or only loops) is Undetermined here.
+    """
+    interval, level, c = classify_potential(s, window, budget, level, **options)
+    if level is not None and (c is None or isinstance(c, Closed)):
+        c = Undetermined(reason=f"no open line found at level {level}")
+    return interval, level, c
 
 
 @dataclass(frozen=True)
@@ -412,26 +445,6 @@ class ShiftFamilyReport:
     reason: str | None = None
 
 
-def _classify_shift(args) -> tuple:
-    (v, u, combiner, alpha, shift, budget, window, level, eps_lo, eps_hi, tol_eps,
-     tau_sat, k_grow, quad_bound) = args
-    s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
-    shared = ChunkedField(s, budget.cell_size)
-    interval = energy_interval(s, window, budget, eps_lo, eps_hi, tol_eps)
-    if level is None:
-        if not interval.found:
-            return (None, interval, None)
-        eps = 0.5 * (interval.lo + interval.hi)
-    else:
-        eps = level
-    hit = classify_first_open(
-        s, eps, window, budget, tau_sat, k_grow, quad_bound, field=shared
-    )
-    if hit is None:
-        return (Undetermined(reason=f"no open line found at level {eps}"), interval, eps)
-    return (hit[1], interval, eps)
-
-
 def shift_family_check(
     v: PeriodicPotential,
     u: PeriodicPotential,
@@ -440,22 +453,18 @@ def shift_family_check(
     budget: TraceBudget | None = None,
     window: Rect | None = None,
     combiner: Combiner = Sum(),
-    level: float | None = None,
-    eps_bracket: tuple[float, float] | None = None,
     tol_eps: float = 1e-3,
     tau_sat: float = DEFAULT_TAU_SAT,
     k_grow: float = DEFAULT_K_GROW,
     quad_bound: int = DEFAULT_QUAD_BOUND,
     commensurate_bound: int = 10,
-    workers: int = 1,
 ) -> ShiftFamilyReport:
     """Classify one open line per shift and compare labels and intervals.
 
     Shift independence is only meaningful for non-periodic superpositions,
     so a commensurate layer pair short-circuits to a skipped report.  Each
-    shift gets its own energy-interval computation (unless a fixed level is
-    supplied) and its own classification; per-shift work is independent and
-    runs on a process pool when workers > 1.
+    shift gets its own energy-interval search and classifies an open line at
+    its own interval's midpoint (see classify_family_member).
     """
     shifts = [np.asarray(a, dtype=float) for a in shifts]
     transform0 = EuclideanTransform(alpha, shifts[0] if shifts else (0.0, 0.0))
@@ -480,24 +489,18 @@ def shift_family_check(
         budget = TraceBudget.for_potential(probe)
     if window is None:
         window = Rect.centered((0.0, 0.0), 4.0 * probe.longest_period())
-    if eps_bracket is None:
-        scale = 1.01 * probe.value_scale()
-        eps_bracket = (-scale, scale)
 
-    jobs = [
-        (v, u, combiner, alpha, a, budget, window, level,
-         eps_bracket[0], eps_bracket[1], tol_eps, tau_sat, k_grow, quad_bound)
+    outcomes = [
+        classify_family_member(
+            SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner),
+            window, budget, tol_eps=tol_eps, tau_sat=tau_sat, k_grow=k_grow,
+            quad_bound=quad_bound,
+        )
         for a in shifts
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_classify_shift, jobs))
-    else:
-        outcomes = [_classify_shift(j) for j in jobs]
-
-    classifications = tuple(c for c, _, _ in outcomes)
-    intervals = tuple(iv for _, iv, _ in outcomes)
-    levels = tuple(eps for _, _, eps in outcomes)
+    intervals = tuple(iv for iv, _, _ in outcomes)
+    levels = tuple(eps for _, eps, _ in outcomes)
+    classifications = tuple(c for _, _, c in outcomes)
 
     quadruples = [
         c.quadruple for c in classifications if isinstance(c, Regular)
@@ -507,7 +510,7 @@ def shift_family_check(
         and len(classifications) > 0
         and all(q == quadruples[0] for q in quadruples)
     )
-    found = [iv for iv in intervals if iv is not None and iv.found]
+    found = [iv for iv in intervals if iv.found]
     ivals_ok = len(found) == len(intervals) and len(found) > 0
     if ivals_ok:
         los = [iv.lo for iv in found]

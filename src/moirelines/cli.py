@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import classification_to_dict, classify, classify_first_open
+from .classifier import classification_to_dict, classify_potential
 from .config import ConfigError, load_config
 from .geometry import Rect
 from .output import (
@@ -45,7 +45,6 @@ from .sweep import (
 from .tracer import (
     ChunkedField,
     TraceBudget,
-    energy_interval,
     find_seeds,
     trace_level_line,
 )
@@ -198,29 +197,13 @@ def cmd_classify(args) -> int:
     s = parsed.superposition
     budget = _budget_from(args, s)
     window = _window_from(args, s)
-    level = args.level
-    interval = None
+    interval, level, c = classify_potential(s, window, budget, args.level, args.tol_eps)
     if level is None:
-        scale = 1.01 * s.value_scale()
-        interval = energy_interval(
-            s, window, budget, -scale, scale, args.tol_eps
-        )
-        if not interval.found:
-            sys.stderr.write("no open-line energy interval found\n")
-            return EXIT_EMPTY
-        level = 0.5 * (interval.lo + interval.hi)
-    field = ChunkedField(s, budget.cell_size)
-    hit = classify_first_open(s, level, window, budget, field=field)
-    if hit is None:
-        # Every seed closed up: report the first loop instead of nothing.
-        seeds = find_seeds(s, level, window, budget.cell_size, field)
-        if not seeds:
-            sys.stderr.write(f"no level-line seeds at level {fmt_float(level)}\n")
-            return EXIT_EMPTY
-        line = trace_level_line(s, seeds[0], level, budget, field=field)
-        c = classify(s, line, budget, field=field)
-    else:
-        line, c = hit
+        sys.stderr.write("no open-line energy interval found\n")
+        return EXIT_EMPTY
+    if c is None:
+        sys.stderr.write(f"no level-line seeds at level {fmt_float(level)}\n")
+        return EXIT_EMPTY
     params = {
         "command": "classify",
         "level": level,

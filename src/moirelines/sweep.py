@@ -28,14 +28,13 @@ from .potential import (
     SuperpositionPotential,
     is_commensurate,
 )
-from .tracer import ChunkedField, EnergyInterval, TraceBudget, energy_interval
+from .tracer import EnergyInterval, TraceBudget
 from .classifier import (
     Chaotic,
     Quadruple,
     Regular,
-    Undetermined,
     classification_to_dict,
-    classify_first_open,
+    classify_family_member,
 )
 from .output import fmt_float
 
@@ -153,48 +152,26 @@ def _sample_alpha(args) -> AlphaSample:
         )
         window = Rect.centered((0.0, 0.0), cfg.window_periods * s0.longest_period())
 
-        interval = None
-        level = cfg.level
-        if level is None:
-            scale = 1.01 * s0.value_scale()
-            interval = energy_interval(
-                s0, window, budget, -scale, scale, cfg.tol_eps
+        def member(shift, level):
+            s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
+            return classify_family_member(
+                s, window, budget, level, tol_eps=cfg.tol_eps, tau_sat=cfg.tau_sat,
+                k_grow=cfg.k_grow, quad_bound=cfg.quad_bound, max_seeds=cfg.max_seeds,
             )
-            if not interval.found:
-                return AlphaSample(
-                    alpha=alpha,
-                    shifts=tuple(shifts),
-                    classifications=(),
-                    interval=interval,
-                    level=None,
-                    quadruple=None,
-                    mean_width=None,
-                    verdict="no-open-lines",
-                    commensurate=commensurate,
-                )
-            level = 0.5 * (interval.lo + interval.hi)
 
-        classifications = []
-        for a in shifts:
-            s = SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner)
-            shared = ChunkedField(s, budget.cell_size)
-            hit = classify_first_open(
-                s, level, window, budget, cfg.tau_sat, cfg.k_grow, cfg.quad_bound,
-                field=shared, max_seeds=cfg.max_seeds,
-            )
-            if hit is None:
-                classifications.append(
-                    Undetermined(reason=f"no open line found at level {level}")
-                )
-                continue
-            classifications.append(hit[1])
+        # Shift 0 fixes the level (the interval is the family's); the other
+        # shifts are classified at it.
+        interval, level, c0 = member(shifts[0], cfg.level)
+        classifications = ()
+        if level is not None:
+            classifications = (c0,) + tuple(member(a, level)[2] for a in shifts[1:])
         quadruple, width, verdict = _consensus(
-            tuple(classifications), interval is None or interval.found
+            classifications, interval is None or interval.found
         )
         return AlphaSample(
             alpha=alpha,
             shifts=tuple(shifts),
-            classifications=tuple(classifications),
+            classifications=classifications,
             interval=interval,
             level=level,
             quadruple=quadruple,

@@ -88,7 +88,6 @@ class TraceBudget:
         s: SuperpositionPotential,
         cells_per_period: int = 16,
         length_periods: float = 200.0,
-        max_cells: int | None = None,
         cell_size: float | None = None,
         max_arc_length: float | None = None,
     ) -> "TraceBudget":
@@ -98,9 +97,7 @@ class TraceBudget:
         replace the per-period h and L."""
         h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
         arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
-        if max_cells is None:
-            max_cells = int(8 * arc / h) + 64
-        return TraceBudget(h, arc, max_cells)
+        return TraceBudget(h, arc, int(8 * arc / h) + 64)
 
     def scaled(self, factor: float) -> "TraceBudget":
         """Same resolution, arc-length and cell caps multiplied by factor."""
@@ -806,6 +803,8 @@ class EnergyInterval:
 
 
 _OPEN, _BELOW, _ABOVE = "open", "below", "above"
+_PROBE_SEEDS = 12  # seeds traced per probed level
+_COARSE_LEVELS = 9  # evenly spaced levels of the interval search's first scan
 
 
 class _IntervalProbe:
@@ -821,7 +820,7 @@ class _IntervalProbe:
     exactly when the level sweeps through the open range.
     """
 
-    def __init__(self, s, window, budget, max_seeds):
+    def __init__(self, s, window, budget):
         self.s = s
         self.window = window
         self.budget = budget
@@ -829,7 +828,6 @@ class _IntervalProbe:
         # perimeter just over the base budget would read as open lines and
         # inflate the interval.
         self.trace_budget = budget.scaled(4.0)
-        self.max_seeds = max_seeds
         self.field = ChunkedField(s, budget.cell_size)
         i0, j0, i1, j1 = _window_corner_range(window, budget.cell_size)
         samples = self.field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
@@ -846,7 +844,7 @@ class _IntervalProbe:
         loops = []  # (closed line, _loop_edge_keys) traced at this level
         best_arc = -1.0
         best_area = 0.0
-        for seed in seeds[: self.max_seeds]:
+        for seed in seeds[:_PROBE_SEEDS]:
             # Every edge has one successor, so a seed on a loop traced here
             # already would walk that same cycle from another vertex: derive
             # that trace from the loop instead of walking it again.
@@ -881,8 +879,6 @@ def energy_interval(
     eps_min: float,
     eps_max: float,
     tol_eps: float,
-    max_seeds: int = 12,
-    coarse_levels: int = 9,
 ) -> EnergyInterval:
     """Bisect for the interval of levels carrying open lines.
 
@@ -898,9 +894,9 @@ def energy_interval(
         raise ValueError("need eps_min < eps_max")
     if tol_eps <= 0:
         raise ValueError("tol_eps must be positive")
-    probe = _IntervalProbe(s, window, budget, max_seeds)
+    probe = _IntervalProbe(s, window, budget)
 
-    levels = np.linspace(eps_min, eps_max, coarse_levels)
+    levels = np.linspace(eps_min, eps_max, _COARSE_LEVELS)
     states = {float(e): probe.state(float(e)) for e in levels}
     ordered = sorted(states)
 

@@ -15,7 +15,6 @@ from moirelines.classifier import (
     classify,
     classify_first_open,
     direction_from_quadruple,
-    first_open_line,
     fit_direction,
     quadruple_basis,
     recover_quadruple,
@@ -251,18 +250,36 @@ class TestClassify:
         widths = [w for _, w in c.widths_by_length]
         assert widths[2] >= 1.8 * widths[0]
 
-    def test_first_open_line(self, two_cos):
+    def test_first_open_line(self):
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, cells_per_period=16,
                                            length_periods=20.0)
         window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
-        line = first_open_line(s, 0.0, window, budget)
-        assert line is not None
+        line, c = classify_first_open(s, 0.0, window, budget)
         assert line.status is LineStatus.OPEN_BUDGET_EXHAUSTED
-        # A field with only closed loops yields nothing.
-        b2 = TraceBudget.for_potential(two_cos, cells_per_period=16,
-                                       length_periods=20.0)
-        assert first_open_line(two_cos, 0.5, window, b2) is None
+        assert not isinstance(c, Closed)
+        # The line is its seed's trace at the budget, cut from the 4x walk.
+        direct = trace_level_line(s, line.seed, 0.0, budget)
+        assert line.points.tobytes() == direct.points.tobytes()
+
+    def test_first_open_all_loops_returns_first_loop(self, two_cos):
+        budget = TraceBudget.for_potential(two_cos, cells_per_period=16,
+                                           length_periods=20.0)
+        window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
+        line, c = classify_first_open(two_cos, 0.5, window, budget)
+        assert isinstance(c, Closed)
+        # The loop is the first seed's trace at four times the budget.
+        seed = find_seeds(two_cos, 0.5, window, budget.cell_size)[0]
+        loop = trace_level_line(two_cos, seed, 0.5, budget.scaled(4.0))
+        assert loop.is_closed
+        assert line.points.tobytes() == loop.points.tobytes()
+        assert c == classify(two_cos, loop, budget)
+        assert c.diameter > 0
+
+    def test_first_open_no_seed_returns_none(self, two_cos, small_window,
+                                             small_budget):
+        # |cos x + cos y| <= 2: no line exists at level 2.5.
+        assert classify_first_open(two_cos, 2.5, small_window, small_budget) is None
 
 
 class TestSerialization:
