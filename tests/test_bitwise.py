@@ -12,6 +12,8 @@ alpha = 0.7.  The CLI classify, shift-family and sweep pins were recorded
 before those three callers were made to share one classification routine;
 they cover the all-loops classify fallback, the degenerate-interval
 midpoint, per-shift intervals and sweeps with and without a fixed level.
+The zones pin, with the list of angles zone refinement sampled, was recorded
+before the edge bisections and verify samples moved onto the worker pool.
 """
 
 import hashlib
@@ -36,7 +38,15 @@ from moirelines.potential import (
     square_lattice,
     two_cosine_potential,
 )
-from moirelines.sweep import SweepConfig, result_to_dict, sweep_angle, sweep_to_csv
+from moirelines.sweep import (
+    SweepConfig,
+    detect_zones,
+    make_point_fn,
+    result_to_dict,
+    sweep_angle,
+    sweep_to_csv,
+    zones_to_csv,
+)
 from moirelines.tracer import (
     ChunkedField,
     TraceBudget,
@@ -218,3 +228,33 @@ def test_sweep_bitwise(name, level):
     assert all(sample.verdict != "error" for sample in result.samples)
     text = stable_json(result_to_dict(result), indent=2)
     assert _sha256(sweep_to_csv(result), text) == SWEEP_DIGESTS[name]
+
+
+# SHA-256 over zones_to_csv then the JSON of result_to_dict with zones, for
+# the zones-3freq inputs of the benchmark run with one worker.
+ZONES_DIGEST = "f558f10cd84d3e6e7e00304e152e320704790c28d6e103758053f0abb48d8955"
+# Every angle zone refinement sampled: the two inner edges bisected twice
+# each, then one fresh verify angle per zone.
+ZONES_REFINE_ALPHAS = [
+    0.6211529872081877, 0.6325000000000001, 0.635,
+    0.6525000000000001, 0.655, 0.6587162917764643,
+]
+
+
+def test_zones_bitwise():
+    s, _, _ = _setup()
+    config = SweepConfig(
+        alpha_start=0.62, alpha_end=0.67, alpha_count=6, shifts_per_alpha=2, seed=9,
+    )
+    result = sweep_angle(s.v, s.u, config, s.combiner)
+    sample = make_point_fn(s.v, s.u, config, s.combiner)
+    sampled = []
+
+    def point_fn(alpha):
+        sampled.append(alpha)
+        return sample(alpha)
+
+    zone_set = detect_zones(result, 0.005, point_fn=point_fn)
+    text = stable_json(result_to_dict(result, zone_set), indent=2)
+    assert _sha256(zones_to_csv(zone_set), text) == ZONES_DIGEST
+    assert sorted(sampled) == ZONES_REFINE_ALPHAS
