@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -148,6 +148,17 @@ def strip_width(line: LevelLine, direction) -> float:
     return float(t.max() - t.min())
 
 
+@lru_cache(maxsize=None)
+def _candidate_table(bound: int) -> np.ndarray:
+    """Every integer quadruple with |m_i| <= bound, as float rows.
+
+    Built on first use, once per process and bound; float rows multiply the
+    basis exactly as the integer rows would.
+    """
+    r = np.arange(-bound, bound + 1, dtype=float)
+    return np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+
+
 def recover_quadruple(
     direction,
     lat_v: Lattice2,
@@ -172,13 +183,12 @@ def recover_quadruple(
     basis = quadruple_basis(lat_v, lat_u_plane)
     g_floor = 1e-12 * float(np.max(np.linalg.norm(basis, axis=1)))
 
-    r = np.arange(-bound, bound + 1)
-    m = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    g = m @ basis
+    table = _candidate_table(bound)
+    g = table @ basis
     dots = g @ l
     gnorm2 = np.einsum("ij,ij->i", g, g)
     ok = (np.abs(dots) < tol) & (gnorm2 > g_floor * g_floor)
-    m = m[ok]
+    m = table[ok].astype(np.int64)
     if len(m) == 0:
         return None
     m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]
@@ -393,15 +403,19 @@ def classify_potential(
     and classification are None when no interval is found, and the
     classification is None when the window holds no seed at the level.
     """
+    # Chunk values do not depend on the level: the search and the
+    # classification read one field.
+    field = ChunkedField(s, budget.cell_size)
     interval = None
     if level is None:
         scale = 1.01 * s.value_scale()
-        interval = energy_interval(s, window, budget, -scale, scale, tol_eps)
+        interval = energy_interval(s, window, budget, -scale, scale, tol_eps, field)
         if not interval.found:
             return interval, None, None
         level = 0.5 * (interval.lo + interval.hi)
     hit = classify_first_open(
-        s, level, window, budget, tau_sat, k_grow, quad_bound, max_seeds=max_seeds
+        s, level, window, budget, tau_sat, k_grow, quad_bound,
+        field=field, max_seeds=max_seeds,
     )
     return interval, level, None if hit is None else hit[1]
 

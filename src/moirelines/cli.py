@@ -365,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_common.add_argument("--seed", type=int, default=0,
                               help="seed of the per-angle shift samples (default: 0)")
     sweep_common.add_argument("--workers", type=int, default=1,
-                              help="worker processes; results do not depend on it "
-                              "(default: 1)")
+                              help="worker processes for the angle grid and, in "
+                              "zones, the zone-edge bisections and verify samples; "
+                              "at least 1, results do not depend on it (default: 1)")
     sweep_common.add_argument("--level", type=float, default=None,
                               help="fixed level (default: per-angle interval midpoint)")
     sweep_common.add_argument("--cell-h", type=float, default=None, dest="cell_h",

@@ -16,7 +16,8 @@ number of worker processes.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -71,6 +72,8 @@ class SweepConfig:
             raise ValueError("need at least one shift per angle")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.cell_h is not None and self.cell_h <= 0:
             raise ValueError("cell_h must be positive")
         if self.budget_arc is not None and self.budget_arc <= 0:
@@ -133,8 +136,8 @@ def _consensus(classifications, interval_found: bool) -> tuple:
     return None, None, "undetermined"
 
 
-def _sample_alpha(args) -> AlphaSample:
-    v, u, combiner, alpha, cfg = args
+def _sample_alpha(v, u, combiner, cfg: SweepConfig, alpha: float) -> AlphaSample:
+    alpha = float(alpha)
     try:
         shifts = sample_shifts(u, cfg.seed, alpha, cfg.shifts_per_alpha)
         transform0 = EuclideanTransform(alpha, shifts[0])
@@ -194,6 +197,18 @@ def _sample_alpha(args) -> AlphaSample:
         )
 
 
+def _map(fn, jobs: list[tuple], workers: int) -> list:
+    """[fn(*job) for job in jobs], on a process pool when workers > 1.
+
+    Results come back in job order, never in completion order.  With one
+    worker no process starts and nothing is pickled, so fn may be a closure.
+    """
+    if workers > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
 def sweep_angle(
     v: PeriodicPotential,
     u: PeriodicPotential,
@@ -206,12 +221,8 @@ def sweep_angle(
     pool.  Results are keyed by angle, never by completion order, so the
     outcome is identical for any worker count.
     """
-    jobs = [(v, u, combiner, float(a), config) for a in config.alphas()]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            samples = list(pool.map(_sample_alpha, jobs))
-    else:
-        samples = [_sample_alpha(j) for j in jobs]
+    jobs = [(v, u, combiner, config, a) for a in config.alphas()]
+    samples = _map(_sample_alpha, jobs, config.workers)
     return SweepResult(config=config, samples=tuple(samples))
 
 
@@ -221,12 +232,11 @@ def make_point_fn(
     config: SweepConfig,
     combiner: Combiner = Sum(),
 ):
-    """Sampler for zone refinement: alpha -> AlphaSample under this config."""
+    """Sampler for zone refinement: alpha -> AlphaSample under this config.
 
-    def point_fn(alpha: float) -> AlphaSample:
-        return _sample_alpha((v, u, combiner, float(alpha), config))
-
-    return point_fn
+    It pickles, so detect_zones can send it to pool workers.
+    """
+    return partial(_sample_alpha, v, u, combiner, config)
 
 
 @dataclass(frozen=True)
@@ -281,6 +291,10 @@ def detect_zones(
     zone is spot-checked at a deterministic fresh interior angle; without
     one the raw sample bounds stand.  Angles between zones (and between
     zones and the sweep ends) are reported as the complement.
+
+    All edges are bisected at once, then all zones verified at once, on
+    result.config.workers processes; with more than one, point_fn must
+    pickle (make_point_fn's does).
     """
     if refine_tol <= 0:
         raise ValueError("refine_tol must be positive")
@@ -307,24 +321,26 @@ def detect_zones(
         else:
             k += 1
 
+    bounds = [[samples[k0].alpha, samples[k1].alpha] for k0, k1, _ in runs]
+    if point_fn is not None:
+        # Every zone edge with an off-zone sample beyond it: (zone, side, sample).
+        edges = [
+            (z, side, out)
+            for z, (k0, k1, _) in enumerate(runs)
+            for side, out in ((0, k0 - 1), (1, k1 + 1))
+            if 0 <= out < len(samples)
+        ]
+        jobs = [
+            (bounds[z][side], samples[out].alpha, runs[z][2], point_fn, refine_tol)
+            for z, side, out in edges
+        ]
+        for (z, side, _), alpha in zip(edges, _map(_refine_boundary, jobs, cfg.workers)):
+            bounds[z][side] = alpha
+
     zones = []
-    for k0, k1, q in runs:
-        lo = samples[k0].alpha
-        hi = samples[k1].alpha
-        if point_fn is not None:
-            if k0 > 0:
-                lo = _refine_boundary(lo, samples[k0 - 1].alpha, q, point_fn, refine_tol)
-            if k1 + 1 < len(samples):
-                hi = _refine_boundary(hi, samples[k1 + 1].alpha, q, point_fn, refine_tol)
+    for (k0, k1, q), (lo, hi) in zip(runs, bounds):
         members = samples[k0 : k1 + 1]
         widths = [s.mean_width for s in members if s.mean_width is not None]
-        verified = None
-        verify_alpha = None
-        if point_fn is not None and verify:
-            r = _alpha_rng(cfg.seed, lo, 7919).random()
-            verify_alpha = lo + (0.05 + 0.9 * r) * (hi - lo)
-            check = point_fn(verify_alpha)
-            verified = check.verdict == "regular" and check.quadruple == q
         zones.append(
             StabilityZone(
                 alpha_lo=lo,
@@ -332,10 +348,23 @@ def detect_zones(
                 quadruple=q,
                 sample_alphas=tuple(s.alpha for s in members),
                 mean_width=float(np.mean(widths)) if widths else float("nan"),
-                verified=verified,
-                verify_alpha=verify_alpha,
             )
         )
+
+    if point_fn is not None and verify:
+        alphas = [
+            lo + (0.05 + 0.9 * _alpha_rng(cfg.seed, lo, 7919).random()) * (hi - lo)
+            for lo, hi in bounds
+        ]
+        checks = _map(point_fn, [(a,) for a in alphas], cfg.workers)
+        zones = [
+            replace(
+                z,
+                verified=c.verdict == "regular" and c.quadruple == z.quadruple,
+                verify_alpha=a,
+            )
+            for z, a, c in zip(zones, alphas, checks)
+        ]
 
     complement = []
     cursor = cfg.alpha_start

@@ -820,7 +820,7 @@ class _IntervalProbe:
     exactly when the level sweeps through the open range.
     """
 
-    def __init__(self, s, window, budget):
+    def __init__(self, s, window, budget, field):
         self.s = s
         self.window = window
         self.budget = budget
@@ -828,7 +828,7 @@ class _IntervalProbe:
         # perimeter just over the base budget would read as open lines and
         # inflate the interval.
         self.trace_budget = budget.scaled(4.0)
-        self.field = ChunkedField(s, budget.cell_size)
+        self.field = field
         i0, j0, i1, j1 = _window_corner_range(window, budget.cell_size)
         samples = self.field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
         self.f_min = float(samples.min())
@@ -879,6 +879,7 @@ def energy_interval(
     eps_min: float,
     eps_max: float,
     tol_eps: float,
+    field: ChunkedField | None = None,
 ) -> EnergyInterval:
     """Bisect for the interval of levels carrying open lines.
 
@@ -894,7 +895,9 @@ def energy_interval(
         raise ValueError("need eps_min < eps_max")
     if tol_eps <= 0:
         raise ValueError("tol_eps must be positive")
-    probe = _IntervalProbe(s, window, budget)
+    if field is None:
+        field = ChunkedField(s, budget.cell_size)
+    probe = _IntervalProbe(s, window, budget, field)
 
     levels = np.linspace(eps_min, eps_max, _COARSE_LEVELS)
     states = {float(e): probe.state(float(e)) for e in levels}

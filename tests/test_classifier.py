@@ -11,6 +11,7 @@ from moirelines.classifier import (
     Regular,
     Undetermined,
     ZeroAnnihilatorError,
+    _candidate_table,
     classification_to_dict,
     classify,
     classify_first_open,
@@ -172,6 +173,15 @@ class TestQuadrupleRecovery:
                                            bound=5, tol=1e-9)
             assert got is not None and want is not None
             assert got.as_tuple() == want
+
+    def test_candidate_table_is_built_once_per_bound(self):
+        table = _candidate_table(3)
+        assert _candidate_table(3) is table
+        r = np.arange(-3, 4)
+        grid = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, grid)
+        assert len(_candidate_table(2)) == 5**4
 
     def test_generic_direction_yields_nothing(self):
         rng = np.random.default_rng(405)

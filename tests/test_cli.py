@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from moirelines import sweep
 from moirelines.cli import build_parser, main
 from moirelines.output import manifests_equivalent
 from moirelines.potential import eval_superposition
@@ -283,6 +284,44 @@ class TestSweepAndZones:
         assert "no stability zones" in capsys.readouterr().err
 
 
+class TestZonesWorkers:
+    # The zones benchmark inputs: both inner zone edges are bisected and
+    # both zones verified, so every pool phase runs with two jobs.
+    ARGS = [
+        "--alpha-start", "0.62", "--alpha-end", "0.67", "--alpha-count", "6",
+        "--shifts", "2", "--seed", "9", "--refine-tol", "0.005",
+    ]
+
+    def _run(self, cfg, out, workers, capsys):
+        code = main(["zones", "--config", cfg, *self.ARGS,
+                     "--workers", str(workers), "--out", str(out)])
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_output_does_not_depend_on_worker_count(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch
+    ):
+        with monkeypatch.context() as m:
+            # One worker runs in-process: any pool would raise here.
+            m.setattr(sweep, "ProcessPoolExecutor", _no_pool)
+            stdout1 = self._run(cfg_threeq, tmp_path / "w1", 1, capsys)
+        stdout2 = self._run(cfg_threeq, tmp_path / "w2", 2, capsys)
+        assert stdout1 == stdout2
+        assert stdout1.count("zone [") == 2
+        for name in ("zones.csv", "zones.svg"):
+            assert (tmp_path / "w1" / name).read_bytes() == (
+                tmp_path / "w2" / name).read_bytes()
+        one, two = (json.loads((tmp_path / w / "zones.json").read_text())
+                    for w in ("w1", "w2"))
+        assert (one["parameters"].pop("workers"), two["parameters"].pop("workers")) == (1, 2)
+        assert one == two
+        assert [z["verified"] for z in one["zones"]] == [True, True]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 class TestHelp:
     def test_every_option_has_help_stating_its_default(self):
         parser = build_parser()
@@ -322,6 +361,14 @@ class TestErrors:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "moirelines" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, cfg_threeq, tmp_path, capsys, workers):
+        code = main(["sweep", "--config", cfg_threeq, *TestSweepAndZones.ARGS,
+                     "--workers", workers, "--out", str(tmp_path)])
+        assert code == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_window_spec(self, cfg_twocos, capsys):
         code = main(["trace", "--config", cfg_twocos, "--level", "0.5",

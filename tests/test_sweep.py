@@ -23,6 +23,7 @@ from moirelines.sweep import (
     zones_to_csv,
     zones_to_svg,
 )
+from moirelines import sweep as sweep_module
 from moirelines.tracer import EnergyInterval
 
 import oracles
@@ -106,6 +107,9 @@ class TestSweepConfig:
             SweepConfig(0.2, 0.8, 4, shifts_per_alpha=0)
         with pytest.raises(ValueError):
             SweepConfig(0.2, 0.8, 4, cell_h=-1.0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                SweepConfig(0.2, 0.8, 4, workers=workers)
 
 
 class TestShiftSampling:
@@ -126,6 +130,13 @@ class TestShiftSampling:
         frac = arr @ np.linalg.inv(u.lattice.basis)
         assert frac.min() >= 0.0 and frac.max() < 1.0
         assert frac.mean() == pytest.approx(0.5, abs=0.08)
+
+
+def _q_a_on_025_065(alpha):
+    """Ground truth for synthetic_result: Q_A holds exactly on [0.25, 0.65]."""
+    if 0.25 <= alpha <= 0.65:
+        return mk_sample(alpha, "regular", Q_A, 2.0)
+    return mk_sample(alpha, "chaotic")
 
 
 class TestDetectZonesSynthetic:
@@ -170,14 +181,8 @@ class TestDetectZonesSynthetic:
             detect_zones(result, min_samples=0)
 
     def test_boundary_refinement_with_sampler(self):
-        # Ground truth: Q_A holds exactly on [0.25, 0.65].
-        def point_fn(alpha):
-            if 0.25 <= alpha <= 0.65:
-                return mk_sample(alpha, "regular", Q_A, 2.0)
-            return mk_sample(alpha, "chaotic")
-
         zs = detect_zones(synthetic_result(), refine_tol=1e-3,
-                          point_fn=point_fn, verify=True)
+                          point_fn=_q_a_on_025_065, verify=True)
         z1 = zs.zones[0]
         assert z1.alpha_lo == pytest.approx(0.25, abs=2e-3)
         assert z1.alpha_hi == pytest.approx(0.65, abs=2e-3)
@@ -198,14 +203,32 @@ class TestDetectZonesSynthetic:
         assert zs.zones[0].verified is False
 
     def test_fresh_angle_is_deterministic(self):
-        def point_fn(alpha):
-            if 0.25 <= alpha <= 0.65:
-                return mk_sample(alpha, "regular", Q_A, 2.0)
-            return mk_sample(alpha, "chaotic")
-
-        a = detect_zones(synthetic_result(), point_fn=point_fn)
-        b = detect_zones(synthetic_result(), point_fn=point_fn)
+        a = detect_zones(synthetic_result(), point_fn=_q_a_on_025_065)
+        b = detect_zones(synthetic_result(), point_fn=_q_a_on_025_065)
         assert a.zones[0].verify_alpha == b.zones[0].verify_alpha
+
+    def test_worker_pool_gives_the_serial_zones(self):
+        serial = detect_zones(synthetic_result(), point_fn=_q_a_on_025_065)
+        samples = synthetic_result().samples
+        config = dataclasses.replace(synthetic_result().config, workers=2)
+        pooled = detect_zones(SweepResult(config, samples), point_fn=_q_a_on_025_065)
+        assert pooled == serial
+        assert [z.verified for z in serial.zones] == [True, False]
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        calls = []
+
+        def point_fn(alpha):  # a closure: it could not be sent to a worker
+            calls.append(alpha)
+            return _q_a_on_025_065(alpha)
+
+        zs = detect_zones(synthetic_result(), point_fn=point_fn)
+        assert zs.zones[0].verified is True
+        assert len(calls) > 2
 
     def test_refine_tol_guard(self):
         with pytest.raises(ValueError):

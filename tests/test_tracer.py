@@ -449,6 +449,21 @@ class TestEnergyInterval:
         assert res.lo < 0.0 < res.hi
         assert res.n_probes > 0
 
+    def test_shared_field_gives_the_same_interval(self):
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, cells_per_period=16,
+                                           length_periods=15.0)
+        window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
+        field = ChunkedField(s, budget.cell_size)
+        own = energy_interval(s, window, budget, -1.0, 1.0, tol_eps=5e-3)
+        shared = energy_interval(s, window, budget, -1.0, 1.0, 5e-3, field)
+        assert shared == own
+        filled = field.cells_evaluated
+        assert filled > 0
+        # Chunk values do not depend on the level: a second search reuses them.
+        assert energy_interval(s, window, budget, -1.0, 1.0, 5e-3, field) == own
+        assert field.cells_evaluated == filled
+
     def test_bad_arguments(self, two_cos, small_window, small_budget):
         with pytest.raises(ValueError):
             energy_interval(two_cos, small_window, small_budget, 1.0, -1.0,
