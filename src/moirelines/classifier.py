@@ -13,11 +13,11 @@ locally constant in the problem parameters, which is what the sweep module
 exploits.  Chaotic lines have no such strip: their transverse extent keeps
 growing with trace length.
 
-The decision rule is purely operational: follow the same line for twice and
-four times the arc length and compare strip widths.  Saturation within
-tau_sat is regular, growth beyond k_grow is chaotic, anything in between is
-reported honestly as undetermined.  Each line is walked once, at four times
-the budget; the shorter traces are cut out of that walk.
+The decision rule is operational and fixed: follow the same line for twice
+and four times the arc length and compare strip widths.  Saturation within
+TAU_SAT is regular, growth by K_GROW or more is chaotic, anything in between
+is reported honestly as undetermined.  Each line is walked once, at
+CLASSIFY_DEPTH times the budget; the shorter traces are cut out of it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .potential import (
     is_commensurate,
 )
 from .tracer import (
+    CLASSIFY_DEPTH,
     ChunkedField,
     EnergyInterval,
     LevelLine,
@@ -48,9 +49,11 @@ from .tracer import (
     trace_level_line,
 )
 
-DEFAULT_QUAD_BOUND = 12
-DEFAULT_TAU_SAT = 0.15
-DEFAULT_K_GROW = 1.8
+DEFAULT_QUAD_BOUND = 12  # default of recover_quadruple; classify searches it
+TAU_SAT = 0.15  # width growth within 1 + TAU_SAT: regular
+K_GROW = 1.8  # width growth by K_GROW or more: chaotic
+MAX_SEEDS = 10  # seeds classify_first_open tries
+MIN_FIT_VERTICES = 100  # fewest vertices a direction fit accepts
 
 
 class LineFitError(ValueError):
@@ -117,18 +120,18 @@ class DirectionFit:
     residual: float
 
 
-def fit_direction(line: LevelLine, min_vertices: int = 100) -> DirectionFit:
+def fit_direction(line: LevelLine) -> DirectionFit:
     """Principal axis of the line's vertices.
 
     The sign is fixed to point along the endpoint displacement, the residual
-    is the root-mean-square deviation transverse to the axis.  Requires an
-    open line with enough vertices for the covariance to mean anything.
+    is the root-mean-square deviation transverse to the axis.  The line must
+    be open, with MIN_FIT_VERTICES vertices or more.
     """
     if line.is_closed:
         raise LineFitError("direction fit needs an open line")
     pts = line.points
-    if len(pts) < min_vertices:
-        raise LineFitError(f"need at least {min_vertices} vertices, got {len(pts)}")
+    if len(pts) < MIN_FIT_VERTICES:
+        raise LineFitError(f"need at least {MIN_FIT_VERTICES} vertices, got {len(pts)}")
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -185,10 +188,9 @@ def recover_quadruple(
 
     table = _candidate_table(bound)
     g = table @ basis
-    dots = g @ l
-    gnorm2 = np.einsum("ij,ij->i", g, g)
-    ok = (np.abs(dots) < tol) & (gnorm2 > g_floor * g_floor)
-    m = table[ok].astype(np.int64)
+    near = np.abs(g @ l) < tol
+    g = g[near]
+    m = table[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor].astype(np.int64)
     if len(m) == 0:
         return None
     m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]
@@ -266,23 +268,21 @@ def classify(
     s: SuperpositionPotential,
     line: LevelLine,
     budget: TraceBudget,
-    tau_sat: float = DEFAULT_TAU_SAT,
-    k_grow: float = DEFAULT_K_GROW,
-    quad_bound: int = DEFAULT_QUAD_BOUND,
     field: ChunkedField | None = None,
     long_line: LevelLine | None = None,
 ) -> Classification:
     """Decide closed / regular / chaotic / undetermined for one line.
 
     The line must have been traced from its seed with the given budget.  It
-    is followed for twice and four times the arc length and the strip widths
-    are compared: saturation (within tau_sat) is regular, growth (beyond
-    k_grow) is chaotic.  long_line, when given, is the same seed already
-    traced at four times the budget; otherwise that trace is made here, and
-    the twice-budget line is cut out of it.  For regular lines the quadruple
-    search tolerance is 2 * residual / arc_length, the angular
-    uncertainty of the direction fit itself, floored at 1e-12 so an exactly
-    straight line still admits candidates.
+    is followed for twice and four times (CLASSIFY_DEPTH) the arc length and
+    the strip widths are compared: saturation (within TAU_SAT) is regular,
+    growth (by K_GROW or more) is chaotic.  long_line, when given, is the
+    same seed already traced at CLASSIFY_DEPTH times the budget; otherwise
+    that trace is made here, and the twice-budget line is cut out of it.
+    For regular lines the quadruple search runs over |m_i| <=
+    DEFAULT_QUAD_BOUND with tolerance 2 * residual / arc_length, the
+    angular uncertainty of the direction fit itself, floored at 1e-12 so an
+    exactly straight line still admits candidates.
     """
     if line.is_closed:
         return Closed(diameter=_diameter(line.points))
@@ -290,12 +290,12 @@ def classify(
         field = ChunkedField(s, budget.cell_size)
     if long_line is None:
         long_line = trace_level_line(
-            s, line.seed, line.level, budget.scaled(4.0), field=field
+            s, line.seed, line.level, budget.scaled(CLASSIFY_DEPTH), field=field
         )
     if long_line.is_closed:
         # The longer budget revealed a loop the short trace cut off.
         return Closed(diameter=_diameter(long_line.points))
-    double = budget.scaled(2.0)
+    double = budget.scaled(CLASSIFY_DEPTH / 2)
     mid_line = cut_trace(long_line, double) or trace_level_line(
         s, line.seed, line.level, double, field=field
     )
@@ -312,15 +312,16 @@ def classify(
 
     w1 = max(widths[0], 1e-300)
     growth = widths[2] / w1
-    if growth <= 1.0 + tau_sat:
+    if growth <= 1.0 + TAU_SAT:
         fit = fits[2]
         quad_tol = max(2.0 * fit.residual / lines[2].arc_length, 1e-12)
         q = recover_quadruple(
-            fit.direction, s.v.lattice, s.rotated_u_lattice(), quad_bound, quad_tol
+            fit.direction, s.v.lattice, s.rotated_u_lattice(), tol=quad_tol
         )
         if q is None:
             return Undetermined(
-                reason=f"strip width saturated but no quadruple within |m|<={quad_bound}",
+                reason="strip width saturated but no quadruple within "
+                f"|m|<={DEFAULT_QUAD_BOUND}",
                 widths_by_length=widths_by_length,
             )
         return Regular(
@@ -330,12 +331,12 @@ def classify(
             residual=fit.residual,
             widths_by_length=widths_by_length,
         )
-    if growth >= k_grow:
+    if growth >= K_GROW:
         return Chaotic(widths_by_length=widths_by_length)
     return Undetermined(
         reason=(
-            f"width growth {growth:.3f} between saturation (<= {1 + tau_sat:.3f}) "
-            f"and chaos (>= {k_grow:.3f}) thresholds"
+            f"width growth {growth:.3f} between saturation (<= {1 + TAU_SAT:.3f}) "
+            f"and chaos (>= {K_GROW:.3f}) thresholds"
         ),
         widths_by_length=widths_by_length,
     )
@@ -346,37 +347,32 @@ def classify_first_open(
     level: float,
     window: Rect,
     budget: TraceBudget,
-    tau_sat: float = DEFAULT_TAU_SAT,
-    k_grow: float = DEFAULT_K_GROW,
-    quad_bound: int = DEFAULT_QUAD_BOUND,
     field: ChunkedField | None = None,
-    max_seeds: int = 10,
 ) -> tuple[LevelLine, Classification] | None:
-    """Classify the first genuinely open line seeded in the window.
+    """Classify the first genuinely open line among the first MAX_SEEDS seeds.
 
     Loops with perimeter above the arc budget masquerade as open at one
-    budget.  So each seed is traced once, at the four times the budget that
-    classification follows it for, and skipped when that trace closes.
-    Returns the first open line and its classification; when every seed
+    budget.  So each seed is traced once, at the CLASSIFY_DEPTH times the
+    budget that classification follows it for, and skipped when that trace
+    closes.  Returns the first open line and its classification; when every seed
     closes, the first seed's loop and Closed; None when the window holds no
     seed.
     """
     if field is None:
         field = ChunkedField(s, budget.cell_size)
-    long_budget = budget.scaled(4.0)
+    long_budget = budget.scaled(CLASSIFY_DEPTH)
     first_loop = None
-    for seed in find_seeds(s, level, window, budget.cell_size, field)[:max_seeds]:
+    for seed in find_seeds(s, level, window, budget.cell_size, field)[:MAX_SEEDS]:
         long_line = trace_level_line(s, seed, level, long_budget, field=field)
         if long_line.is_closed:
             if first_loop is None:
                 first_loop = long_line
             continue
-        # Open at four times the budget, so open (budget exhausted) at one.
+        # Open that deep, so open (budget exhausted) at one budget.
         line = cut_trace(long_line, budget) or trace_level_line(
             s, seed, level, budget, field=field
         )
-        c = classify(s, line, budget, tau_sat, k_grow, quad_bound,
-                     field=field, long_line=long_line)
+        c = classify(s, line, budget, field=field, long_line=long_line)
         return line, c
     if first_loop is None:
         return None
@@ -389,10 +385,6 @@ def classify_potential(
     budget: TraceBudget,
     level: float | None = None,
     tol_eps: float = 1e-3,
-    tau_sat: float = DEFAULT_TAU_SAT,
-    k_grow: float = DEFAULT_K_GROW,
-    quad_bound: int = DEFAULT_QUAD_BOUND,
-    max_seeds: int = 10,
 ) -> tuple[EnergyInterval | None, float | None, Classification | None]:
     """The paper's step for one potential: find the energies carrying open
     lines, then classify an open line at one of them.
@@ -413,10 +405,7 @@ def classify_potential(
         if not interval.found:
             return interval, None, None
         level = 0.5 * (interval.lo + interval.hi)
-    hit = classify_first_open(
-        s, level, window, budget, tau_sat, k_grow, quad_bound,
-        field=field, max_seeds=max_seeds,
-    )
+    hit = classify_first_open(s, level, window, budget, field=field)
     return interval, level, None if hit is None else hit[1]
 
 
@@ -425,14 +414,14 @@ def classify_family_member(
     window: Rect,
     budget: TraceBudget,
     level: float | None = None,
-    **options,
+    tol_eps: float = 1e-3,
 ) -> tuple[EnergyInterval | None, float | None, Classification | None]:
-    """classify_potential, with the same options, for one shift of a family.
+    """classify_potential for one shift of a family.
 
     A family verdict needs an open line at every shift, so a level where
     this shift yields none (no seed, or only loops) is Undetermined here.
     """
-    interval, level, c = classify_potential(s, window, budget, level, **options)
+    interval, level, c = classify_potential(s, window, budget, level, tol_eps)
     if level is not None and (c is None or isinstance(c, Closed)):
         c = Undetermined(reason=f"no open line found at level {level}")
     return interval, level, c
@@ -468,10 +457,6 @@ def shift_family_check(
     window: Rect | None = None,
     combiner: Combiner = Sum(),
     tol_eps: float = 1e-3,
-    tau_sat: float = DEFAULT_TAU_SAT,
-    k_grow: float = DEFAULT_K_GROW,
-    quad_bound: int = DEFAULT_QUAD_BOUND,
-    commensurate_bound: int = 10,
 ) -> ShiftFamilyReport:
     """Classify one open line per shift and compare labels and intervals.
 
@@ -482,7 +467,7 @@ def shift_family_check(
     """
     shifts = [np.asarray(a, dtype=float) for a in shifts]
     transform0 = EuclideanTransform(alpha, shifts[0] if shifts else (0.0, 0.0))
-    common = is_commensurate(v.lattice, u.lattice, transform0, commensurate_bound)
+    common = is_commensurate(v.lattice, u.lattice, transform0)
     if common is not None:
         return ShiftFamilyReport(
             shifts=tuple(shifts),
@@ -507,8 +492,7 @@ def shift_family_check(
     outcomes = [
         classify_family_member(
             SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner),
-            window, budget, tol_eps=tol_eps, tau_sat=tau_sat, k_grow=k_grow,
-            quad_bound=quad_bound,
+            window, budget, tol_eps=tol_eps,
         )
         for a in shifts
     ]

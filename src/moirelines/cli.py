@@ -138,6 +138,8 @@ def _polylines_csv(lines) -> str:
 
 
 def cmd_trace(args) -> int:
+    if args.max_lines < 1:
+        raise CliError("--max-lines must be at least 1")
     parsed, data = _load(args)
     s = parsed.superposition
     budget = _budget_from(args, s)
@@ -264,6 +266,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_zones(args) -> int:
+    if args.refine_tol <= 0:
+        raise CliError("--refine-tol must be positive")
     parsed, data = _load(args)
     s = parsed.superposition
     config = _sweep_config(args)
@@ -341,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--level", type=float, required=True,
                          help="level E of f to trace (required)")
     p_trace.add_argument("--max-lines", type=int, default=20,
-                         help="trace at most this many seeds (default: 20)")
+                         help="trace at most this many seeds, at least 1 "
+                         "(default: 20)")
     p_trace.set_defaults(func=cmd_trace)
 
     p_classify = sub.add_parser(
@@ -386,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep, then detect stability zones",
     )
     p_zones.add_argument("--refine-tol", type=float, default=1e-3, dest="refine_tol",
-                         help="zone-edge bisection stops at this angle width "
-                         "(default: 1e-3)")
+                         help="zone-edge bisection stops at this angle width, "
+                         "positive (default: 1e-3)")
     p_zones.set_defaults(func=cmd_zones)
 
     return parser

@@ -92,7 +92,7 @@ def _path_data(points: np.ndarray, mapper, closed: bool) -> str:
     return " ".join(cmds)
 
 
-def lines_to_svg(lines, width: int = 800, margin: float = 0.04) -> str:
+def lines_to_svg(lines) -> str:
     """Render traced lines as one SVG path each.
 
     Each path carries data-level, data-status and data-arc-length attributes
@@ -105,10 +105,11 @@ def lines_to_svg(lines, width: int = 800, margin: float = 0.04) -> str:
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    pad = margin * float(span.max())
+    pad = 0.04 * float(span.max())  # margin, as a fraction of the span
     lo = lo - pad
     hi = hi + pad
     span = hi - lo
+    width = 800  # pixels; the height follows the aspect ratio
     height = int(round(width * span[1] / span[0]))
     scale = width / span[0]
 

@@ -30,6 +30,8 @@ from .geometry import (
 
 TWO_PI = 2.0 * math.pi
 
+DEFAULT_COMMENSURATE_BOUND = 10  # |c_i| searched by is_commensurate
+
 
 class CombinerRangeError(ValueError):
     """A table-backed combiner was asked for a point outside its grid."""
@@ -247,7 +249,7 @@ def is_commensurate(
     lat_v: Lattice2,
     lat_u: Lattice2,
     transform: EuclideanTransform,
-    bound: int = 10,
+    bound: int = DEFAULT_COMMENSURATE_BOUND,
     tol: float = 1e-6,
 ) -> Lattice2 | None:
     """Common period lattice of V and the transformed U, if one exists.

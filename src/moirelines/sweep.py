@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import EuclideanTransform, Rect
 from .potential import (
+    DEFAULT_COMMENSURATE_BOUND,
     Combiner,
     PeriodicPotential,
     Sum,
@@ -31,6 +32,10 @@ from .potential import (
 )
 from .tracer import EnergyInterval, TraceBudget
 from .classifier import (
+    DEFAULT_QUAD_BOUND,
+    K_GROW,
+    MAX_SEEDS,
+    TAU_SAT,
     Chaotic,
     Quadruple,
     Regular,
@@ -54,11 +59,6 @@ class SweepConfig:
     cells_per_period: int = 16
     length_periods: float = 60.0
     window_periods: float = 4.0
-    tau_sat: float = 0.15
-    k_grow: float = 1.8
-    quad_bound: int = 12
-    commensurate_bound: int = 10
-    max_seeds: int = 10
     workers: int = 1
     cell_h: float | None = None  # absolute overrides beat the per-period knobs
     budget_arc: float | None = None
@@ -83,7 +83,11 @@ class SweepConfig:
         return np.linspace(self.alpha_start, self.alpha_end, self.alpha_count)
 
     def to_params(self) -> dict:
-        return asdict(self)
+        # The fixed classification constants, recorded for provenance.
+        return asdict(self) | {
+            "tau_sat": TAU_SAT, "k_grow": K_GROW, "quad_bound": DEFAULT_QUAD_BOUND,
+            "commensurate_bound": DEFAULT_COMMENSURATE_BOUND, "max_seeds": MAX_SEEDS,
+        }
 
 
 @dataclass(frozen=True)
@@ -141,10 +145,7 @@ def _sample_alpha(v, u, combiner, cfg: SweepConfig, alpha: float) -> AlphaSample
     try:
         shifts = sample_shifts(u, cfg.seed, alpha, cfg.shifts_per_alpha)
         transform0 = EuclideanTransform(alpha, shifts[0])
-        commensurate = (
-            is_commensurate(v.lattice, u.lattice, transform0, cfg.commensurate_bound)
-            is not None
-        )
+        commensurate = is_commensurate(v.lattice, u.lattice, transform0) is not None
         s0 = SuperpositionPotential(v, u, transform0, combiner)
         budget = TraceBudget.for_potential(
             s0,
@@ -157,10 +158,7 @@ def _sample_alpha(v, u, combiner, cfg: SweepConfig, alpha: float) -> AlphaSample
 
         def member(shift, level):
             s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
-            return classify_family_member(
-                s, window, budget, level, tol_eps=cfg.tol_eps, tau_sat=cfg.tau_sat,
-                k_grow=cfg.k_grow, quad_bound=cfg.quad_bound, max_seeds=cfg.max_seeds,
-            )
+            return classify_family_member(s, window, budget, level, cfg.tol_eps)
 
         # Shift 0 fixes the level (the interval is the family's); the other
         # shifts are classified at it.
@@ -271,16 +269,17 @@ def _refine_boundary(alpha_in, alpha_out, zone_q, point_fn, refine_tol):
     return 0.5 * (alpha_in + alpha_out)
 
 
+MIN_ZONE_SAMPLES = 2  # shortest run of equal regular samples that is a zone
+
+
 def detect_zones(
     result: SweepResult,
     refine_tol: float = 1e-3,
     point_fn=None,
-    verify: bool = True,
-    min_samples: int = 2,
 ) -> ZoneSet:
     """Collapse equal-quadruple runs into zones and refine their edges.
 
-    Runs of at least min_samples consecutive regular samples with one
+    Runs of at least MIN_ZONE_SAMPLES consecutive regular samples with one
     quadruple become zones; shorter runs are below the resolution of the
     sample grid and are treated as noise.  (Near an angle where two
     candidate quadruples annihilate the same direction — which happens at
@@ -298,8 +297,6 @@ def detect_zones(
     """
     if refine_tol <= 0:
         raise ValueError("refine_tol must be positive")
-    if min_samples < 1:
-        raise ValueError("min_samples must be at least 1")
     samples = result.samples
     cfg = result.config
 
@@ -315,7 +312,7 @@ def detect_zones(
                 and samples[j + 1].quadruple == s.quadruple
             ):
                 j += 1
-            if j - k + 1 >= min_samples:
+            if j - k + 1 >= MIN_ZONE_SAMPLES:
                 runs.append((k, j, s.quadruple))
             k = j + 1
         else:
@@ -351,7 +348,7 @@ def detect_zones(
             )
         )
 
-    if point_fn is not None and verify:
+    if point_fn is not None:
         alphas = [
             lo + (0.05 + 0.9 * _alpha_rng(cfg.seed, lo, 7919).random()) * (hi - lo)
             for lo, hi in bounds
@@ -486,10 +483,11 @@ def result_to_dict(result: SweepResult, zone_set: ZoneSet | None = None) -> dict
     return out
 
 
-def zones_to_svg(zone_set: ZoneSet, config: SweepConfig, size: int = 520) -> str:
+def zones_to_svg(zone_set: ZoneSet, config: SweepConfig) -> str:
     """Angle-circle diagram: each zone an arc colored by its quadruple."""
     from .output import color_for_key
 
+    size = 520  # side of the square diagram, in pixels
     c = size / 2
     r_zone = 0.40 * size
     r_base = 0.40 * size

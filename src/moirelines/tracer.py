@@ -42,6 +42,10 @@ JITTER_REL = 1e-9
 # A budget cell must resolve the shortest period at least this finely.
 MIN_CELLS_PER_PERIOD = 8
 
+# Classification follows a line to this many budgets, and to half as many;
+# interval probes trace as deep.
+CLASSIFY_DEPTH = 4.0
+
 CHUNK = 32
 
 _HORIZONTAL = 0
@@ -827,7 +831,7 @@ class _IntervalProbe:
         # Probe as deep as classification ever retraces, else loops with
         # perimeter just over the base budget would read as open lines and
         # inflate the interval.
-        self.trace_budget = budget.scaled(4.0)
+        self.trace_budget = budget.scaled(CLASSIFY_DEPTH)
         self.field = field
         i0, j0, i1, j1 = _window_corner_range(window, budget.cell_size)
         samples = self.field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)

@@ -1,0 +1,107 @@
+"""Every value a caller can set through the public API, pinned.
+
+A settable value is a defaulted parameter (or **kwargs) of a function or
+public method named in moirelines.__all__, or a defaulted init field of a
+dataclass named there.  Adding, removing or renaming one changes the list
+below, so every new knob shows up as a one-line diff.
+"""
+
+import dataclasses
+import inspect
+
+import moirelines
+
+SETTABLE = [
+    ("AlphaSample", "error"),
+    ("EuclideanTransform", "shift"),
+    ("FourierTerm", "phase"),
+    ("LevelLine", "jitter_scale"),
+    ("LevelLine", "record"),
+    ("Rect.centered", "height"),
+    ("ShiftFamilyReport", "reason"),
+    ("ShiftFamilyReport", "skipped"),
+    ("StabilityZone", "verified"),
+    ("StabilityZone", "verify_alpha"),
+    ("SuperpositionPotential", "combiner"),
+    ("SweepConfig", "budget_arc"),
+    ("SweepConfig", "cell_h"),
+    ("SweepConfig", "cells_per_period"),
+    ("SweepConfig", "length_periods"),
+    ("SweepConfig", "level"),
+    ("SweepConfig", "seed"),
+    ("SweepConfig", "shifts_per_alpha"),
+    ("SweepConfig", "tol_eps"),
+    ("SweepConfig", "window_periods"),
+    ("SweepConfig", "workers"),
+    ("TraceBudget.for_potential", "cell_size"),
+    ("TraceBudget.for_potential", "cells_per_period"),
+    ("TraceBudget.for_potential", "length_periods"),
+    ("TraceBudget.for_potential", "max_arc_length"),
+    ("Undetermined", "widths_by_length"),
+    ("classification_to_dict", "parameters"),
+    ("classify", "field"),
+    ("classify", "long_line"),
+    ("classify_family_member", "level"),
+    ("classify_family_member", "tol_eps"),
+    ("classify_first_open", "field"),
+    ("classify_potential", "level"),
+    ("classify_potential", "tol_eps"),
+    ("detect_zones", "point_fn"),
+    ("detect_zones", "refine_tol"),
+    ("energy_interval", "field"),
+    ("find_seeds", "field"),
+    ("is_commensurate", "bound"),
+    ("is_commensurate", "tol"),
+    ("make_point_fn", "combiner"),
+    ("recover_quadruple", "bound"),
+    ("recover_quadruple", "tol"),
+    ("result_to_dict", "zone_set"),
+    ("shift_family_check", "budget"),
+    ("shift_family_check", "combiner"),
+    ("shift_family_check", "tol_eps"),
+    ("shift_family_check", "window"),
+    ("stable_json", "indent"),
+    ("sweep_angle", "combiner"),
+    ("three_cosine_potential", "amplitude"),
+    ("trace_level_line", "field"),
+    ("trace_level_line", "window"),
+    ("two_cosine_potential", "amplitude"),
+]
+
+
+def _defaulted(fn, label):
+    return [
+        (label, p.name)
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.VAR_KEYWORD or p.default is not p.empty
+    ]
+
+
+def settable_values():
+    out = []
+    for name in moirelines.__all__:
+        obj = getattr(moirelines, name)
+        if inspect.isfunction(obj):
+            out += _defaulted(obj, name)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                out += [
+                    (name, f.name)
+                    for f in dataclasses.fields(obj)
+                    if f.init
+                    and (f.default is not dataclasses.MISSING
+                         or f.default_factory is not dataclasses.MISSING)
+                ]
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    out += _defaulted(member, f"{name}.{attr}")
+    return sorted(out)
+
+
+def test_settable_values_are_pinned():
+    assert settable_values() == SETTABLE
+    assert len(SETTABLE) == 54

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moirelines import sweep
+from moirelines import cli, sweep
 from moirelines.cli import build_parser, main
 from moirelines.output import manifests_equivalent
 from moirelines.potential import eval_superposition
@@ -322,6 +322,10 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
 class TestHelp:
     def test_every_option_has_help_stating_its_default(self):
         parser = build_parser()
@@ -368,6 +372,26 @@ class TestErrors:
                      "--workers", workers, "--out", str(tmp_path)])
         assert code == 1
         assert "workers must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("max_lines", ["0", "-1"])
+    def test_max_lines_below_one(self, cfg_threeq, tmp_path, capsys, max_lines):
+        out = tmp_path / "run"
+        code = main(["trace", "--config", cfg_threeq, "--level", "0.1",
+                     f"--max-lines={max_lines}", "--out", str(out)])
+        assert code == 1
+        assert "--max-lines must be at least 1" in capsys.readouterr().err
+        assert not (out / "lines.csv").exists()
+
+    @pytest.mark.parametrize("refine_tol", ["0", "-1e-3"])
+    def test_refine_tol_not_positive_fails_before_the_sweep(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch, refine_tol
+    ):
+        monkeypatch.setattr(cli, "sweep_angle", _no_sweep)
+        code = main(["zones", "--config", cfg_threeq, *TestSweepAndZones.ARGS,
+                     f"--refine-tol={refine_tol}", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--refine-tol must be positive" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_bad_window_spec(self, cfg_twocos, capsys):

@@ -158,7 +158,7 @@ class TestDetectZonesSynthetic:
 
     def test_single_sample_runs_are_noise_by_default(self):
         # One isolated Q_B verdict interrupting a Q_A plateau: below grid
-        # resolution, so it must not become a zone (but min_samples=1 keeps it).
+        # resolution, so it must not become a zone.
         samples = []
         for k in range(9):
             a = k / 10.0
@@ -175,14 +175,10 @@ class TestDetectZonesSynthetic:
         zs = detect_zones(result, point_fn=None)
         assert [z.quadruple for z in zs.zones] == [Q_A, Q_A]
         assert [(z.alpha_lo, z.alpha_hi) for z in zs.zones] == [(0.1, 0.3), (0.5, 0.7)]
-        keep = detect_zones(result, point_fn=None, min_samples=1)
-        assert [z.quadruple for z in keep.zones] == [Q_A, Q_B, Q_A]
-        with pytest.raises(ValueError):
-            detect_zones(result, min_samples=0)
 
     def test_boundary_refinement_with_sampler(self):
         zs = detect_zones(synthetic_result(), refine_tol=1e-3,
-                          point_fn=_q_a_on_025_065, verify=True)
+                          point_fn=_q_a_on_025_065)
         z1 = zs.zones[0]
         assert z1.alpha_lo == pytest.approx(0.25, abs=2e-3)
         assert z1.alpha_hi == pytest.approx(0.65, abs=2e-3)
@@ -199,7 +195,7 @@ class TestDetectZonesSynthetic:
                 return mk_sample(alpha, "regular", Q_A, 2.0)
             return mk_sample(alpha, "chaotic")
 
-        zs = detect_zones(synthetic_result(), point_fn=point_fn, verify=True)
+        zs = detect_zones(synthetic_result(), point_fn=point_fn)
         assert zs.zones[0].verified is False
 
     def test_fresh_angle_is_deterministic(self):
