@@ -14,6 +14,8 @@ they cover the all-loops classify fallback, the degenerate-interval
 midpoint, per-shift intervals and sweeps with and without a fixed level.
 The zones pin, with the list of angles zone refinement sampled, was recorded
 before the edge bisections and verify samples moved onto the worker pool.
+The CLI eval and trace pins were recorded before ``eval`` evaluated its
+points in blocks and the CSV and SVG writers formatted whole arrays.
 """
 
 import hashlib
@@ -258,3 +260,86 @@ def test_zones_bitwise():
     text = stable_json(result_to_dict(result, zone_set), indent=2)
     assert _sha256(zones_to_csv(zone_set), text) == ZONES_DIGEST
     assert sorted(sampled) == ZONES_REFINE_ALPHAS
+
+
+# The README potential (alpha 0.7) and a weighted sum over a hexagonal
+# layer with phased terms, shifted, as CLI configs.
+README_CFG = """\
+[v.lattice]
+e1 = 6.283185307179586 0.0
+e2 = 0.0 6.283185307179586
+[v.terms]
+term = 1 0 1.0
+term = 0 1 1.0
+[u.lattice]
+e1 = 6.283185307179586 0.0
+e2 = 0.0 6.283185307179586
+[u.terms]
+term = 1 0 0.3
+[transform]
+alpha = 0.7
+"""
+WEIGHTED_HEX_CFG = """\
+[v.lattice]
+e1 = 6.283185307179586 0.0
+e2 = 3.141592653589793 5.441398092702653
+[v.terms]
+term = 1 0 1.0 0.3
+term = 0 1 0.8 -1.1
+term = 1 1 0.6 2.5
+[u.lattice]
+e1 = 4.0 0.5
+e2 = -1.0 5.0
+[u.terms]
+term = 1 0 0.7 0.9
+term = 2 -1 0.25 -0.4
+[transform]
+alpha = 0.37
+shift = 0.4 -1.1
+[combiner]
+kind = weighted
+c1 = 1.3
+c2 = -0.45
+"""
+
+# SHA-256 of `eval` stdout: two --points, then a 7x5 grid.
+CLI_EVAL_DIGESTS = {
+    "readme": "3d6a2c50dc51c3ee9dbc551fe903376507adda69f533a33401a2a039d43eb8a7",
+    "weighted-hex": "e088090fd1e8ca2fbc9d90b6bdd24fde32bb8dd950b672b4c1e6b6a2805efef2",
+}
+# SHA-256 of lines.csv, lines.svg and lines.json of one `trace` run: 5
+# closed loops and 7 open lines at level 0.1 of the README potential.
+CLI_TRACE_DIGESTS = {
+    "lines.csv": "b61377a167643a78d3f052ea5af628c51cdc4890628747d2b6d53aa693ae2c95",
+    "lines.svg": "0e64b7a317a7e98ace0aaad8ffea8596c8e6ce70d8bca5e31c7746790b236a21",
+    "lines.json": "5f3d0782cc18c2772a22719fb76337689d7e1ea3055491a5fba352671aa88220",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [("readme", README_CFG), ("weighted-hex", WEIGHTED_HEX_CFG)]
+)
+def test_cli_eval_bitwise(name, text, tmp_path, capsys):
+    cfg = tmp_path / "pot.cfg"
+    cfg.write_text(text)
+    code = main([
+        "eval", "--config", str(cfg), "--point", "0.3,0.4", "--point=-1.25,2.5",
+        "--grid", "7,5", "--window=-3,-2,4,3",
+    ])
+    assert code == 0
+    assert _sha256(capsys.readouterr().out) == CLI_EVAL_DIGESTS[name]
+
+
+def test_cli_trace_bitwise(tmp_path, capsys):
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(README_CFG)
+    out = tmp_path / "run"
+    code = main([
+        "trace", "--config", str(cfg), "--level", "0.1", "--budget-L", "60",
+        "--window=-8,-8,8,8", "--max-lines", "12", "--out", str(out),
+        "--format", "csv", "--format", "svg", "--format", "json",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.count("status=closed") == 5
+    digests = {name: _sha256((out / name).read_text()) for name in CLI_TRACE_DIGESTS}
+    assert digests == CLI_TRACE_DIGESTS

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moirelines.geometry import EuclideanTransform, Lattice2, embed
 from moirelines.potential import (
@@ -162,6 +164,25 @@ class TestSuperposition:
                 s.transform.rotation @ p + np.asarray(s.transform.shift)))
             want = s.combiner.apply(v, u)
             assert eval_superposition(s, p) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), table=st.booleans(),
+           n=st.integers(1, 200))
+    def test_stacked_batch_matches_points_bitwise(self, seed, table, n):
+        # A (N, 1, 2) batch runs the same per-row products as one point at a
+        # time, so it must reproduce the per-point values exactly.
+        rng = np.random.default_rng(seed)
+        s = random_superposition(rng)
+        if table:
+            bv, bu = s.v.amplitude_bound(), s.u.amplitude_bound()
+            vg = np.linspace(-bv, bv, 7)
+            ug = np.linspace(-bu, bu, 6)
+            combiner = TableLookup(vg, ug, rng.uniform(-2, 2, (7, 6)))
+            s = dataclasses.replace(s, combiner=combiner)
+        pts = rng.uniform(-60, 60, (n, 2))
+        batch = eval_superposition(s, pts[:, None, :])[:, 0]
+        single = np.array([eval_superposition(s, p) for p in pts])
+        assert batch.tobytes() == single.tobytes()
 
     def test_rotated_u_lattice_periods(self):
         # The plane-side u-lattice: translating the plane argument by one of
