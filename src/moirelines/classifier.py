@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import EuclideanTransform, Lattice2, Rect, reciprocal_basis, rot90
 from .potential import (
@@ -252,11 +251,34 @@ class Undetermined:
 Classification = Closed | Regular | Chaotic | Undetermined
 
 
+def _hull(points: np.ndarray) -> list[tuple[float, float]]:
+    """Convex hull vertices, counterclockwise, by Andrew's monotone chain.
+
+    Collinear points on an edge are dropped; fewer than three distinct
+    points are returned as they are.
+    """
+    pts = sorted(set(map(tuple, points.tolist())))
+    if len(pts) < 3:
+        return pts
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
 def _diameter(points: np.ndarray) -> float:
     """Max pairwise distance, via the convex hull to stay O(n log n)."""
-    try:
-        hull = points[ConvexHull(points).vertices]
-    except QhullError:
+    hull = np.array(_hull(points))
+    if len(hull) < 3:
         # Degenerate (collinear) loop; the bounding-box diagonal is exact then.
         span = points.max(axis=0) - points.min(axis=0)
         return float(np.hypot(*span))

@@ -15,7 +15,9 @@ failed computation), 2 when the computation succeeded but found nothing
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from .classifier import classification_to_dict, classify_potential
 from .config import ConfigError, load_config
 from .geometry import Rect
 from .output import (
+    FLOAT_SPEC,
     fmt_float,
     lines_to_svg,
     run_manifest,
@@ -65,9 +68,12 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise CliError(f"{what} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as err:
         raise CliError(f"{what}: {err}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def _window_from(args, s) -> Rect:
@@ -104,37 +110,59 @@ def _load(args):
     return parsed, data
 
 
+# Rows evaluated and written at a time, so memory stays flat for any grid.
+_EVAL_BLOCK = 4096
+
+
+def _eval_labels(points: list[list[float]], xs: np.ndarray, ys: np.ndarray):
+    """The "x,y" text of every eval row: the points, then the grid, x fastest."""
+    for x, y in points:
+        yield f"{fmt_float(x)},{fmt_float(y)}"
+    fx = [fmt_float(x) for x in xs.tolist()]
+    for y in ys.tolist():
+        fy = fmt_float(y)
+        for x in fx:
+            yield f"{x},{fy}"
+
+
 def cmd_eval(args) -> int:
     parsed, _ = _load(args)
     s = parsed.superposition
-    points: list[list[float]] = []
-    if args.point:
-        points = [_parse_floats(p, 2, "--point") for p in args.point]
+    points = [_parse_floats(p, 2, "--point") for p in args.point or ()]
+    w = _window_from(args, s)
+    xs = ys = np.empty(0)
     if args.grid:
-        nx, ny = (int(v) for v in _parse_floats(args.grid, 2, "--grid"))
-        if nx < 1 or ny < 1:
-            raise CliError("--grid needs positive counts")
-        w = _window_from(args, s)
-        xs = np.linspace(w.x0, w.x1, nx)
-        ys = np.linspace(w.y0, w.y1, ny)
-        points.extend([float(x), float(y)] for y in ys for x in xs)
-    if not points:
+        counts = _parse_floats(args.grid, 2, "--grid")
+        if not all(v.is_integer() and v >= 1 for v in counts):
+            raise CliError(f"--grid needs two positive whole counts, got {args.grid!r}")
+        xs = np.linspace(w.x0, w.x1, int(counts[0]))
+        ys = np.linspace(w.y0, w.y1, int(counts[1]))
+    if not points and not len(xs):
         raise CliError("eval needs --point x,y (repeatable) and/or --grid nx,ny")
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.concatenate([
+        np.array(points, dtype=float).reshape(-1, 2),
+        np.column_stack([gx.ravel(), gy.ravel()]),
+    ])
+    labels = _eval_labels(points, xs, ys)
+    row = f"{{}},{{:{FLOAT_SPEC}}}\n".format
     sys.stdout.write("x,y,f\n")
-    for x, y in points:
-        val = eval_superposition(s, np.array([x, y]))
-        sys.stdout.write(f"{fmt_float(x)},{fmt_float(y)},{fmt_float(val)}\n")
+    for start in range(0, len(pts), _EVAL_BLOCK):
+        block = pts[start : start + _EVAL_BLOCK]
+        # The middle axis makes every row its own (1,2) @ (2,k) product, the
+        # same per-row BLAS call a single point gets, so the values equal
+        # one-point evaluations bit for bit.  A flat (N,2) batch goes through
+        # a matrix-matrix product and rounds differently in the last bit.
+        vals = eval_superposition(s, block[:, None, :])[:, 0].tolist()
+        sys.stdout.write("".join(map(row, islice(labels, len(vals)), vals)))
     return EXIT_OK
 
 
 def _polylines_csv(lines) -> str:
     # gnuplot-style: one x,y table per line, blocks separated by a blank row.
-    chunks = ["x,y"]
-    for ln in lines:
-        for p in ln.points:
-            chunks.append(f"{fmt_float(p[0])},{fmt_float(p[1])}")
-        chunks.append("")
-    return "\n".join(chunks[:-1]) + "\n"
+    row = f"{{:{FLOAT_SPEC}}},{{:{FLOAT_SPEC}}}".format
+    blocks = ("\n".join(map(row, *ln.points.T.tolist())) for ln in lines)
+    return "x,y\n" + "\n\n".join(blocks) + "\n"
 
 
 def cmd_trace(args) -> int:

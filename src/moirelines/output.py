@@ -17,9 +17,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 
+FLOAT_SPEC = ".17g"  # the format spec of every float written in full
+
+
 def fmt_float(x) -> str:
     """17 significant digits; exact round-trip for IEEE doubles."""
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_SPEC)
 
 
 def stable_json(obj, indent: int = 0) -> str:
@@ -83,13 +86,9 @@ def color_for_key(key: str) -> str:
 
 
 def _path_data(points: np.ndarray, mapper, closed: bool) -> str:
-    cmds = []
-    for k, p in enumerate(points):
-        x, y = mapper(p)
-        cmds.append(f"{'M' if k == 0 else 'L'}{x:.8g} {y:.8g}")
-    if closed:
-        cmds.append("Z")
-    return " ".join(cmds)
+    xs, ys = mapper(points)
+    d = "M" + " L".join(map("{:.8g} {:.8g}".format, xs.tolist(), ys.tolist()))
+    return d + " Z" if closed else d
 
 
 def lines_to_svg(lines) -> str:
@@ -114,7 +113,8 @@ def lines_to_svg(lines) -> str:
     scale = width / span[0]
 
     def mapper(p):
-        return ((p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale)
+        # Whole columns: the same IEEE operations as on each vertex alone.
+        return ((p[:, 0] - lo[0]) * scale, (hi[1] - p[:, 1]) * scale)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

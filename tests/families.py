@@ -32,14 +32,20 @@ def two_layer_sum(delta: float = 0.05, alpha: float = 0.7, shift=(0.0, 0.0)):
     return SuperpositionPotential(v, u, EuclideanTransform(alpha, shift))
 
 
+def three_frequency_layers(delta: float = 0.3):
+    """The layers V = cos x + cos y and U = delta * cos x', unrotated."""
+    v = two_cosine_potential(TWO_PI)
+    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, delta),))
+    return v, u
+
+
 def single_harmonic_sum(delta: float = 0.05, alpha: float = 0.7, shift=(0.0, 0.0)):
     """V = cos x + cos y plus one rotated harmonic U = delta * cos x'.
 
     Three incommensurate periods only; this family has robust strip-confined
     open lines near alpha = 0.7 and is the workhorse for Regular verdicts.
     """
-    v = two_cosine_potential(TWO_PI)
-    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, delta),))
+    v, u = three_frequency_layers(delta)
     return SuperpositionPotential(v, u, EuclideanTransform(alpha, shift))
 
 

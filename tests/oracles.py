@@ -236,3 +236,9 @@ def distance_to_diagonal_net(x: float, y: float) -> float:
         return abs(r) / math.sqrt(2.0)
 
     return min(line_dist(x + y), line_dist(x - y))
+
+
+def brute_diameter(points) -> float:
+    """Largest distance over every pair of points."""
+    pts = [tuple(map(float, p)) for p in points]
+    return max((math.dist(p, q) for p, q in itertools.combinations(pts, 2)), default=0.0)

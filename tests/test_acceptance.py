@@ -32,8 +32,6 @@ from moirelines.classifier import (
 from moirelines.geometry import EuclideanTransform, Rect, embed
 from moirelines.output import stable_json
 from moirelines.potential import (
-    FourierTerm,
-    PeriodicPotential,
     SuperpositionPotential,
     eval_superposition,
     is_commensurate,
@@ -63,6 +61,7 @@ from families import (
     random_lattice,
     random_quadruple,
     random_superposition,
+    three_frequency_layers,
     two_layer_sum,
 )
 
@@ -76,13 +75,6 @@ def capped(seconds: float):
     yield
     elapsed = time.monotonic() - t0
     assert elapsed < seconds, f"runtime {elapsed:.1f}s exceeded the {seconds:.0f}s cap"
-
-
-def three_frequency_layers(delta: float):
-    """V = cos x + cos y with a single rotated harmonic delta*cos x'."""
-    v = two_cosine_potential(TWO_PI)
-    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, delta),))
-    return v, u
 
 
 # -- 1: restricting the 4D lift to the embedded plane reproduces f ----------

@@ -3,11 +3,16 @@
 A settable value is a defaulted parameter (or **kwargs) of a function or
 public method named in moirelines.__all__, or a defaulted init field of a
 dataclass named there.  Adding, removing or renaming one changes the list
-below, so every new knob shows up as a one-line diff.
+below, so every new knob shows up as a one-line diff.  The package's
+only runtime dependency is NumPy, which a fresh import also checks.
 """
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import moirelines
 
@@ -105,3 +110,10 @@ def settable_values():
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
     assert len(SETTABLE) == 54
+
+
+def test_import_loads_numpy_only():
+    src = str(Path(moirelines.__file__).resolve().parents[1])
+    code = "import moirelines, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

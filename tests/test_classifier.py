@@ -12,6 +12,7 @@ from moirelines.classifier import (
     Undetermined,
     ZeroAnnihilatorError,
     _candidate_table,
+    _diameter,
     classification_to_dict,
     classify,
     classify_first_open,
@@ -204,6 +205,57 @@ class TestQuadrupleRecovery:
         basis = quadruple_basis(lat, other)
         g = np.array([1.0, -1.0, 0.0, 0.0]) @ basis
         assert abs(float(g @ d)) < 1e-12
+
+
+def _collinear(rng, n):
+    o = rng.uniform(-5, 5, 2)
+    d = rng.uniform(-1, 1, 2)
+    return o + np.sort(rng.uniform(0, 3, n))[:, None] * d
+
+
+def _assert_diameter(points):
+    # The hull diameter agrees with the max pairwise distance to a few ulp.
+    want = oracles.brute_diameter(points)
+    assert abs(_diameter(points) - want) <= 4 * np.spacing(want)
+
+
+class TestDiameter:
+
+    @pytest.mark.parametrize("points", [
+        [[1.5, -2.0]],
+        [[1.5, -2.0], [1.5, -2.0], [1.5, -2.0]],
+        [[0.0, 0.0], [3.0, 4.0]],
+        [[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [3.0, 4.0]],
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+        [[2.0, 1.0], [0.0, 1.0], [1.0, 1.0], [-4.0, 1.0]],
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0]],
+    ], ids=["one", "repeated", "two", "two-repeated", "diagonal", "horizontal",
+            "square"])
+    def test_small_and_degenerate_sets(self, points):
+        _assert_diameter(np.array(points))
+
+    def test_random_and_near_collinear_sets(self):
+        rng = np.random.default_rng(17)
+        for k in range(200):
+            n = int(rng.integers(3, 40))
+            if k % 2:
+                pts = _collinear(rng, n)
+            else:
+                pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10, 2)
+            _assert_diameter(pts)
+
+    def test_traced_loops(self, two_cos):
+        budget = TraceBudget.for_potential(two_cos, cells_per_period=16,
+                                           length_periods=20.0)
+        window = Rect.centered((0.0, 0.0), 9.0)
+        loops = 0
+        for level in (0.5, -0.5, 1.5):
+            for seed in find_seeds(two_cos, level, window, budget.cell_size):
+                line = trace_level_line(two_cos, seed, level, budget)
+                assert line.is_closed
+                _assert_diameter(line.points)
+                loops += 1
+        assert loops >= 3
 
 
 class TestClassify:

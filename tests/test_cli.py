@@ -7,7 +7,7 @@ import pytest
 
 from moirelines import cli, sweep
 from moirelines.cli import build_parser, main
-from moirelines.output import manifests_equivalent
+from moirelines.output import fmt_float, manifests_equivalent
 from moirelines.potential import eval_superposition
 from moirelines.config import parse_config
 
@@ -98,6 +98,42 @@ class TestEval:
         code = main(["eval", "--config", cfg_twocos])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_rows_equal_single_point_evaluations(self, cfg_threeq, capsys):
+        # More rows than one evaluation block, so a block edge is crossed.
+        code = main(["eval", "--config", cfg_threeq, "--point", "0.3,0.4",
+                     "--point=-7.5,2", "--grid", "70,60", "--window=-9,-8,11,5"])
+        assert code == 0
+        rows = capsys.readouterr().out.split("\n")
+        assert rows[0] == "x,y,f" and rows[-1] == ""
+        s = parse_config(THREEQ_CFG).superposition
+        xs, ys = np.linspace(-9, 11, 70), np.linspace(-8, 5, 60)
+        want = [[0.3, 0.4], [-7.5, 2.0]]
+        want += [[float(x), float(y)] for y in ys for x in xs]
+        assert len(rows) == 2 + len(want) > 4096
+        for row, (x, y) in zip(rows[1:], want):
+            f = eval_superposition(s, np.array([x, y]))
+            assert row == f"{fmt_float(x)},{fmt_float(y)},{fmt_float(f)}"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--grid", "2.9,1.5"], "--grid needs two positive whole counts"),
+        (["--grid", "0,3"], "--grid needs two positive whole counts"),
+        (["--grid", "nan,3"], "--grid needs finite numbers"),
+        (["--point", "nan,1"], "--point needs finite numbers"),
+        (["--point", "1e400,0"], "--point needs finite numbers"),
+        (["--point", "0,0", "--window", "0,0,inf,1"], "--window needs finite numbers"),
+        (["--grid", "3,3", "--window", "0,nan,1,1"], "--window needs finite numbers"),
+    ], ids=["grid-fraction", "grid-zero", "grid-nan", "point-nan", "point-overflow",
+            "window-inf", "grid-window-nan"])
+    def test_bad_input_fails_before_evaluating(
+        self, cfg_twocos, capsys, monkeypatch, args, message
+    ):
+        monkeypatch.setattr(cli, "eval_superposition", _no_eval)
+        code = main(["eval", "--config", cfg_twocos, *args])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
 
 
 class TestTrace:
@@ -324,6 +360,10 @@ def _no_pool(*args, **kwargs):
 
 def _no_sweep(*args, **kwargs):
     raise AssertionError("the sweep ran")
+
+
+def _no_eval(*args, **kwargs):
+    raise AssertionError("the potential was evaluated")
 
 
 class TestHelp:

@@ -6,7 +6,7 @@ import pytest
 
 from moirelines.classifier import Chaotic, Quadruple, Regular
 from moirelines.output import stable_json
-from moirelines.potential import FourierTerm, PeriodicPotential, square_lattice, two_cosine_potential
+from moirelines.potential import two_cosine_potential
 from moirelines.sweep import (
     SWEEP_CSV_HEADER,
     ZONES_CSV_HEADER,
@@ -27,6 +27,7 @@ from moirelines import sweep as sweep_module
 from moirelines.tracer import EnergyInterval
 
 import oracles
+from families import three_frequency_layers
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,12 +69,6 @@ def synthetic_result():
         mk_sample(a, v, q, w) for a, (v, q, w) in sorted(verdict_by_alpha.items())
     )
     return SweepResult(config=cfg, samples=samples)
-
-
-def three_frequency_layers(delta=0.3):
-    v = two_cosine_potential(TWO_PI)
-    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, delta),))
-    return v, u
 
 
 LEAN = dict(
