@@ -126,6 +126,8 @@ def _eval_labels(points: list[list[float]], xs: np.ndarray, ys: np.ndarray):
 
 
 def cmd_eval(args) -> int:
+    if not args.point and not args.grid:
+        raise CliError("eval needs --point x,y (repeatable) and/or --grid nx,ny")
     parsed, _ = _load(args)
     s = parsed.superposition
     points = [_parse_floats(p, 2, "--point") for p in args.point or ()]
@@ -137,8 +139,6 @@ def cmd_eval(args) -> int:
             raise CliError(f"--grid needs two positive whole counts, got {args.grid!r}")
         xs = np.linspace(w.x0, w.x1, int(counts[0]))
         ys = np.linspace(w.y0, w.y1, int(counts[1]))
-    if not points and not len(xs):
-        raise CliError("eval needs --point x,y (repeatable) and/or --grid nx,ny")
     gx, gy = np.meshgrid(xs, ys)
     pts = np.concatenate([
         np.array(points, dtype=float).reshape(-1, 2),
