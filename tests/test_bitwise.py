@@ -316,12 +316,10 @@ CLI_TRACE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, text", [("readme", README_CFG), ("weighted-hex", WEIGHTED_HEX_CFG)]
-)
-def test_cli_eval_bitwise(name, text, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["readme", "weighted-hex"])
+def test_cli_eval_bitwise(name, tmp_path, capsys):
     cfg = tmp_path / "pot.cfg"
-    cfg.write_text(text)
+    cfg.write_text({"readme": README_CFG, "weighted-hex": WEIGHTED_HEX_CFG}[name])
     code = main([
         "eval", "--config", str(cfg), "--point", "0.3,0.4", "--point=-1.25,2.5",
         "--grid", "7,5", "--window=-3,-2,4,3",

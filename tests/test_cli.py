@@ -83,12 +83,6 @@ class TestEval:
         rows = capsys.readouterr().out.strip().split("\n")
         assert len(rows) == 1 + 2 + 12
 
-
-    def test_needs_some_points(self, cfg_twocos, capsys):
-        code = main(["eval", "--config", cfg_twocos])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
     def test_grid_values_match_library(self, cfg_threeq, capsys):
         # Every row equals a one-point library call bit for bit, in order:
         # the points, then the grid with x fastest.  There are more rows
@@ -106,6 +100,11 @@ class TestEval:
         for row, (x, y) in zip(rows[1:], want):
             f = eval_superposition(s, np.array([x, y]))
             assert row == f"{fmt_float(x)},{fmt_float(y)},{fmt_float(f)}"
+
+    def test_needs_some_points(self, cfg_twocos, capsys):
+        code = main(["eval", "--config", cfg_twocos])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
         (["--grid", "2.9,1.5"], "--grid needs two positive whole counts"),
