@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
@@ -63,6 +64,18 @@ class CliError(Exception):
         self.code = code
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag.  It raises ArgumentTypeError, not
+    CliError: parse_args turns only the former into a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != count:
@@ -77,7 +90,7 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 
 def _window_from(args, s) -> Rect:
-    if getattr(args, "window", None):
+    if args.window:
         x0, y0, x1, y1 = _parse_floats(args.window, 4, "--window")
         try:
             return Rect(x0, y0, x1, y1)
@@ -91,23 +104,26 @@ def _budget_from(args, s) -> TraceBudget:
     return TraceBudget.for_potential(s, cell_size=args.cell_h, max_arc_length=args.budget_l)
 
 
-def _formats(args, default: tuple[str, ...]) -> set[str]:
-    return set(args.format) if args.format else set(default)
-
-
-def _write_manifest(out_dir: Path, config_bytes: bytes, params: dict):
+def _emit(out: str, formats, files: dict, config_bytes: bytes, params: dict):
+    """Write each file whose extension is in formats, then manifest.json,
+    into the directory out.  files maps a name to a function building its
+    text, so only the files written are built."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, build in files.items():
+        if name.rpartition(".")[2] in formats:
+            write_text(out_dir / name, build())
     manifest = run_manifest(__version__, config_bytes, params)
     write_text(out_dir / "manifest.json", stable_json(manifest, indent=2))
 
 
 def _load(args):
     try:
-        parsed, data = load_config(args.config)
+        return load_config(args.config)
     except FileNotFoundError:
         raise CliError(f"config file not found: {args.config}") from None
     except ConfigError as err:
         raise CliError(f"config: {err}") from None
-    return parsed, data
 
 
 # Rows evaluated and written at a time, so memory stays flat for any grid.
@@ -128,8 +144,7 @@ def _eval_labels(points: list[list[float]], xs: np.ndarray, ys: np.ndarray):
 def cmd_eval(args) -> int:
     if not args.point and not args.grid:
         raise CliError("eval needs --point x,y (repeatable) and/or --grid nx,ny")
-    parsed, _ = _load(args)
-    s = parsed.superposition
+    s, _ = _load(args)
     points = [_parse_floats(p, 2, "--point") for p in args.point or ()]
     w = _window_from(args, s)
     xs = ys = np.empty(0)
@@ -165,11 +180,24 @@ def _polylines_csv(lines) -> str:
     return "x,y\n" + "\n\n".join(blocks) + "\n"
 
 
+def _lines_json(lines) -> str:
+    return stable_json([
+        {
+            "level": ln.level,
+            "status": ln.status.value,
+            "arc_length": ln.arc_length,
+            "n_vertices": len(ln.points),
+            "seed": [float(ln.seed[0]), float(ln.seed[1])],
+            "jitter_scale": ln.jitter_scale,
+        }
+        for ln in lines
+    ], indent=2)
+
+
 def cmd_trace(args) -> int:
     if args.max_lines < 1:
         raise CliError("--max-lines must be at least 1")
-    parsed, data = _load(args)
-    s = parsed.superposition
+    s, data = _load(args)
     budget = _budget_from(args, s)
     window = _window_from(args, s)
     field = ChunkedField(s, budget.cell_size)
@@ -181,39 +209,21 @@ def cmd_trace(args) -> int:
     lines = [
         trace_level_line(s, seed, args.level, budget, field=field) for seed in seeds
     ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args, ("csv", "svg"))
-    if "csv" in formats:
-        write_text(out_dir / "lines.csv", _polylines_csv(lines))
-    if "svg" in formats:
-        write_text(out_dir / "lines.svg", lines_to_svg(lines))
-    if "json" in formats:
-        payload = [
-            {
-                "level": ln.level,
-                "status": ln.status.value,
-                "arc_length": ln.arc_length,
-                "n_vertices": len(ln.points),
-                "seed": [float(ln.seed[0]), float(ln.seed[1])],
-                "jitter_scale": ln.jitter_scale,
-            }
-            for ln in lines
-        ]
-        write_text(out_dir / "lines.json", stable_json(payload, indent=2))
-    _write_manifest(
-        out_dir,
-        data,
-        {
-            "command": "trace",
-            "level": args.level,
-            "cell_size": budget.cell_size,
-            "max_arc_length": budget.max_arc_length,
-            "window": [window.x0, window.y0, window.x1, window.y1],
-            "max_lines": args.max_lines,
-            "formats": sorted(formats),
-        },
-    )
+    formats = sorted(set(args.format or ("csv", "svg")))
+    files = {
+        "lines.csv": lambda: _polylines_csv(lines),
+        "lines.svg": lambda: lines_to_svg(lines),
+        "lines.json": lambda: _lines_json(lines),
+    }
+    _emit(args.out, formats, files, data, {
+        "command": "trace",
+        "level": args.level,
+        "cell_size": budget.cell_size,
+        "max_arc_length": budget.max_arc_length,
+        "window": [window.x0, window.y0, window.x1, window.y1],
+        "max_lines": args.max_lines,
+        "formats": formats,
+    })
     for k, ln in enumerate(lines):
         sys.stdout.write(
             f"line {k}: status={ln.status.value} arc_length={fmt_float(ln.arc_length)} "
@@ -223,8 +233,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    parsed, data = _load(args)
-    s = parsed.superposition
+    s, data = _load(args)
     budget = _budget_from(args, s)
     window = _window_from(args, s)
     interval, level, c = classify_potential(s, window, budget, args.level, args.tol_eps)
@@ -247,10 +256,7 @@ def cmd_classify(args) -> int:
     report = classification_to_dict(c, parameters=params)
     report["level"] = level
     text = stable_json(report, indent=2)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_text(out_dir / "classification.json", text)
-    _write_manifest(out_dir, data, params)
+    _emit(args.out, {"json"}, {"classification.json": lambda: text}, data, params)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -270,21 +276,16 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def cmd_sweep(args) -> int:
-    parsed, data = _load(args)
-    s = parsed.superposition
+    s, data = _load(args)
     config = _sweep_config(args)
     result = sweep_angle(s.v, s.u, config, s.combiner)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args, ("csv", "json"))
-    if "csv" in formats:
-        write_text(out_dir / "sweep.csv", sweep_to_csv(result))
-    if "json" in formats:
-        write_text(out_dir / "sweep.json", stable_json(result_to_dict(result), indent=2))
-    _write_manifest(out_dir, data, {"command": "sweep", **config.to_params()})
-    counts: dict[str, int] = {}
-    for sample in result.samples:
-        counts[sample.verdict] = counts.get(sample.verdict, 0) + 1
+    files = {
+        "sweep.csv": lambda: sweep_to_csv(result),
+        "sweep.json": lambda: stable_json(result_to_dict(result), indent=2),
+    }
+    _emit(args.out, args.format or ("csv", "json"), files, data,
+          {"command": "sweep", **config.to_params()})
+    counts = Counter(sample.verdict for sample in result.samples)
     sys.stdout.write(
         "sweep: "
         + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
@@ -296,29 +297,18 @@ def cmd_sweep(args) -> int:
 def cmd_zones(args) -> int:
     if args.refine_tol <= 0:
         raise CliError("--refine-tol must be positive")
-    parsed, data = _load(args)
-    s = parsed.superposition
+    s, data = _load(args)
     config = _sweep_config(args)
     result = sweep_angle(s.v, s.u, config, s.combiner)
     point_fn = make_point_fn(s.v, s.u, config, s.combiner)
     zone_set = detect_zones(result, args.refine_tol, point_fn=point_fn)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    formats = _formats(args, ("csv", "json", "svg"))
-    if "csv" in formats:
-        write_text(out_dir / "zones.csv", zones_to_csv(zone_set))
-    if "json" in formats:
-        write_text(
-            out_dir / "zones.json",
-            stable_json(result_to_dict(result, zone_set), indent=2),
-        )
-    if "svg" in formats:
-        write_text(out_dir / "zones.svg", zones_to_svg(zone_set, config))
-    _write_manifest(
-        out_dir,
-        data,
-        {"command": "zones", "refine_tol": args.refine_tol, **config.to_params()},
-    )
+    files = {
+        "zones.csv": lambda: zones_to_csv(zone_set),
+        "zones.json": lambda: stable_json(result_to_dict(result, zone_set), indent=2),
+        "zones.svg": lambda: zones_to_svg(zone_set, config),
+    }
+    _emit(args.out, args.format or ("csv", "json", "svg"), files, data,
+          {"command": "zones", "refine_tol": args.refine_tol, **config.to_params()})
     for z in zone_set.zones:
         label = ",".join(str(v) for v in z.quadruple.as_tuple())
         sys.stdout.write(
@@ -331,6 +321,17 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
+def _budget_options(periods: int) -> argparse.ArgumentParser:
+    """--cell-h and --budget-L; the arc budget defaults to this many periods."""
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--cell-h", type=_finite, default=None, dest="cell_h",
+                        help="marching grid spacing (default: shortest period / 16)")
+    budget.add_argument("--budget-L", type=_finite, default=None, dest="budget_l",
+                        help="arc-length budget for open lines "
+                        f"(default: {periods} * longest period)")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moirelines",
@@ -339,57 +340,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"moirelines {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="potential definition file")
-    common.add_argument("--out", default=".",
-                        help="output directory (default: the current directory)")
-    common.add_argument(
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="potential definition file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".",
+                     help="output directory (default: the current directory)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         action="append",
         choices=("csv", "json", "svg"),
         help="output formats (repeatable; each command has its own default set)",
     )
 
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--cell-h", type=float, default=None, dest="cell_h",
-                        help="marching grid spacing (default: shortest period / 16)")
-    budget.add_argument("--budget-L", type=float, default=None, dest="budget_l",
-                        help="arc-length budget for open lines "
-                        "(default: 200 * longest period)")
+    budget = _budget_options(200)
     budget.add_argument("--window", default=None,
                         help="x0,y0,x1,y1 seeding window; write "
                         "--window=x0,... when x0 is negative "
                         "(default: 4 longest periods around the origin)")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="print potential values")
+    p_eval = sub.add_parser("eval", parents=[config], help="print potential values")
     p_eval.add_argument("--point", action="append", help="x,y (repeatable)")
     p_eval.add_argument("--grid", default=None, help="nx,ny samples over the window")
     p_eval.add_argument("--window", default=None, help="x0,y0,x1,y1 for --grid")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_trace = sub.add_parser(
-        "trace", parents=[common, budget], help="trace level lines"
-    )
-    p_trace.add_argument("--level", type=float, required=True,
+    p_trace = sub.add_parser("trace", parents=[config, out, fmt, budget],
+                             help="trace level lines")
+    p_trace.add_argument("--level", type=_finite, required=True,
                          help="level E of f to trace (required)")
     p_trace.add_argument("--max-lines", type=int, default=20,
                          help="trace at most this many seeds, at least 1 "
                          "(default: 20)")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_classify = sub.add_parser(
-        "classify", parents=[common, budget], help="classify one open line"
-    )
-    p_classify.add_argument("--level", type=float, default=None,
+    p_classify = sub.add_parser("classify", parents=[config, out, budget],
+                                help="classify one open line")
+    p_classify.add_argument("--level", type=_finite, default=None,
                             help="default: midpoint of the open-line energy interval")
-    p_classify.add_argument("--tol-eps", type=float, default=1e-3, dest="tol_eps",
+    p_classify.add_argument("--tol-eps", type=_finite, default=1e-3, dest="tol_eps",
                             help="energy-interval bracket tolerance (default: 1e-3)")
     p_classify.set_defaults(func=cmd_classify)
 
     sweep_common = argparse.ArgumentParser(add_help=False)
-    sweep_common.add_argument("--alpha-start", type=float, required=True,
+    sweep_common.add_argument("--alpha-start", type=_finite, required=True,
                               help="first twist angle in radians (required)")
-    sweep_common.add_argument("--alpha-end", type=float, required=True,
+    sweep_common.add_argument("--alpha-end", type=_finite, required=True,
                               help="last twist angle in radians (required)")
     sweep_common.add_argument("--alpha-count", type=int, required=True,
                               help="number of evenly spaced angles, at least 2 (required)")
@@ -401,24 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
                               help="worker processes for the angle grid and, in "
                               "zones, the zone-edge bisections and verify samples; "
                               "at least 1, results do not depend on it (default: 1)")
-    sweep_common.add_argument("--level", type=float, default=None,
+    sweep_common.add_argument("--level", type=_finite, default=None,
                               help="fixed level (default: per-angle interval midpoint)")
-    sweep_common.add_argument("--cell-h", type=float, default=None, dest="cell_h",
-                              help="marching grid spacing (default: shortest period / 16)")
-    sweep_common.add_argument("--budget-L", type=float, default=None, dest="budget_l",
-                              help="arc-length budget for open lines "
-                              "(default: 60 * longest period)")
+    sweep_parents = [config, out, fmt, sweep_common, _budget_options(60)]
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common, sweep_common], help="classify an angle grid"
-    )
+    p_sweep = sub.add_parser("sweep", parents=sweep_parents, help="classify an angle grid")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_zones = sub.add_parser(
-        "zones", parents=[common, sweep_common],
-        help="sweep, then detect stability zones",
-    )
-    p_zones.add_argument("--refine-tol", type=float, default=1e-3, dest="refine_tol",
+    p_zones = sub.add_parser("zones", parents=sweep_parents,
+                             help="sweep, then detect stability zones")
+    p_zones.add_argument("--refine-tol", type=_finite, default=1e-3, dest="refine_tol",
                          help="zone-edge bisection stops at this angle width, "
                          "positive (default: 1e-3)")
     p_zones.set_defaults(func=cmd_zones)

@@ -26,11 +26,13 @@ means exactly the same thing everywhere.  The format is line oriented:
 ``term`` may repeat; every other key may not.  Unknown sections or keys are
 errors, and every error message carries the offending line number.  Table
 combiners are API-only: a sampled table has no faithful flat-text form.
+
+``parse_config`` turns the text into a ``SuperpositionPotential``;
+``load_config`` reads a file and also returns its bytes, which run
+manifests hash.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .geometry import EuclideanTransform, Lattice2
 from .potential import (
@@ -52,13 +54,11 @@ _KNOWN = {
     "combiner": {"kind", "c1", "c2"},
 }
 
+# Every key of the lattice and term sections must be given.
 _REQUIRED_KEYS = [
-    ("v.lattice", "e1"),
-    ("v.lattice", "e2"),
-    ("u.lattice", "e1"),
-    ("u.lattice", "e2"),
-    ("v.terms", "term"),
-    ("u.terms", "term"),
+    (section, key)
+    for section in ("v.lattice", "u.lattice", "v.terms", "u.terms")
+    for key in sorted(_KNOWN[section])
 ]
 
 
@@ -69,14 +69,6 @@ class ConfigError(ValueError):
         self.lineno = lineno
         where = f"line {lineno}: " if lineno is not None else ""
         super().__init__(f"{where}{message}")
-
-
-@dataclass(frozen=True)
-class ParsedConfig:
-    """A parsed potential plus the raw fields for manifests."""
-
-    superposition: SuperpositionPotential
-    raw: dict
 
 
 def _parse_lines(text: str) -> list[tuple[int, str, str, list[str]]]:
@@ -140,19 +132,15 @@ def _term(lineno, section, tokens) -> FourierTerm:
     return FourierTerm(n1, n2, amp, phase)
 
 
-def parse_config(text: str) -> ParsedConfig:
+def parse_config(text: str) -> SuperpositionPotential:
+    """The potential a definition text describes."""
     entries = _parse_lines(text)
     singles: dict[tuple[str, str], tuple[int, list[str]]] = {}
     terms: dict[str, list[FourierTerm]] = {"v.terms": [], "u.terms": []}
-    raw: dict = {"v": {"terms": []}, "u": {"terms": []}, "transform": {}, "combiner": {}}
 
     for lineno, section, key, tokens in entries:
         if key == "term":
-            t = _term(lineno, section, tokens)
-            terms[section].append(t)
-            raw[section[0]]["terms"].append(
-                [t.n1, t.n2, t.amplitude, t.phase]
-            )
+            terms[section].append(_term(lineno, section, tokens))
             continue
         if (section, key) in singles:
             raise ConfigError(
@@ -161,43 +149,31 @@ def parse_config(text: str) -> ParsedConfig:
             )
         singles[(section, key)] = (lineno, tokens)
 
-    def need(section, key):
-        got = singles.get((section, key))
-        if got is None and (section, key) in _REQUIRED_KEYS:
-            raise ConfigError(None, f"missing required {section}.{key}")
-        return got
-
     for section, key in _REQUIRED_KEYS:
-        if key == "term":
-            if not terms[section]:
-                raise ConfigError(None, f"missing required {section}.term")
-        else:
-            need(section, key)
+        given = terms[section] if key == "term" else (section, key) in singles
+        if not given:
+            raise ConfigError(None, f"missing required {section}.{key}")
+
+    def numbers(section, key, count, default=None) -> list[float]:
+        got = singles.get((section, key))
+        return default if got is None else _floats(got[0], section, key, got[1], count)
 
     def lattice(prefix: str) -> Lattice2:
-        ln1, tok1 = singles[(f"{prefix}.lattice", "e1")]
-        ln2, tok2 = singles[(f"{prefix}.lattice", "e2")]
-        e1 = _floats(ln1, f"{prefix}.lattice", "e1", tok1, 2)
-        e2 = _floats(ln2, f"{prefix}.lattice", "e2", tok2, 2)
-        raw[prefix]["e1"] = e1
-        raw[prefix]["e2"] = e2
+        section = f"{prefix}.lattice"
+        e1, e2 = (numbers(section, key, 2) for key in ("e1", "e2"))
         try:
             return Lattice2(e1, e2)
         except ValueError as err:
-            raise ConfigError(ln2, f"{prefix}.lattice: {err}") from None
+            lineno = singles[(section, "e2")][0]
+            raise ConfigError(lineno, f"{section}: {err}") from None
 
     lat_v = lattice("v")
     lat_u = lattice("u")
     v = PeriodicPotential(lat_v, tuple(terms["v.terms"]))
     u = PeriodicPotential(lat_u, tuple(terms["u.terms"]))
 
-    alpha = 0.0
-    shift = [0.0, 0.0]
-    if (got := singles.get(("transform", "alpha"))) is not None:
-        (alpha,) = _floats(got[0], "transform", "alpha", got[1], 1)
-    if (got := singles.get(("transform", "shift"))) is not None:
-        shift = _floats(got[0], "transform", "shift", got[1], 2)
-    raw["transform"] = {"alpha": alpha, "shift": shift}
+    (alpha,) = numbers("transform", "alpha", 1, [0.0])
+    shift = numbers("transform", "shift", 2, [0.0, 0.0])
 
     kind = "sum"
     if (got := singles.get(("combiner", "kind"))) is not None:
@@ -210,27 +186,19 @@ def parse_config(text: str) -> ParsedConfig:
     elif kind == "product":
         combiner = Product()
     elif kind == "weighted":
-        c1 = c2 = 1.0
-        if (got := singles.get(("combiner", "c1"))) is not None:
-            (c1,) = _floats(got[0], "combiner", "c1", got[1], 1)
-        if (got := singles.get(("combiner", "c2"))) is not None:
-            (c2,) = _floats(got[0], "combiner", "c2", got[1], 1)
+        (c1,) = numbers("combiner", "c1", 1, [1.0])
+        (c2,) = numbers("combiner", "c2", 1, [1.0])
         combiner = WeightedSum(c1, c2)
     else:
         lineno = singles[("combiner", "kind")][0]
         raise ConfigError(lineno, f"unknown combiner kind {kind!r}")
-    raw["combiner"] = {"kind": kind}
-    if isinstance(combiner, WeightedSum):
-        raw["combiner"]["c1"] = combiner.c1
-        raw["combiner"]["c2"] = combiner.c2
 
-    s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
-    return ParsedConfig(superposition=s, raw=raw)
+    return SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
 
 
-def load_config(path) -> tuple[ParsedConfig, bytes]:
-    """Parse a potential definition file; also return the raw bytes for
-    hashing into manifests."""
+def load_config(path) -> tuple[SuperpositionPotential, bytes]:
+    """Parse a potential definition file; also return its bytes, which run
+    manifests hash."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

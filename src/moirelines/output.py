@@ -144,7 +144,7 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_manifest(version: str, config_bytes: bytes | None, parameters: dict) -> dict:
+def run_manifest(version: str, config_bytes: bytes, parameters: dict) -> dict:
     """Describe a run: tool, config hash, resolved parameters, wall time.
 
     Two manifests describe the same computation exactly when everything but
@@ -154,7 +154,7 @@ def run_manifest(version: str, config_bytes: bytes | None, parameters: dict) -> 
     return {
         "tool": TOOL_NAME,
         "version": version,
-        "config_sha256": sha256_hex(config_bytes) if config_bytes is not None else None,
+        "config_sha256": sha256_hex(config_bytes),
         "parameters": parameters,
         "created_utc": now,
     }

@@ -30,7 +30,7 @@ from .potential import (
     SuperpositionPotential,
     is_commensurate,
 )
-from .tracer import EnergyInterval, TraceBudget
+from .tracer import CELLS_PER_PERIOD, EnergyInterval, TraceBudget, bisect
 from .classifier import (
     DEFAULT_QUAD_BOUND,
     K_GROW,
@@ -56,7 +56,6 @@ class SweepConfig:
     seed: int = 0
     level: float | None = None  # None: per-angle energy-interval midpoint
     tol_eps: float = 1e-3
-    cells_per_period: int = 16
     length_periods: float = 60.0
     window_periods: float = 4.0
     workers: int = 1
@@ -83,9 +82,11 @@ class SweepConfig:
         return np.linspace(self.alpha_start, self.alpha_end, self.alpha_count)
 
     def to_params(self) -> dict:
-        # The fixed classification constants, recorded for provenance.
+        # The fixed budget and classification constants, recorded for
+        # provenance.
         return asdict(self) | {
-            "tau_sat": TAU_SAT, "k_grow": K_GROW, "quad_bound": DEFAULT_QUAD_BOUND,
+            "cells_per_period": CELLS_PER_PERIOD, "tau_sat": TAU_SAT, "k_grow": K_GROW,
+            "quad_bound": DEFAULT_QUAD_BOUND,
             "commensurate_bound": DEFAULT_COMMENSURATE_BOUND, "max_seeds": MAX_SEEDS,
         }
 
@@ -125,10 +126,11 @@ def sample_shifts(
     return [t[k] @ u.lattice.basis for k in range(count)]
 
 
-def _consensus(classifications, interval_found: bool) -> tuple:
-    regulars = [c for c in classifications if isinstance(c, Regular)]
-    if not interval_found:
+def _consensus(classifications) -> tuple:
+    # Only a family with no open-line interval leaves every shift unclassified.
+    if not classifications:
         return None, None, "no-open-lines"
+    regulars = [c for c in classifications if isinstance(c, Regular)]
     if regulars and len(regulars) == len(classifications):
         q0 = regulars[0].quadruple
         if all(c.quadruple == q0 for c in regulars):
@@ -140,21 +142,14 @@ def _consensus(classifications, interval_found: bool) -> tuple:
     return None, None, "undetermined"
 
 
-def _sample_alpha(v, u, combiner, cfg: SweepConfig, alpha: float) -> AlphaSample:
+def _sample_alpha(
+    v, u, combiner, cfg: SweepConfig, budget: TraceBudget, window: Rect, alpha: float
+) -> AlphaSample:
     alpha = float(alpha)
     try:
         shifts = sample_shifts(u, cfg.seed, alpha, cfg.shifts_per_alpha)
         transform0 = EuclideanTransform(alpha, shifts[0])
         commensurate = is_commensurate(v.lattice, u.lattice, transform0) is not None
-        s0 = SuperpositionPotential(v, u, transform0, combiner)
-        budget = TraceBudget.for_potential(
-            s0,
-            cells_per_period=cfg.cells_per_period,
-            length_periods=cfg.length_periods,
-            cell_size=cfg.cell_h,
-            max_arc_length=cfg.budget_arc,
-        )
-        window = Rect.centered((0.0, 0.0), cfg.window_periods * s0.longest_period())
 
         def member(shift, level):
             s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
@@ -166,9 +161,7 @@ def _sample_alpha(v, u, combiner, cfg: SweepConfig, alpha: float) -> AlphaSample
         classifications = ()
         if level is not None:
             classifications = (c0,) + tuple(member(a, level)[2] for a in shifts[1:])
-        quadruple, width, verdict = _consensus(
-            classifications, interval is None or interval.found
-        )
+        quadruple, width, verdict = _consensus(classifications)
         return AlphaSample(
             alpha=alpha,
             shifts=tuple(shifts),
@@ -219,8 +212,8 @@ def sweep_angle(
     pool.  Results are keyed by angle, never by completion order, so the
     outcome is identical for any worker count.
     """
-    jobs = [(v, u, combiner, config, a) for a in config.alphas()]
-    samples = _map(_sample_alpha, jobs, config.workers)
+    point_fn = make_point_fn(v, u, config, combiner)
+    samples = _map(point_fn, [(a,) for a in config.alphas()], config.workers)
     return SweepResult(config=config, samples=tuple(samples))
 
 
@@ -230,11 +223,20 @@ def make_point_fn(
     config: SweepConfig,
     combiner: Combiner = Sum(),
 ):
-    """Sampler for zone refinement: alpha -> AlphaSample under this config.
+    """The per-angle sampler: alpha -> AlphaSample under this config.
 
-    It pickles, so detect_zones can send it to pool workers.
+    The trace budget and the seeding window depend only on the layer
+    periods, so they are resolved here once; a cell size too coarse for the
+    layers raises BudgetError before any angle is sampled.  The sampler
+    pickles, so sweep_angle and detect_zones can send it to pool workers.
     """
-    return partial(_sample_alpha, v, u, combiner, config)
+    s = SuperpositionPotential(v, u, EuclideanTransform(0.0), combiner)
+    budget = TraceBudget.for_potential(
+        s, length_periods=config.length_periods, cell_size=config.cell_h,
+        max_arc_length=config.budget_arc,
+    )
+    window = Rect.centered((0.0, 0.0), config.window_periods * s.longest_period())
+    return partial(_sample_alpha, v, u, combiner, config, budget, window)
 
 
 @dataclass(frozen=True)
@@ -257,16 +259,9 @@ class ZoneSet:
     refine_tol: float
 
 
-def _refine_boundary(alpha_in, alpha_out, zone_q, point_fn, refine_tol):
-    """Bisect between a sample inside the zone and one outside."""
-    while abs(alpha_out - alpha_in) > refine_tol:
-        mid = 0.5 * (alpha_in + alpha_out)
-        s = point_fn(mid)
-        if s.verdict == "regular" and s.quadruple == zone_q:
-            alpha_in = mid
-        else:
-            alpha_out = mid
-    return 0.5 * (alpha_in + alpha_out)
+def _in_zone(point_fn, zone_q, alpha) -> bool:
+    s = point_fn(alpha)
+    return s.verdict == "regular" and s.quadruple == zone_q
 
 
 MIN_ZONE_SAMPLES = 2  # shortest run of equal regular samples that is a zone
@@ -327,11 +322,13 @@ def detect_zones(
             for side, out in ((0, k0 - 1), (1, k1 + 1))
             if 0 <= out < len(samples)
         ]
+        # Bisect between the zone's edge sample and the one outside it.
         jobs = [
-            (bounds[z][side], samples[out].alpha, runs[z][2], point_fn, refine_tol)
+            (bounds[z][side], samples[out].alpha,
+             partial(_in_zone, point_fn, runs[z][2]), refine_tol)
             for z, side, out in edges
         ]
-        for (z, side, _), alpha in zip(edges, _map(_refine_boundary, jobs, cfg.workers)):
+        for (z, side, _), alpha in zip(edges, _map(bisect, jobs, cfg.workers)):
             bounds[z][side] = alpha
 
     zones = []

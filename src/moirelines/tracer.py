@@ -42,6 +42,9 @@ JITTER_REL = 1e-9
 # A budget cell must resolve the shortest period at least this finely.
 MIN_CELLS_PER_PERIOD = 8
 
+# The default budget cell resolves the shortest period this finely.
+CELLS_PER_PERIOD = 16
+
 # Classification follows a line to this many budgets, and to half as many;
 # interval probes trace as deep.
 CLASSIFY_DEPTH = 4.0
@@ -90,7 +93,7 @@ class TraceBudget:
     @staticmethod
     def for_potential(
         s: SuperpositionPotential,
-        cells_per_period: int = 16,
+        cells_per_period: int = CELLS_PER_PERIOD,
         length_periods: float = 200.0,
         cell_size: float | None = None,
         max_arc_length: float | None = None,
@@ -98,10 +101,13 @@ class TraceBudget:
         """Defaults: h resolves the shortest period cells_per_period-fold, L
         spans length_periods of the longest one, and the cell cap allows 8
         cells per unit of L/h.  cell_size and max_arc_length, when given,
-        replace the per-period h and L."""
+        replace the per-period h and L.  Raises BudgetError when h is too
+        coarse for the potential's shortest period."""
         h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
         arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
-        return TraceBudget(h, arc, int(8 * arc / h) + 64)
+        budget = TraceBudget(h, arc, int(8 * arc / h) + 64)
+        _check_cell_size(s, h)
+        return budget
 
     def scaled(self, factor: float) -> "TraceBudget":
         """Same resolution, arc-length and cell caps multiplied by factor."""
@@ -806,6 +812,21 @@ class EnergyInterval:
     n_probes: int
 
 
+def bisect(inside: float, outside: float, is_inside, tol: float) -> float:
+    """Halve the bracket between a point inside a set and one outside it
+    (in either order) until it is at most tol wide; return its midpoint.
+
+    is_inside(x) decides which end each midpoint replaces.
+    """
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if is_inside(mid):
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
 _OPEN, _BELOW, _ABOVE = "open", "below", "above"
 _PROBE_SEEDS = 12  # seeds traced per probed level
 _COARSE_LEVELS = 9  # evenly spaced levels of the interval search's first scan
@@ -836,7 +857,6 @@ class _IntervalProbe:
         i0, j0, i1, j1 = _window_corner_range(window, budget.cell_size)
         samples = self.field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
         self.f_min = float(samples.min())
-        self.f_max = float(samples.max())
         self.count = 0
 
     def state(self, level: float) -> str:
@@ -941,26 +961,13 @@ def energy_interval(
         open_lo = open_hi = hit
         below_anchor, above_anchor = lo_b, hi_b
 
-    lo_out, lo_in = below_anchor, open_lo
-    while lo_in - lo_out > tol_eps:
-        mid = 0.5 * (lo_out + lo_in)
-        if probe.state(mid) == _OPEN:
-            lo_in = mid
-        else:
-            lo_out = mid
-
-    hi_in, hi_out = open_hi, above_anchor
-    while hi_out - hi_in > tol_eps:
-        mid = 0.5 * (hi_in + hi_out)
-        if probe.state(mid) == _OPEN:
-            hi_in = mid
-        else:
-            hi_out = mid
+    def is_open(level):
+        return probe.state(level) == _OPEN
 
     # When the open range touches a bracket edge the final bracket ends
     # coincide there, so taking midpoints is right in every case.
-    lo = 0.5 * (lo_out + lo_in)
-    hi = 0.5 * (hi_in + hi_out)
+    lo = bisect(open_lo, below_anchor, is_open, tol_eps)
+    hi = bisect(open_hi, above_anchor, is_open, tol_eps)
     if hi - lo < tol_eps:
         mid = 0.5 * (lo + hi)
         return EnergyInterval(mid, mid, True, True, probe.count)

@@ -283,7 +283,6 @@ def test_criterion_08_identical_hexagonal_layers_never_regular():
             shifts_per_alpha=2,
             seed=8,
             tol_eps=1e-3,
-            cells_per_period=16,
             length_periods=60.0,
             window_periods=4.0,
         )
@@ -307,7 +306,6 @@ def test_criterion_09_sweep_determinism_and_zone_soundness():
         shifts_per_alpha=2,
         seed=9,
         tol_eps=1e-3,
-        cells_per_period=16,
         length_periods=110.0,
         window_periods=4.0,
     )

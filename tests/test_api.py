@@ -30,7 +30,6 @@ SETTABLE = [
     ("SuperpositionPotential", "combiner"),
     ("SweepConfig", "budget_arc"),
     ("SweepConfig", "cell_h"),
-    ("SweepConfig", "cells_per_period"),
     ("SweepConfig", "length_periods"),
     ("SweepConfig", "level"),
     ("SweepConfig", "seed"),
@@ -109,7 +108,7 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
-    assert len(SETTABLE) == 54
+    assert len(SETTABLE) == 53
 
 
 def test_import_loads_numpy_only():

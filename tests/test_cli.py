@@ -92,7 +92,7 @@ class TestEval:
         assert code == 0
         rows = capsys.readouterr().out.split("\n")
         assert rows[0] == "x,y,f" and rows[-1] == ""
-        s = parse_config(THREEQ_CFG).superposition
+        s = parse_config(THREEQ_CFG)
         xs, ys = np.linspace(-9, 11, 70), np.linspace(-8, 5, 60)
         want = [[0.3, 0.4], [-7.5, 2.0]]
         want += [[float(x), float(y)] for y in ys for x in xs]
@@ -357,21 +357,118 @@ def _no_eval(*args, **kwargs):
     raise AssertionError("the potential was evaluated")
 
 
+def _no_sample(*args, **kwargs):
+    raise AssertionError("an angle was sampled")
+
+
+def _no_classify(*args, **kwargs):
+    raise AssertionError("the potential was classified")
+
+
+# Every (subcommand, option) pair the CLI accepts, "" being the top level;
+# argparse's own --help is left out.  A new, renamed or dropped flag shows
+# up here as a one-line diff.
+OPTIONS = [
+    ("", "--version"),
+    ("classify", "--budget-L"),
+    ("classify", "--cell-h"),
+    ("classify", "--config"),
+    ("classify", "--level"),
+    ("classify", "--out"),
+    ("classify", "--tol-eps"),
+    ("classify", "--window"),
+    ("eval", "--config"),
+    ("eval", "--grid"),
+    ("eval", "--point"),
+    ("eval", "--window"),
+    ("sweep", "--alpha-count"),
+    ("sweep", "--alpha-end"),
+    ("sweep", "--alpha-start"),
+    ("sweep", "--budget-L"),
+    ("sweep", "--cell-h"),
+    ("sweep", "--config"),
+    ("sweep", "--format"),
+    ("sweep", "--level"),
+    ("sweep", "--out"),
+    ("sweep", "--seed"),
+    ("sweep", "--shifts"),
+    ("sweep", "--workers"),
+    ("trace", "--budget-L"),
+    ("trace", "--cell-h"),
+    ("trace", "--config"),
+    ("trace", "--format"),
+    ("trace", "--level"),
+    ("trace", "--max-lines"),
+    ("trace", "--out"),
+    ("trace", "--window"),
+    ("zones", "--alpha-count"),
+    ("zones", "--alpha-end"),
+    ("zones", "--alpha-start"),
+    ("zones", "--budget-L"),
+    ("zones", "--cell-h"),
+    ("zones", "--config"),
+    ("zones", "--format"),
+    ("zones", "--level"),
+    ("zones", "--out"),
+    ("zones", "--refine-tol"),
+    ("zones", "--seed"),
+    ("zones", "--shifts"),
+    ("zones", "--workers"),
+]
+
+# The options that take one real number; every one of them is checked by
+# TestErrors.test_non_finite_number_fails_before_any_work.
+FLOAT_OPTIONS = [
+    ("classify", "--budget-L"),
+    ("classify", "--cell-h"),
+    ("classify", "--level"),
+    ("classify", "--tol-eps"),
+    ("sweep", "--alpha-end"),
+    ("sweep", "--alpha-start"),
+    ("sweep", "--budget-L"),
+    ("sweep", "--cell-h"),
+    ("sweep", "--level"),
+    ("trace", "--budget-L"),
+    ("trace", "--cell-h"),
+    ("trace", "--level"),
+    ("zones", "--alpha-end"),
+    ("zones", "--alpha-start"),
+    ("zones", "--budget-L"),
+    ("zones", "--cell-h"),
+    ("zones", "--level"),
+    ("zones", "--refine-tol"),
+]
+
+
+def _option_actions():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    for name, sub in [("", parser), *commands.choices.items()]:
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                yield name, action.option_strings[-1], action
+
+
+def test_options_are_pinned():
+    assert sorted((name, flag) for name, flag, _ in _option_actions()) == OPTIONS
+
+
+def test_float_options_are_listed():
+    floats = sorted((name, flag) for name, flag, a in _option_actions()
+                    if a.type in (float, cli._finite))
+    assert floats == FLOAT_OPTIONS
+    assert not [flag for _, flag, a in _option_actions() if a.type is float]
+
+
 class TestHelp:
     def test_every_option_has_help_stating_its_default(self):
-        parser = build_parser()
-        (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
         checked = 0
-        for name, sub in [("", parser), *commands.choices.items()]:
-            for action in sub._actions:
-                if not action.option_strings:
-                    continue
-                flag = f"{name} {action.option_strings[-1]}"
-                assert action.help and action.help.strip(), flag
-                if action.default not in (None, argparse.SUPPRESS):
-                    assert "default" in action.help, flag
-                checked += 1
-        assert checked > 30
+        for name, flag, action in _option_actions():
+            assert action.help and action.help.strip(), (name, flag)
+            if action.default not in (None, argparse.SUPPRESS):
+                assert "default" in action.help, (name, flag)
+            checked += 1
+        assert checked == len(OPTIONS)
 
 
 class TestErrors:
@@ -423,6 +520,61 @@ class TestErrors:
                      f"--refine-tol={refine_tol}", "--out", str(tmp_path)])
         assert code == 1
         assert "--refine-tol must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS)
+    def test_non_finite_number_fails_before_any_work(
+        self, cfg_threeq, tmp_path, capsys, command, flag, value
+    ):
+        base = {
+            "trace": ["--level", "0.1"],
+            "classify": [],
+            "sweep": TestSweepAndZones.ARGS,
+            "zones": TestSweepAndZones.ARGS,
+        }[command]
+        out = tmp_path / "run"
+        code = main([command, "--config", cfg_threeq, *base, f"{flag}={value}",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: needs a finite number, got '{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "zones"])
+    def test_too_coarse_cell_fails_before_any_sample(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch, command
+    ):
+        # The same BudgetError trace reports, raised before the first angle.
+        code = main(["trace", "--config", cfg_threeq, "--level", "0.1",
+                     "--cell-h", "10", "--out", str(tmp_path / "trace")])
+        assert code == 1
+        trace_err = capsys.readouterr().err
+        assert trace_err.startswith("error: BudgetError: cell size 10.0 too coarse")
+        monkeypatch.setattr(sweep, "_sample_alpha", _no_sample)
+        out = tmp_path / "run"
+        code = main([command, "--config", cfg_threeq, *TestSweepAndZones.ARGS,
+                     "--cell-h", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == trace_err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--point", "1,2", "--out", "run"],
+        ["eval", "--point", "1,2", "--format", "svg"],
+        ["classify", "--out", "run", "--format", "csv"],
+    ], ids=["eval-out", "eval-format", "classify-format"])
+    def test_option_the_command_ignores_is_refused(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(cli, "eval_superposition", _no_eval)
+        monkeypatch.setattr(cli, "classify_potential", _no_classify)
+        monkeypatch.chdir(tmp_path)
+        code = main([argv[0], "--config", cfg_threeq, *argv[1:]])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not list(tmp_path.iterdir())
 
     def test_bad_window_spec(self, cfg_twocos, capsys):

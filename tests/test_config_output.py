@@ -41,8 +41,7 @@ shift = 0.1 -0.2
 
 class TestParseConfig:
     def test_full_round_trip(self):
-        cfg = parse_config(BASE_CONFIG)
-        s = cfg.superposition
+        s = parse_config(BASE_CONFIG)
         assert len(s.v.terms) == 2
         assert len(s.u.terms) == 1
         assert s.u.terms[0].amplitude == 0.05
@@ -62,26 +61,19 @@ class TestParseConfig:
             line for line in BASE_CONFIG.splitlines()
             if not line.startswith(("alpha", "shift", "[transform"))
         )
-        s = parse_config(minimal).superposition
+        s = parse_config(minimal)
         assert s.transform.alpha == 0.0
         assert np.allclose(s.transform.shift, (0.0, 0.0))
         assert isinstance(s.combiner, Sum)
 
     def test_combiner_kinds(self):
         s = parse_config(BASE_CONFIG + "[combiner]\nkind = product\n")
-        assert isinstance(s.superposition.combiner, Product)
+        assert isinstance(s.combiner, Product)
         s = parse_config(
             BASE_CONFIG + "[combiner]\nkind = weighted\nc1 = 2.0\nc2 = 0.5\n")
-        comb = s.superposition.combiner
+        comb = s.combiner
         assert isinstance(comb, WeightedSum)
         assert (comb.c1, comb.c2) == (2.0, 0.5)
-
-    def test_raw_mirror(self):
-        raw = parse_config(BASE_CONFIG).raw
-        assert raw["v"]["e1"] == [TWO_PI, 0.0]
-        assert raw["u"]["terms"] == [[1, 0, 0.05, 0.25]]
-        assert raw["transform"]["alpha"] == 0.7
-        stable_json(raw)  # must be JSON-ready as-is
 
     @pytest.mark.parametrize(
         "mutation,needle",
@@ -135,9 +127,9 @@ class TestParseConfig:
     def test_load_config_returns_exact_bytes(self, tmp_path):
         path = tmp_path / "pot.cfg"
         path.write_text(BASE_CONFIG)
-        cfg, raw_bytes = load_config(path)
+        s, raw_bytes = load_config(path)
         assert raw_bytes == BASE_CONFIG.encode()
-        assert cfg.superposition.transform.alpha == pytest.approx(0.7)
+        assert s.transform.alpha == pytest.approx(0.7)
 
 
 class TestStableJson:

@@ -75,7 +75,6 @@ LEAN = dict(
     shifts_per_alpha=1,
     seed=3,
     tol_eps=1e-2,
-    cells_per_period=16,
     length_periods=30.0,
     window_periods=3.0,
 )

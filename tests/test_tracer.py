@@ -14,6 +14,7 @@ from moirelines.potential import (
 )
 from moirelines.tracer import (
     JITTER_REL,
+    MIN_CELLS_PER_PERIOD,
     BudgetError,
     ChunkedField,
     LevelLine,
@@ -25,6 +26,7 @@ from moirelines.tracer import (
     _loop_edge_keys,
     _restart_loop,
     _Walker,
+    bisect,
     cut_trace,
     energy_interval,
     find_seeds,
@@ -76,6 +78,27 @@ class TestBudget:
             trace_level_line(two_cos, seed, 1.0, coarse)
         with pytest.raises(ValueError):
             find_seeds(two_cos, 1.0, small_window, coarse.cell_size)
+
+    def test_for_potential_refuses_too_coarse_cell(self, two_cos):
+        limit = two_cos.shortest_period() / MIN_CELLS_PER_PERIOD
+        assert TraceBudget.for_potential(two_cos, cell_size=limit).cell_size == limit
+        with pytest.raises(BudgetError, match="too coarse"):
+            TraceBudget.for_potential(two_cos, cell_size=1.01 * limit)
+        with pytest.raises(BudgetError, match="too coarse"):
+            TraceBudget.for_potential(two_cos, cells_per_period=MIN_CELLS_PER_PERIOD - 1)
+
+
+@pytest.mark.parametrize("inside, outside", [(0.0, 1.0), (1.0, 0.0)])
+def test_bisect_either_order(inside, outside):
+    calls = []
+
+    def is_inside(x):
+        calls.append(x)
+        return (x < 0.3) == (inside < outside)
+
+    assert bisect(inside, outside, is_inside, 1e-6) == pytest.approx(0.3, abs=1e-6)
+    assert len(calls) == 20  # 2**-20 < 1e-6 < 2**-19
+    assert bisect(0.5, 0.5, is_inside, 1e-6) == 0.5 and len(calls) == 20
 
 
 class TestSignedArea:
