@@ -24,7 +24,6 @@ from .geometry import (
     EuclideanTransform,
     Lattice2,
     apply_transform,
-    as_vec2,
     reciprocal_basis,
 )
 

@@ -83,10 +83,8 @@ class TraceBudget:
     max_cells: int
 
     def __post_init__(self):
-        if not (self.cell_size > 0 and math.isfinite(self.cell_size)):
-            raise BudgetError(f"cell_size must be positive, got {self.cell_size}")
-        if not (self.max_arc_length > 0 and math.isfinite(self.max_arc_length)):
-            raise BudgetError(f"max_arc_length must be positive, got {self.max_arc_length}")
+        _check_positive("cell_size", self.cell_size)
+        _check_positive("max_arc_length", self.max_arc_length)
         if self.max_cells < 1:
             raise BudgetError(f"max_cells must be >= 1, got {self.max_cells}")
 
@@ -102,10 +100,18 @@ class TraceBudget:
         spans length_periods of the longest one, and the cell cap allows 8
         cells per unit of L/h.  cell_size and max_arc_length, when given,
         replace the per-period h and L.  Raises BudgetError when h is too
-        coarse for the potential's shortest period."""
+        coarse for the potential's shortest period, and before the cell cap
+        is computed when h or L is not a positive number or the cap, scaled
+        to CLASSIFY_DEPTH, overflows."""
         h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
         arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
-        budget = TraceBudget(h, arc, int(8 * arc / h) + 64)
+        _check_positive("cell_size", h)
+        _check_positive("max_arc_length", arc)
+        cells = 8 * arc / h
+        # Classification and interval probes scale budgets up to CLASSIFY_DEPTH.
+        if not math.isfinite(CLASSIFY_DEPTH * max(cells, arc)):
+            raise BudgetError(f"max_arc_length {arc} at cell_size {h} overflows the cell cap")
+        budget = TraceBudget(h, arc, int(cells) + 64)
         _check_cell_size(s, h)
         return budget
 
@@ -177,6 +183,11 @@ def signed_area(points: np.ndarray) -> float:
     x = points[:, 0]
     y = points[:, 1]
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
+
+
+def _check_positive(name: str, value: float):
+    if not (value > 0 and math.isfinite(value)):
+        raise BudgetError(f"{name} must be positive, got {value}")
 
 
 def _check_cell_size(s: SuperpositionPotential, h: float):
@@ -607,6 +618,30 @@ def _locate_start(walker: _Walker, seed: np.ndarray):
     )
 
 
+def _start(walker: _Walker, seed: np.ndarray):
+    """Where a trace through seed starts: (start edge, forward cell,
+    backward cell, start crossing p0).  Cells are given as (i, j, side
+    entered through); the forward one keeps f > level on the left."""
+    _, start_edge = _locate_start(walker, seed)
+    orient, gi, gj = start_edge
+    if orient == _HORIZONTAL:
+        fwd, bwd = (gi, gj, 0), (gi, gj - 1, 2)
+        if walker.residual(gi, gj) <= 0:
+            fwd, bwd = bwd, fwd
+    else:
+        fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
+        if walker.residual(gi, gj + 1) <= 0:
+            fwd, bwd = bwd, fwd
+    return start_edge, fwd, bwd, walker.crossing(start_edge)
+
+
+def _walk_forward(walker: _Walker, start, budget: TraceBudget, window: Rect | None):
+    """The forward walk from a _start, which gets half the arc budget."""
+    start_edge, fwd, _, p0 = start
+    return walker.walk(*fwd, p0, start_edge, window, budget.max_arc_length / 2,
+                       budget.max_cells)
+
+
 def trace_level_line(
     s: SuperpositionPotential,
     seed,
@@ -627,26 +662,9 @@ def trace_level_line(
         field = ChunkedField(s, budget.cell_size)
     seed = np.asarray(seed, dtype=float)
     walker = _Walker(s, level, field)
-    _, start_edge = _locate_start(walker, seed)
-
-    # Initial direction: enter the cell that keeps f > level on the left.
-    # Cells are given as (i, j, side entered through).
-    orient, gi, gj = start_edge
-    if orient == _HORIZONTAL:
-        fwd, bwd = (gi, gj, 0), (gi, gj - 1, 2)
-        if walker.residual(gi, gj) <= 0:
-            fwd, bwd = bwd, fwd
-    else:
-        fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
-        if walker.residual(gi, gj + 1) <= 0:
-            fwd, bwd = bwd, fwd
-
-    p0 = walker.crossing(start_edge)
+    start = start_edge, fwd, bwd, p0 = _start(walker, seed)
     start_jitter = walker.jitter_hits > 0
-    L = budget.max_arc_length
-    fx, fy, fexits, farc, freason, fjitter = walker.walk(
-        *fwd, p0, start_edge, window, L / 2, budget.max_cells
-    )
+    fx, fy, fexits, farc, freason, fjitter = _walk_forward(walker, start, budget, window)
     p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
         xs, ys = [p0x] + fx, [p0y] + fy
@@ -654,7 +672,8 @@ def trace_level_line(
         bx, breason, bjitter = [], None, None
     else:
         bx, by, _, barc, breason, bjitter = walker.walk(
-            *bwd, p0, start_edge, window, L - farc, budget.max_cells - len(fx)
+            *bwd, p0, start_edge, window, budget.max_arc_length - farc,
+            budget.max_cells - len(fx)
         )
         xs, ys = bx[::-1] + [p0x] + fx, by[::-1] + [p0y] + fy
         arc = farc + barc
@@ -773,24 +792,24 @@ _STEP_BY_SIDE = np.array(_SIDE_STEP)
 _EDGE_BY_SIDE = np.array(_SIDE_EDGE)
 
 
-def _loop_edge_keys(line: LevelLine) -> np.ndarray:
-    """Key of the grid edge under vertex k of a closed line, at k - 1."""
-    rec = line.record
-    sides = np.frombuffer(rec.exits, dtype=np.uint8)
+def _loop_edge_keys(first_cell: tuple[int, int], exits: bytes) -> np.ndarray:
+    """Key of the grid edge under vertex k of a closed walk, at k - 1, for
+    the walk that entered first_cell first and left its cells through the
+    sides in exits (as in TraceRecord)."""
+    sides = np.frombuffer(exits, dtype=np.uint8)
     steps = _STEP_BY_SIDE[sides]
-    cells = np.asarray(rec.first_cell) + np.cumsum(steps, axis=0) - steps
+    cells = np.asarray(first_cell) + np.cumsum(steps, axis=0) - steps
     edges = _EDGE_BY_SIDE[sides]
     return _edge_key(edges[:, 0], cells[:, 0] + edges[:, 1], cells[:, 1] + edges[:, 2])
 
 
-def _restart_loop(loop: LevelLine, k: int, budget: TraceBudget):
-    """(points, arc) of the trace started at vertex k of a closed loop, or
-    None when that trace stops before it closes.
+def _restart_loop(pts: np.ndarray, k: int, budget: TraceBudget):
+    """(points, arc) of the trace started at vertex k of the closed loop
+    pts, or None when that trace stops before it closes.
 
     The trace walks the same cycle from vertex k on, and stops early only
     on the cell cap or on the arc before its closing step.
     """
-    pts = loop.points
     n = len(pts) - 1
     if n > budget.max_cells:
         return None
@@ -865,26 +884,31 @@ class _IntervalProbe:
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.s, level, self.field)
-        loops = []  # (closed line, _loop_edge_keys) traced at this level
+        loops = []  # (points, _loop_edge_keys) of the loops traced at this level
         best_arc = -1.0
         best_area = 0.0
         for seed in seeds[:_PROBE_SEEDS]:
+            start = edge, fwd, _, p0 = _start(walker, seed)
             # Every edge has one successor, so a seed on a loop traced here
             # already would walk that same cycle from another vertex: derive
             # that trace from the loop instead of walking it again.
-            key = _edge_key(*_locate_start(walker, seed)[1])
+            key = _edge_key(*edge)
             for loop, keys in loops:
                 (on,) = np.nonzero(keys == key)
                 if len(on):
                     traced = _restart_loop(loop, int(on[0]) + 1, self.trace_budget)
                     break
             else:
-                line = trace_level_line(
-                    self.s, seed, level, self.trace_budget, window=None, field=self.field
+                # A trace is closed exactly when its forward walk closes, and
+                # any open one decides the state: the backward walk of a
+                # trace_level_line could never change it.
+                xs, ys, exits, arc, reason, _ = _walk_forward(
+                    walker, start, self.trace_budget, None
                 )
-                if line.status is LineStatus.CLOSED:
-                    loops.append((line, _loop_edge_keys(line)))
-                    traced = line.points, line.arc_length
+                if reason == "closed":
+                    points = np.column_stack(([float(p0[0])] + xs, [float(p0[1])] + ys))
+                    loops.append((points, _loop_edge_keys(fwd[:2], bytes(exits))))
+                    traced = points, arc
                 else:
                     traced = None
             if traced is None:

@@ -14,6 +14,8 @@ import itertools
 import math
 from functools import reduce
 
+from moirelines.tracer import CLASSIFY_DEPTH, find_seeds, trace_level_line
+
 TWO_PI = 2.0 * math.pi
 
 # --- frozen values ---------------------------------------------------------
@@ -242,3 +244,40 @@ def brute_diameter(points) -> float:
     """Largest distance over every pair of points."""
     pts = [tuple(map(float, p)) for p in points]
     return max((math.dist(p, q) for p, q in itertools.combinations(pts, 2)), default=0.0)
+
+
+def full_trace_probe(s, level, window, budget, field):
+    """An interval probe's state computed the first way: a full
+    trace_level_line, both walks, of each of the first 12 seeds at the
+    CLASSIFY_DEPTH-fold budget, with no loop reuse.  Unlike the rest of
+    this module it runs the package's own seed finder and tracer: what it
+    checks is the probe's shortcuts (forward walks only, loop reuse).
+
+    Returns (state, lines traced).  The state is "open" at the first open
+    line; otherwise the longest loop decides, "above" if it runs
+    counterclockwise and "below" if clockwise.  A level without seeds is
+    "below" when it is at most every grid corner value in the window, else
+    "above".
+    """
+    h = budget.cell_size
+    seeds = find_seeds(s, level, window, h, field)
+    if not seeds:
+        corners = [
+            field.corner(i, j)
+            for i in range(math.floor(window.x0 / h), math.ceil(window.x1 / h) + 1)
+            for j in range(math.floor(window.y0 / h), math.ceil(window.y1 / h) + 1)
+        ]
+        return ("below" if level <= min(corners) else "above"), []
+    deep = budget.scaled(CLASSIFY_DEPTH)
+    lines = []
+    longest = None
+    for seed in seeds[:12]:
+        line = trace_level_line(s, seed, level, deep, field=field)
+        lines.append(line)
+        if not line.is_closed:
+            return "open", lines
+        if longest is None or line.arc_length > longest.arc_length:
+            longest = line
+    pts = longest.points.tolist()
+    area = math.fsum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+    return ("above" if area > 0 else "below"), lines

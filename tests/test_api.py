@@ -4,9 +4,11 @@ A settable value is a defaulted parameter (or **kwargs) of a function or
 public method named in moirelines.__all__, or a defaulted init field of a
 dataclass named there.  Adding, removing or renaming one changes the list
 below, so every new knob shows up as a one-line diff.  The package's
-only runtime dependency is NumPy, which a fresh import also checks.
+only runtime dependency is NumPy, which a fresh import also checks, and
+no module imports a name it never uses.
 """
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -116,3 +118,46 @@ def test_import_loads_numpy_only():
     code = "import moirelines, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and neither reads nor lists in __all__."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_import_is_used():
+    package = Path(moirelines.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}
+
+
+def test_unused_import_check_sees_each_kind():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "import os.path\n"
+        "from .geometry import Rect, as_vec2 as v\n"
+        "__all__ = ['Rect']\n"
+        "np.zeros(1)\n"
+    )
+    assert _unused_imports(tree) == ["os (line 3)", "v (line 4)"]

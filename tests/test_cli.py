@@ -361,6 +361,10 @@ def _no_sample(*args, **kwargs):
     raise AssertionError("an angle was sampled")
 
 
+def _no_seeds(*args, **kwargs):
+    raise AssertionError("seeds were searched")
+
+
 def _no_classify(*args, **kwargs):
     raise AssertionError("the potential was classified")
 
@@ -558,6 +562,38 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err == trace_err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("trace", "--cell-h", "0", "cell_size must be positive, got 0.0"),
+        ("classify", "--budget-L", "1e308",
+         "max_arc_length 1e+308 at cell_size 0.39269908169872414 overflows the cell cap"),
+        # Finite cap, but not once scaled to the interval probes' depth.
+        ("classify", "--budget-L", "5e306",
+         "max_arc_length 5e+306 at cell_size 0.39269908169872414 overflows the cell cap"),
+        ("sweep", "--cell-h", "1e-320",
+         "max_arc_length 282.7433388230814 at cell_size 1e-320 overflows the cell cap"),
+        ("zones", "--budget-L", "1e308",
+         "max_arc_length 1e+308 at cell_size 0.39269908169872414 overflows the cell cap"),
+    ], ids=["trace-cell-h-0", "classify-budget-L-1e308", "classify-budget-L-5e306",
+            "sweep-cell-h-1e-320", "zones-budget-L-1e308"])
+    def test_budget_out_of_range_fails_before_any_work(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch, command, flag, value, message
+    ):
+        monkeypatch.setattr(cli, "find_seeds", _no_seeds)
+        monkeypatch.setattr(cli, "classify_potential", _no_classify)
+        monkeypatch.setattr(sweep, "_sample_alpha", _no_sample)
+        base = {
+            "trace": ["--level", "0.1"],
+            "classify": [],
+            "sweep": TestSweepAndZones.ARGS,
+            "zones": TestSweepAndZones.ARGS,
+        }[command]
+        out = tmp_path / "run"
+        code = main([command, "--config", cfg_threeq, *base, flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: BudgetError: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--point", "1,2", "--out", "run"],

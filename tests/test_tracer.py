@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from moirelines import tracer
 from moirelines.geometry import EuclideanTransform, Rect
 from moirelines.potential import (
     FourierTerm,
@@ -22,6 +24,7 @@ from moirelines.tracer import (
     SeedNotOnLevelError,
     TraceBudget,
     _edge_key,
+    _IntervalProbe,
     _locate_start,
     _loop_edge_keys,
     _restart_loop,
@@ -422,7 +425,7 @@ class TestTraceOnce:
         for seed in self.seeds(level, count=3):
             loop = trace_level_line(self.s, seed, level, self.base, field=self.field)
             assert loop.is_closed
-            keys = _loop_edge_keys(loop)
+            keys = _loop_edge_keys(loop.record.first_cell, loop.record.exits)
             n = len(loop.points) - 1
             steps = np.hypot(*np.diff(loop.points, axis=0).T)
             # Arc limits between the shortest and the longest arc before a
@@ -435,7 +438,7 @@ class TestTraceOnce:
                 vertex = loop.points[k]
                 assert _edge_key(*_locate_start(walker, vertex)[1]) == keys[k - 1]
                 for b in (self.base, tight, capped):
-                    restarted = _restart_loop(loop, k, b)
+                    restarted = _restart_loop(loop.points, k, b)
                     direct = trace_level_line(self.s, vertex, level, b, field=self.field)
                     restarts[restarted is not None] += 1
                     if restarted is None:
@@ -446,6 +449,81 @@ class TestTraceOnce:
                         assert points.tobytes() == direct.points.tobytes()
                         assert arc == direct.arc_length
         assert min(restarts.values()) > 0, restarts
+
+
+class TestIntervalProbe:
+    """Probe states equal the states full two-way traces of every seed
+    give (oracles.full_trace_probe), although probes walk forward only and
+    derive the traces of seeds on known loops."""
+
+    # Large loops leave this window and come back, so some seeds lie on
+    # loops a probe has traced already.
+    WINDOW = Rect.centered((0.0, 0.0), 1.5 * TWO_PI)
+
+    def assert_states_match(self, s, budget, levels):
+        field = ChunkedField(s, budget.cell_size)
+        probe = _IntervalProbe(s, self.WINDOW, budget, field)
+        lines = []
+        states = Counter()
+        for level in levels:
+            state, traced = oracles.full_trace_probe(s, level, self.WINDOW, budget, field)
+            assert probe.state(level) == state, level
+            states[state] += 1
+            lines += traced
+        return states, lines
+
+    @pytest.mark.parametrize("family, opens", [
+        (single_harmonic_sum(delta=0.3, alpha=0.7), True),
+        (two_layer_sum(delta=0.3, alpha=0.7), False),
+        (hexagonal_pair(0.3), False),
+    ], ids=["single_harmonic_sum", "two_layer_sum", "hexagonal_pair"])
+    def test_states_match_full_traces(self, family, opens):
+        budget = TraceBudget.for_potential(family, length_periods=10.0)
+        scale = 1.01 * family.value_scale()
+        rng = np.random.default_rng(8)
+        field = ChunkedField(family, budget.cell_size)
+        nudged = float(field.corner(5, 3))  # a grid value: the residual nudge fires
+        levels = [
+            *np.linspace(-scale, scale, 9).tolist(),  # energy_interval's coarse scan
+            *rng.uniform(-0.5 * scale, 0.5 * scale, 12).tolist(),
+            nudged,
+        ]
+        states, lines = self.assert_states_match(family, budget, levels)
+        assert states["below"] and states["above"], states
+        assert bool(states["open"]) == opens, states
+        assert "closed" in {line.record.forward for line in lines}
+        assert any(line.jitter_scale > 0 for line in lines if line.level == nudged)
+
+    def test_states_match_full_traces_under_a_cell_cap(self):
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        base = TraceBudget.for_potential(s, length_periods=10.0)
+        # Probes scale the cap to 41 cells: small loops close, longer lines
+        # stop on the cap.
+        capped = TraceBudget(base.cell_size, base.max_arc_length, 10)
+        levels = np.linspace(-1.5, 1.5, 13).tolist()
+        states, lines = self.assert_states_match(s, capped, levels)
+        assert {line.record.forward for line in lines} == {"closed", "cells"}
+        assert states["open"] and states["below"] and states["above"], states
+
+    def test_one_walk_per_probe_trace_not_derived_from_a_loop(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_Walker, "walk", counted("walks", _Walker.walk))
+        monkeypatch.setattr(tracer, "_start", counted("seeds", tracer._start))
+        monkeypatch.setattr(tracer, "_restart_loop", counted("derived", tracer._restart_loop))
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, length_periods=10.0)
+        res = energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3)
+        # Open levels were probed, so some probe traces were open.
+        assert res.found and not res.degenerate
+        assert calls["derived"] > 0
+        assert calls["walks"] == calls["seeds"] - calls["derived"]
 
 
 class TestEnergyInterval:
