@@ -15,6 +15,7 @@ number of worker processes.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -73,6 +74,10 @@ class SweepConfig:
             raise ValueError("seed must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.level is not None and not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
+        if not (self.tol_eps > 0 and math.isfinite(self.tol_eps)):
+            raise ValueError(f"tol_eps must be positive and finite, got {self.tol_eps}")
         if self.cell_h is not None and self.cell_h <= 0:
             raise ValueError("cell_h must be positive")
         if self.budget_arc is not None and self.budget_arc <= 0:
@@ -137,7 +142,7 @@ def _consensus(classifications) -> tuple:
             width = float(np.mean([c.strip_width for c in regulars]))
             return q0, width, "regular"
         return None, None, "undetermined"  # shift disagreement demotes
-    if classifications and all(isinstance(c, Chaotic) for c in classifications):
+    if all(isinstance(c, Chaotic) for c in classifications):
         return None, None, "chaotic"
     return None, None, "undetermined"
 
@@ -290,8 +295,8 @@ def detect_zones(
     result.config.workers processes; with more than one, point_fn must
     pickle (make_point_fn's does).
     """
-    if refine_tol <= 0:
-        raise ValueError("refine_tol must be positive")
+    if not (refine_tol > 0 and math.isfinite(refine_tol)):
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     samples = result.samples
     cfg = result.config
 
@@ -486,10 +491,9 @@ def zones_to_svg(zone_set: ZoneSet, config: SweepConfig) -> str:
 
     size = 520  # side of the square diagram, in pixels
     c = size / 2
-    r_zone = 0.40 * size
-    r_base = 0.40 * size
+    radius = 0.40 * size
 
-    def arc_path(a0: float, a1: float, radius: float) -> str:
+    def arc_path(a0: float, a1: float) -> str:
         x0, y0 = c + radius * np.cos(a0), c - radius * np.sin(a0)
         x1, y1 = c + radius * np.cos(a1), c - radius * np.sin(a1)
         large = 1 if (a1 - a0) % (2 * np.pi) > np.pi else 0
@@ -499,16 +503,16 @@ def zones_to_svg(zone_set: ZoneSet, config: SweepConfig) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<circle cx="{c}" cy="{c}" r="{r_base:.6g}" fill="none" stroke="#ccc" '
+        f'<circle cx="{c}" cy="{c}" r="{radius:.6g}" fill="none" stroke="#ccc" '
         f'stroke-width="1"/>',
-        f'<path d="{arc_path(config.alpha_start, config.alpha_end, r_base)}" '
+        f'<path d="{arc_path(config.alpha_start, config.alpha_end)}" '
         f'fill="none" stroke="#888" stroke-width="2" data-role="sweep-range"/>',
     ]
     for z in zone_set.zones:
         label = ",".join(str(v) for v in z.quadruple.as_tuple())
         color = color_for_key(f"quadruple:{label}")
         parts.append(
-            f'<path d="{arc_path(z.alpha_lo, z.alpha_hi, r_zone)}" fill="none" '
+            f'<path d="{arc_path(z.alpha_lo, z.alpha_hi)}" fill="none" '
             f'stroke="{color}" stroke-width="10" stroke-linecap="butt" '
             f'data-role="zone" data-quadruple="{label}" '
             f'data-alpha-lo="{fmt_float(z.alpha_lo)}" '

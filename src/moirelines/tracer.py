@@ -134,8 +134,6 @@ class TraceRecord:
     "window"; backward is None when the forward walk closed).  The *_jitter
     fields give the 1-based cell of each walk's first nudged residual (None
     if none); start_jitter says whether locating the start nudged one.
-    first_cell is the cell the forward walk entered first and exits the side
-    each cell of it was left through (0 bottom, 1 right, 2 top, 3 left).
     """
 
     start: int
@@ -144,8 +142,6 @@ class TraceRecord:
     forward_jitter: int | None
     backward_jitter: int | None
     start_jitter: bool
-    first_cell: tuple[int, int]
-    exits: bytes
 
 
 @dataclass(frozen=True)
@@ -359,12 +355,10 @@ def find_seeds(
 
 # Marching-squares tables.  Cell corners are numbered counterclockwise from
 # the lower-left, 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); cell sides are
-# 0:bottom 1:right 2:top 3:left.  Per side: its two corners, the grid edge it
-# is as (orient, di, dj) relative to the cell, and the step to the cell
-# across it.
+# 0:bottom 1:right 2:top 3:left.  Per side: its two corners and the grid edge
+# it is as (orient, di, dj) relative to the cell.
 _SIDE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 _SIDE_EDGE = ((_HORIZONTAL, 0, 0), (_VERTICAL, 1, 0), (_HORIZONTAL, 0, 1), (_VERTICAL, 0, 0))
-_SIDE_STEP = ((0, -1), (1, 0), (0, 1), (-1, 0))
 _CORNER_OFFSET = ((0, 0), (1, 0), (1, 1), (0, 1))
 _SADDLE = -1
 _INCONSISTENT = -2
@@ -457,11 +451,11 @@ class _Walker:
         """Continue from the start crossing p0 into cell (i, j), entered
         through side `entry`, until a stop condition.
 
-        Returns (xs, ys, exits, arc, reason, first_jitter).  Vertex k is the
-        crossing on the side cell k was left through, exits[k - 1]; a closed
-        walk ends on p0 itself.  reason is one of "closed", "budget",
-        "cells", "window"; first_jitter is the 1-based index of the first
-        cell whose residuals were nudged, or None.
+        Returns (xs, ys, arc, reason, first_jitter).  Vertex k is the
+        crossing on the side cell k was left through, computed as crossing()
+        computes it; a closed walk ends on p0 itself.  reason is one of
+        "closed", "budget", "cells", "window"; first_jitter is the 1-based
+        index of the first cell whose residuals were nudged, or None.
         """
         # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
         level, delta, h = float(self.level), float(self.delta), float(self.h)
@@ -489,8 +483,8 @@ class _Walker:
         exact = None
         arc = 0.0
         px, py = p0x, p0y
-        xs, ys, exits = [], [], []
-        add_x, add_y, add_exit = xs.append, ys.append, exits.append
+        xs, ys = [], []
+        add_x, add_y = xs.append, ys.append
         first_jitter = None
         code_base = 16 * entry
         oi, oj = i - i % CHUNK, j - j % CHUNK
@@ -537,7 +531,6 @@ class _Walker:
                 out = self.saddle_exit(code, i, j)
                 if self.jitter_hits > hits:
                     first_jitter = first_jitter or n
-            add_exit(out)
             if (i == ia and j == ja and out == ea) or (i == ib and j == jb and out == eb):
                 add_x(p0x)
                 add_y(p0y)
@@ -583,7 +576,7 @@ class _Walker:
                     break
                 soft_limit = -math.inf
         arc = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
-        return xs, ys, exits, arc, reason, first_jitter
+        return xs, ys, arc, reason, first_jitter
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray):
@@ -662,16 +655,16 @@ def trace_level_line(
         field = ChunkedField(s, budget.cell_size)
     seed = np.asarray(seed, dtype=float)
     walker = _Walker(s, level, field)
-    start = start_edge, fwd, bwd, p0 = _start(walker, seed)
+    start = start_edge, _, bwd, p0 = _start(walker, seed)
     start_jitter = walker.jitter_hits > 0
-    fx, fy, fexits, farc, freason, fjitter = _walk_forward(walker, start, budget, window)
+    fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget, window)
     p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
         xs, ys = [p0x] + fx, [p0y] + fy
         arc = farc
         bx, breason, bjitter = [], None, None
     else:
-        bx, by, _, barc, breason, bjitter = walker.walk(
+        bx, by, barc, breason, bjitter = walker.walk(
             *bwd, p0, start_edge, window, budget.max_arc_length - farc,
             budget.max_cells - len(fx)
         )
@@ -694,8 +687,6 @@ def trace_level_line(
             forward_jitter=fjitter,
             backward_jitter=bjitter,
             start_jitter=start_jitter,
-            first_cell=fwd[:2],
-            exits=bytes(fexits),
         ),
     )
 
@@ -783,26 +774,6 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
     )
 
 
-def _edge_key(orient, gi, gj):
-    """One integer per grid edge (for |gi|, |gj| < 2**30)."""
-    return (gi * 2**32 + gj) * 2 + orient
-
-
-_STEP_BY_SIDE = np.array(_SIDE_STEP)
-_EDGE_BY_SIDE = np.array(_SIDE_EDGE)
-
-
-def _loop_edge_keys(first_cell: tuple[int, int], exits: bytes) -> np.ndarray:
-    """Key of the grid edge under vertex k of a closed walk, at k - 1, for
-    the walk that entered first_cell first and left its cells through the
-    sides in exits (as in TraceRecord)."""
-    sides = np.frombuffer(exits, dtype=np.uint8)
-    steps = _STEP_BY_SIDE[sides]
-    cells = np.asarray(first_cell) + np.cumsum(steps, axis=0) - steps
-    edges = _EDGE_BY_SIDE[sides]
-    return _edge_key(edges[:, 0], cells[:, 0] + edges[:, 1], cells[:, 1] + edges[:, 2])
-
-
 def _restart_loop(pts: np.ndarray, k: int, budget: TraceBudget):
     """(points, arc) of the trace started at vertex k of the closed loop
     pts, or None when that trace stops before it closes.
@@ -884,17 +855,24 @@ class _IntervalProbe:
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.s, level, self.field)
-        loops = []  # (points, _loop_edge_keys) of the loops traced at this level
+        loops = []  # points of the loops traced at this level
         best_arc = -1.0
         best_area = 0.0
         for seed in seeds[:_PROBE_SEEDS]:
-            start = edge, fwd, _, p0 = _start(walker, seed)
+            start = (_, gi, gj), _, _, p0 = _start(walker, seed)
+            x0, y0 = p0
             # Every edge has one successor, so a seed on a loop traced here
             # already would walk that same cycle from another vertex: derive
-            # that trace from the loop instead of walking it again.
-            key = _edge_key(*edge)
-            for loop, keys in loops:
-                (on,) = np.nonzero(keys == key)
+            # that trace from the loop instead of walking it again.  The seed
+            # is on a loop exactly when p0 is one of its vertices bit for bit.
+            # A walk computes each vertex with the IEEE operations crossing()
+            # uses for p0, so the seed's own edge gives p0 back.  Nudged
+            # residuals keep every crossing at least 5e-10 of a cell off the
+            # grid corners, which below 2**19 cells is several ulps, so no
+            # other edge gives the same point; farther out, seeds are walked.
+            near = abs(gi) < 2**19 and abs(gj) < 2**19
+            for loop in loops if near else ():
+                (on,) = np.nonzero((loop[1:, 0] == x0) & (loop[1:, 1] == y0))
                 if len(on):
                     traced = _restart_loop(loop, int(on[0]) + 1, self.trace_budget)
                     break
@@ -902,12 +880,12 @@ class _IntervalProbe:
                 # A trace is closed exactly when its forward walk closes, and
                 # any open one decides the state: the backward walk of a
                 # trace_level_line could never change it.
-                xs, ys, exits, arc, reason, _ = _walk_forward(
+                xs, ys, arc, reason, _ = _walk_forward(
                     walker, start, self.trace_budget, None
                 )
                 if reason == "closed":
-                    points = np.column_stack(([float(p0[0])] + xs, [float(p0[1])] + ys))
-                    loops.append((points, _loop_edge_keys(fwd[:2], bytes(exits))))
+                    points = np.column_stack(([float(x0)] + xs, [float(y0)] + ys))
+                    loops.append(points)
                     traced = points, arc
                 else:
                     traced = None
@@ -941,8 +919,8 @@ def energy_interval(
     """
     if not eps_min < eps_max:
         raise ValueError("need eps_min < eps_max")
-    if tol_eps <= 0:
-        raise ValueError("tol_eps must be positive")
+    if not (tol_eps > 0 and math.isfinite(tol_eps)):
+        raise ValueError(f"tol_eps must be positive and finite, got {tol_eps}")
     if field is None:
         field = ChunkedField(s, budget.cell_size)
     probe = _IntervalProbe(s, window, budget, field)

@@ -4,8 +4,9 @@ A settable value is a defaulted parameter (or **kwargs) of a function or
 public method named in moirelines.__all__, or a defaulted init field of a
 dataclass named there.  Adding, removing or renaming one changes the list
 below, so every new knob shows up as a one-line diff.  The package's
-only runtime dependency is NumPy, which a fresh import also checks, and
-no module imports a name it never uses.
+only runtime dependency is NumPy, which a fresh import also checks, no
+module imports a name it never uses, and no private module-level name goes
+unread.
 """
 
 import ast
@@ -161,3 +162,56 @@ def test_unused_import_check_sees_each_kind():
         "np.zeros(1)\n"
     )
     assert _unused_imports(tree) == ["os (line 3)", "v (line 4)"]
+
+
+def _dead_private_names(modules: dict[str, ast.Module]) -> list[str]:
+    """Private functions, classes and assigned names defined at the top of
+    a module that no module of the package reads."""
+    defined = {}
+    read = set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}.{name}"] = (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{key} (line {line})" for key, (name, line) in defined.items()
+                  if name not in read)
+
+
+def test_every_private_name_is_read():
+    package = Path(moirelines.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    assert _dead_private_names(modules) == []
+
+
+def test_dead_private_name_check_sees_each_kind():
+    modules = {
+        "a": ast.parse(
+            "_USED = 1\n"
+            "_SHARED: int = 2\n"
+            "_PAIR, _LEFT = 3, _USED\n"
+            "__version__ = '0'\n"
+            "def _called(): pass\n"
+            "def _lost(): pass\n"
+            "class _Kept: pass\n"
+            "class _Gone: pass\n"
+            "_called(), _Kept, _PAIR\n"
+        ),
+        "b": ast.parse("from .a import _SHARED\nimport a\na._LEFT\n_SHARED\n"),
+    }
+    assert _dead_private_names(modules) == ["a._Gone (line 8)", "a._lost (line 6)"]

@@ -105,6 +105,14 @@ class TestSweepConfig:
             with pytest.raises(ValueError, match="workers"):
                 SweepConfig(0.2, 0.8, 4, workers=workers)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol_eps", math.nan), ("tol_eps", math.inf), ("tol_eps", -1.0),
+        ("level", math.nan), ("level", -math.inf),
+    ])
+    def test_tolerance_and_level_are_checked_when_given(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SweepConfig(0.2, 0.8, 4, **{field: value})
+
 
 class TestShiftSampling:
     def test_deterministic_per_seed_and_angle(self):
@@ -223,6 +231,11 @@ class TestDetectZonesSynthetic:
     def test_refine_tol_guard(self):
         with pytest.raises(ValueError):
             detect_zones(synthetic_result(), refine_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_refine_tol_must_be_finite(self, tol):
+        with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+            detect_zones(synthetic_result(), refine_tol=tol)
 
 
 class TestSweepAngleReal:

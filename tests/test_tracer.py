@@ -23,11 +23,9 @@ from moirelines.tracer import (
     LineStatus,
     SeedNotOnLevelError,
     TraceBudget,
-    _edge_key,
     _IntervalProbe,
-    _locate_start,
-    _loop_edge_keys,
     _restart_loop,
+    _start,
     _Walker,
     bisect,
     cut_trace,
@@ -425,7 +423,6 @@ class TestTraceOnce:
         for seed in self.seeds(level, count=3):
             loop = trace_level_line(self.s, seed, level, self.base, field=self.field)
             assert loop.is_closed
-            keys = _loop_edge_keys(loop.record.first_cell, loop.record.exits)
             n = len(loop.points) - 1
             steps = np.hypot(*np.diff(loop.points, axis=0).T)
             # Arc limits between the shortest and the longest arc before a
@@ -434,9 +431,10 @@ class TestTraceOnce:
                                 2 * (loop.arc_length - float(np.median(steps))), 10**6)
             capped = TraceBudget(self.base.cell_size, self.base.max_arc_length, n - 1)
             walker = _Walker(self.s, level, self.field)
-            for k in range(1, n + 1, 3):
+            for k in range(1, n + 1):
                 vertex = loop.points[k]
-                assert _edge_key(*_locate_start(walker, vertex)[1]) == keys[k - 1]
+                # Interval probes find the loop a seed lies on by this match.
+                assert _start(walker, vertex)[3].tobytes() == vertex.tobytes()
                 for b in (self.base, tight, capped):
                     restarted = _restart_loop(loop.points, k, b)
                     direct = trace_level_line(self.s, vertex, level, b, field=self.field)
@@ -505,7 +503,9 @@ class TestIntervalProbe:
         assert {line.record.forward for line in lines} == {"closed", "cells"}
         assert states["open"] and states["below"] and states["above"], states
 
-    def test_one_walk_per_probe_trace_not_derived_from_a_loop(self, monkeypatch):
+    @staticmethod
+    def count_probe_work(monkeypatch) -> Counter:
+        """Counts of walks, seeds started and traces derived from loops."""
         calls = Counter()
 
         def counted(name, fn):
@@ -517,6 +517,10 @@ class TestIntervalProbe:
         monkeypatch.setattr(_Walker, "walk", counted("walks", _Walker.walk))
         monkeypatch.setattr(tracer, "_start", counted("seeds", tracer._start))
         monkeypatch.setattr(tracer, "_restart_loop", counted("derived", tracer._restart_loop))
+        return calls
+
+    def test_one_walk_per_probe_trace_not_derived_from_a_loop(self, monkeypatch):
+        calls = self.count_probe_work(monkeypatch)
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, length_periods=10.0)
         res = energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3)
@@ -524,6 +528,27 @@ class TestIntervalProbe:
         assert res.found and not res.degenerate
         assert calls["derived"] > 0
         assert calls["walks"] == calls["seeds"] - calls["derived"]
+
+    def test_no_loop_is_derived_beyond_two_to_the_19_cells(self, monkeypatch):
+        # Past 2**19 cells a crossing may round onto a grid corner, so a
+        # vertex match no longer proves that a seed is on a loop.
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, length_periods=10.0)
+        far = 1.5 * 2**19 * budget.cell_size
+        levels = np.linspace(-1.0, 1.0, 9).tolist()
+        derived = []
+        for centre in ((0.0, 0.0), (-far, 0.0), (0.0, far)):
+            window = Rect.centered(centre, 1.5 * TWO_PI)
+            field = ChunkedField(s, budget.cell_size)
+            probe = _IntervalProbe(s, window, budget, field)
+            with monkeypatch.context() as patched:
+                calls = self.count_probe_work(patched)
+                states = [probe.state(level) for level in levels]
+            assert states == [oracles.full_trace_probe(s, level, window, budget, field)[0]
+                              for level in levels]
+            derived.append(calls["seeds"] - calls["walks"])
+        near, *beyond = derived
+        assert near > 0 and beyond == [0, 0], derived
 
 
 class TestEnergyInterval:
@@ -572,3 +597,9 @@ class TestEnergyInterval:
         with pytest.raises(ValueError):
             energy_interval(two_cos, small_window, small_budget, -1.0, 1.0,
                             tol_eps=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, two_cos, small_window,
+                                                   small_budget, tol):
+        with pytest.raises(ValueError, match="tol_eps must be positive and finite"):
+            energy_interval(two_cos, small_window, small_budget, -1.0, 1.0, tol_eps=tol)
