@@ -151,14 +151,17 @@ def strip_width(line: LevelLine, direction) -> float:
 
 
 @lru_cache(maxsize=None)
-def _candidate_table(bound: int) -> np.ndarray:
-    """Every integer quadruple with |m_i| <= bound, as float rows.
+def _candidate_block(bound: int) -> np.ndarray:
+    """Rows (0, m2, m3, m4) for every |m2|, |m3|, |m4| <= bound, as floats.
 
-    Built on first use, once per process and bound; float rows multiply the
-    basis exactly as the integer rows would.
+    Built on first use, once per process and bound, and read-only: callers
+    fill the m1 column of a copy.  Float rows multiply the basis exactly as
+    the integer rows would.
     """
     r = np.arange(-bound, bound + 1, dtype=float)
-    return np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    block = np.stack(np.meshgrid([0.0], r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    block.setflags(write=False)
+    return block
 
 
 def recover_quadruple(
@@ -178,18 +181,37 @@ def recover_quadruple(
     the l1 norm, the weight on the later basis vectors (|m4|, then |m3|,
     then |m2|, then |m1|), and finally plain tuple order.  The cascade is
     what makes degenerate geometries (identical layers, symmetric
-    directions) resolve deterministically.
+    directions) resolve deterministically.  Raises ValueError unless bound
+    is a positive integer, tol positive and finite, and direction nonzero
+    with a finite norm.
     """
+    if not (bound >= 1 and float(bound).is_integer()):
+        raise ValueError(f"bound must be a positive integer, got {bound}")
+    bound = int(bound)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     l = np.asarray(direction, dtype=float)
-    l = l / np.linalg.norm(l)
+    norm = float(np.linalg.norm(l))
+    if not (norm > 0 and math.isfinite(norm)):
+        raise ValueError(f"direction must be nonzero with a finite norm, got {direction}")
+    l = l / norm
     basis = quadruple_basis(lat_v, lat_u_plane)
     g_floor = 1e-12 * float(np.max(np.linalg.norm(basis, axis=1)))
 
-    table = _candidate_table(bound)
-    g = table @ basis
-    near = np.abs(g @ l) < tol
-    g = g[near]
-    m = table[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor].astype(np.int64)
+    # Candidates m1 = 0..bound, one block of (2b+1)**3 rows per m1.  A row
+    # with m1 < 0 is the negation of a kept row: its G is the exact negation
+    # too, so it passes the same tests and normalizes to the same quadruple.
+    # Each block row's products equal the full table's bit for bit; a
+    # one-row product may round differently, and no block is ever one row.
+    block = _candidate_block(bound).copy()
+    hits = []
+    for m1 in range(bound + 1):
+        block[:, 0] = m1
+        g = block @ basis
+        near = np.abs(g @ l) < tol
+        g = g[near]
+        hits.append(block[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor])
+    m = np.concatenate(hits).astype(np.int64)
     if len(m) == 0:
         return None
     m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]

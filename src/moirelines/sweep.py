@@ -78,10 +78,10 @@ class SweepConfig:
             raise ValueError(f"level must be finite, got {self.level}")
         if not (self.tol_eps > 0 and math.isfinite(self.tol_eps)):
             raise ValueError(f"tol_eps must be positive and finite, got {self.tol_eps}")
-        if self.cell_h is not None and self.cell_h <= 0:
-            raise ValueError("cell_h must be positive")
-        if self.budget_arc is not None and self.budget_arc <= 0:
-            raise ValueError("budget_arc must be positive")
+        for name in ("cell_h", "budget_arc"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def alphas(self) -> np.ndarray:
         return np.linspace(self.alpha_start, self.alpha_end, self.alpha_count)

@@ -49,6 +49,13 @@ CELLS_PER_PERIOD = 16
 # interval probes trace as deep.
 CLASSIFY_DEPTH = 4.0
 
+# for_potential refuses a budget whose cell cap, scaled to CLASSIFY_DEPTH,
+# exceeds this.  Under a huge arc budget the cap is a walk's only limit, and
+# a walk of 2**27 cells already takes minutes and gigabytes of vertices.
+# That is about 1,300 times the scaled cap of `trace`'s default budget on
+# the README potential (102,657 cells).
+MAX_SCALED_CELLS = 2**27
+
 CHUNK = 32
 
 _HORIZONTAL = 0
@@ -102,7 +109,7 @@ class TraceBudget:
         replace the per-period h and L.  Raises BudgetError when h is too
         coarse for the potential's shortest period, and before the cell cap
         is computed when h or L is not a positive number or the cap, scaled
-        to CLASSIFY_DEPTH, overflows."""
+        to CLASSIFY_DEPTH, overflows or exceeds MAX_SCALED_CELLS."""
         h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
         arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
         _check_positive("cell_size", h)
@@ -111,6 +118,12 @@ class TraceBudget:
         # Classification and interval probes scale budgets up to CLASSIFY_DEPTH.
         if not math.isfinite(CLASSIFY_DEPTH * max(cells, arc)):
             raise BudgetError(f"max_arc_length {arc} at cell_size {h} overflows the cell cap")
+        if CLASSIFY_DEPTH * cells > MAX_SCALED_CELLS:
+            raise BudgetError(
+                f"max_arc_length {arc} at cell_size {h} needs a cell cap of "
+                f"{CLASSIFY_DEPTH * cells:.4g} at depth {CLASSIFY_DEPTH:g}, "
+                f"over the ceiling of {MAX_SCALED_CELLS}"
+            )
         budget = TraceBudget(h, arc, int(cells) + 64)
         _check_cell_size(s, h)
         return budget

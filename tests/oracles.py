@@ -14,6 +14,9 @@ import itertools
 import math
 from functools import reduce
 
+import numpy as np
+
+from moirelines.classifier import quadruple_basis
 from moirelines.tracer import CLASSIFY_DEPTH, find_seeds, trace_level_line
 
 TWO_PI = 2.0 * math.pi
@@ -281,3 +284,49 @@ def full_trace_probe(s, level, window, budget, field):
     pts = longest.points.tolist()
     area = math.fsum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
     return ("above" if area > 0 else "below"), lines
+
+
+def _full_table(direction, lat_v, lat_u_plane, bound: int):
+    l = np.asarray(direction, dtype=float)
+    l = l / np.linalg.norm(l)
+    r = np.arange(-bound, bound + 1, dtype=float)
+    table = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    g = table @ quadruple_basis(lat_v, lat_u_plane)
+    return table, g, np.abs(g @ l)
+
+
+def full_table_dots(direction, lat_v, lat_u_plane, bound: int):
+    """|G . l| of every candidate, by full_table_quadruple's own products."""
+    return _full_table(direction, lat_v, lat_u_plane, bound)[2]
+
+
+def full_table_quadruple(direction, lat_v, lat_u_plane, bound: int, tol: float):
+    """recover_quadruple computed the first way: one float table of every
+    candidate with |m_i| <= bound, m1 < 0 included, multiplied by the basis
+    in a single product, then the same gcd, sign and order tail.  Like
+    full_trace_probe it runs the package's own arithmetic, so it checks the
+    search's shortcuts (half the candidates, one m1 block at a time) bit for
+    bit, down to rows whose |G . l| equals tol.  Returns the winner's tuple
+    or None.
+    """
+    table, g, dots = _full_table(direction, lat_v, lat_u_plane, bound)
+    basis = quadruple_basis(lat_v, lat_u_plane)
+    g_floor = 1e-12 * float(np.max(np.linalg.norm(basis, axis=1)))
+    near = dots < tol
+    g = g[near]
+    m = table[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor].astype(np.int64)
+    m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]
+    if len(m) == 0:
+        return None
+    first = np.argmax(m != 0, axis=1)
+    lead = m[np.arange(len(m)), first]
+    m = np.where((lead < 0)[:, None], -m, m)
+    a = np.abs(m)
+    order = np.lexsort(
+        (
+            m[:, 3], m[:, 2], m[:, 1], m[:, 0],
+            a[:, 0], a[:, 1], a[:, 2], a[:, 3],
+            a.sum(axis=1), a.max(axis=1),
+        )
+    )
+    return tuple(int(v) for v in m[order[0]])

@@ -1,4 +1,7 @@
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from moirelines.classifier import (
     Regular,
     Undetermined,
     ZeroAnnihilatorError,
-    _candidate_table,
+    _candidate_block,
     _diameter,
     classification_to_dict,
     classify,
@@ -175,14 +178,72 @@ class TestQuadrupleRecovery:
             assert got is not None and want is not None
             assert got.as_tuple() == want
 
-    def test_candidate_table_is_built_once_per_bound(self):
-        table = _candidate_table(3)
-        assert _candidate_table(3) is table
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 12])
+    def test_matches_full_table_search(self, bound):
+        # Random directions, with tol set to the exact |G . l| of some
+        # candidate (which must then fall out), and quadruple directions at
+        # the default tol.
+        rng = np.random.default_rng(410 + bound)
+        for _ in range(4 if bound == 12 else 8):
+            lat_v, lat_u = random_lattice(rng), random_lattice(rng)
+            theta = rng.uniform(0.0, TWO_PI)
+            d = np.array([math.cos(theta), math.sin(theta)])
+            dots = np.unique(oracles.full_table_dots(d, lat_v, lat_u, bound))
+            cases = [(d, float(dots[k])) for k in (1, 2, 5, 40) if k < len(dots)]
+            try:
+                q = direction_from_quadruple(random_quadruple(rng, bound), lat_v, lat_u)
+                cases.append((q, 1e-9))
+            except ZeroAnnihilatorError:
+                pass
+            for direction, tol in cases:
+                got = recover_quadruple(direction, lat_v, lat_u, bound=bound, tol=tol)
+                want = oracles.full_table_quadruple(direction, lat_v, lat_u, bound, tol)
+                assert (got and got.as_tuple()) == want
+
+    def test_candidate_block_is_built_once_per_bound(self):
+        block = _candidate_block(3)
+        assert _candidate_block(3) is block
+        assert not block.flags.writeable
         r = np.arange(-3, 4)
-        grid = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-        assert table.dtype == np.float64
-        assert np.array_equal(table, grid)
-        assert len(_candidate_table(2)) == 5**4
+        grid = np.stack(np.meshgrid([0], r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, grid)
+        assert len(_candidate_block(2)) == 5**3
+
+    def test_search_at_default_bound_peaks_under_4_mb(self):
+        # The full 25**4-row table peaked at 23.8 MB.
+        lat, other = square_lattice(TWO_PI), square_lattice(3.0)
+        d = direction_from_quadruple(Quadruple(1, 1, -1, 0), lat, other)
+        _candidate_block.cache_clear()
+        tracemalloc.start()
+        try:
+            q = recover_quadruple(d, lat, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q is not None
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+        ({"bound": 0}, "bound must be a positive integer, got 0"),
+        ({"bound": -3}, "bound must be a positive integer, got -3"),
+        ({"bound": 2.5}, "bound must be a positive integer, got 2.5"),
+        ({"direction": (0.0, 0.0)}, "direction must be nonzero with a finite norm, got (0.0, 0.0)"),
+        ({"direction": (math.nan, 1.0)}, "direction must be nonzero with a finite norm, got (nan, 1.0)"),
+        ({"direction": (1.0, -math.inf)}, "direction must be nonzero with a finite norm, got (1.0, -inf)"),
+    ], ids=["tol-nan", "tol-inf", "tol-0", "tol-neg", "bound-0", "bound-neg", "bound-frac",
+            "direction-0", "direction-nan", "direction-inf"])
+    def test_invalid_input_raises(self, kwargs, message):
+        lat = square_lattice(TWO_PI)
+        args = {"direction": (1.0, 1.0)} | kwargs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                recover_quadruple(args.pop("direction"), lat, lat, **args)
 
     def test_generic_direction_yields_nothing(self):
         rng = np.random.default_rng(405)

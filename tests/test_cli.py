@@ -574,8 +574,12 @@ class TestErrors:
          "max_arc_length 282.7433388230814 at cell_size 1e-320 overflows the cell cap"),
         ("zones", "--budget-L", "1e308",
          "max_arc_length 1e+308 at cell_size 0.39269908169872414 overflows the cell cap"),
+        # Finite even when scaled, but beyond what any walk could finish.
+        ("trace", "--budget-L", "1e7",
+         "max_arc_length 10000000.0 at cell_size 0.39269908169872414 needs a cell cap "
+         "of 8.149e+08 at depth 4, over the ceiling of 134217728"),
     ], ids=["trace-cell-h-0", "classify-budget-L-1e308", "classify-budget-L-5e306",
-            "sweep-cell-h-1e-320", "zones-budget-L-1e308"])
+            "sweep-cell-h-1e-320", "zones-budget-L-1e308", "trace-budget-L-1e7"])
     def test_budget_out_of_range_fails_before_any_work(
         self, cfg_threeq, tmp_path, capsys, monkeypatch, command, flag, value, message
     ):

@@ -113,6 +113,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             SweepConfig(0.2, 0.8, 4, **{field: value})
 
+    @pytest.mark.parametrize("field", ["cell_h", "budget_arc"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_budget_overrides_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+            SweepConfig(0.2, 0.8, 4, **{field: value})
+
 
 class TestShiftSampling:
     def test_deterministic_per_seed_and_angle(self):

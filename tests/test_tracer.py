@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moirelines import tracer
 from moirelines.geometry import EuclideanTransform, Rect
@@ -15,7 +16,9 @@ from moirelines.potential import (
     two_cosine_potential,
 )
 from moirelines.tracer import (
+    CLASSIFY_DEPTH,
     JITTER_REL,
+    MAX_SCALED_CELLS,
     MIN_CELLS_PER_PERIOD,
     BudgetError,
     ChunkedField,
@@ -87,6 +90,15 @@ class TestBudget:
             TraceBudget.for_potential(two_cos, cell_size=1.01 * limit)
         with pytest.raises(BudgetError, match="too coarse"):
             TraceBudget.for_potential(two_cos, cells_per_period=MIN_CELLS_PER_PERIOD - 1)
+
+    def test_for_potential_refuses_a_cell_cap_over_the_ceiling(self, two_cos):
+        # h = 0.5 and L = 2**21 give CLASSIFY_DEPTH * 8 * L / h = 2**27 exactly.
+        assert MAX_SCALED_CELLS == 2**27 and CLASSIFY_DEPTH == 4.0
+        b = TraceBudget.for_potential(two_cos, cell_size=0.5, max_arc_length=2.0**21)
+        assert b.max_cells == 2**25 + 64
+        with pytest.raises(BudgetError, match="over the ceiling of 134217728"):
+            TraceBudget.for_potential(two_cos, cell_size=0.5,
+                                      max_arc_length=2.0**21 * (1 + 2.0**-20))
 
 
 @pytest.mark.parametrize("inside, outside", [(0.0, 1.0), (1.0, 0.0)])
@@ -282,6 +294,61 @@ def assert_same_trace(a, b):
     assert a.points.shape == b.points.shape
     assert a.points.tobytes() == b.points.tobytes()
     assert (a.arc_length, a.status, a.jitter_scale) == (b.arc_length, b.status, b.jitter_scale)
+
+
+class TestTraceInvariants:
+    """Properties of every trace on random two_layer_sum families."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(0.01, 0.6), alpha=st.floats(0.05, 1.5),
+           sx=st.floats(0.0, TWO_PI), sy=st.floats(0.0, TWO_PI),
+           frac=st.floats(-0.95, 0.95), cells=st.sampled_from([8, 12, 16, 24]))
+    def test_vertices_on_edges_with_f_above_level_on_the_left(
+        self, delta, alpha, sx, sy, frac, cells
+    ):
+        s = two_layer_sum(delta, alpha, (sx, sy))
+        level = frac * (2.0 + 2.0 * delta)
+        budget = TraceBudget.for_potential(s, cells_per_period=cells, length_periods=8.0)
+        h = budget.cell_size
+        field = ChunkedField(s, h)
+        nudge = JITTER_REL * s.value_scale()
+        # Each of the four cosines bends by at most its amplitude along any
+        # edge, so linear interpolation there misses f by at most
+        # h**2/8 * (2 + 2*delta); a nudged corner shifts it by 2*nudge at most.
+        f_tol = h * h / 8.0 * (2.0 + 2.0 * delta) + 2.0 * nudge + 1e-12
+
+        def residual(gi, gj):
+            g = field.corner(gi, gj) - level
+            return nudge if abs(g) < nudge else g
+
+        seeds = find_seeds(s, level, Rect.centered((0.0, 0.0), 2 * TWO_PI), h, field)
+        for seed in seeds[:3]:
+            # Tracing raises RuntimeError on an inconsistent sign pattern.
+            line = trace_level_line(s, seed, level, budget, field=field)
+            pts = line.points
+            assert np.abs(eval_superposition(s, pts) - level).max() <= f_tol
+            u, w = pts[:, 0] / h, pts[:, 1] / h
+            du, dw = np.abs(u - np.round(u)), np.abs(w - np.round(w))
+            assert np.minimum(du, dw).max() < 1e-9
+            horizontal = dw < du
+            i = np.where(horizontal, np.floor(u), np.round(u)).astype(int)
+            j = np.where(horizontal, np.round(w), np.floor(w)).astype(int)
+            ends = [(i, j), (i + horizontal, j + ~horizontal)]
+            r0, r1 = (np.array([residual(a, b) for a, b in zip(*e)]) for e in ends)
+            assert np.all(r0 * r1 < 0)
+            up = np.where((r0 > 0)[:, None], np.column_stack(ends[0]),
+                          np.column_stack(ends[1])) * h
+            down = np.where((r0 > 0)[:, None], np.column_stack(ends[1]),
+                            np.column_stack(ends[0])) * h
+            # Each segment has the positive end of both its edges on its left.
+            a, d = pts[:-1], pts[1:] - pts[:-1]
+            for corners, sign in ((up, 1.0), (down, -1.0)):
+                for c in (corners[:-1], corners[1:]):
+                    cross = d[:, 0] * (c[:, 1] - a[:, 1]) - d[:, 1] * (c[:, 0] - a[:, 0])
+                    assert np.all(sign * cross > 0)
+            if line.is_closed:
+                assert line.record.start == 0
+                assert pts[-1].tobytes() == pts[0].tobytes()
 
 
 class TestTraceOnce:
