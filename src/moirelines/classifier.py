@@ -453,122 +453,94 @@ def classify_potential(
     return interval, level, None if hit is None else hit[1]
 
 
-def classify_family_member(
-    s: SuperpositionPotential,
-    window: Rect,
-    budget: TraceBudget,
-    level: float | None = None,
-    tol_eps: float = 1e-3,
-) -> tuple[EnergyInterval | None, float | None, Classification | None]:
-    """classify_potential for one shift of a family.
-
-    A family verdict needs an open line at every shift, so a level where
-    this shift yields none (no seed, or only loops) is Undetermined here.
-    """
-    interval, level, c = classify_potential(s, window, budget, level, tol_eps)
-    if level is not None and (c is None or isinstance(c, Closed)):
-        c = Undetermined(reason=f"no open line found at level {level}")
-    return interval, level, c
-
-
 @dataclass(frozen=True)
-class ShiftFamilyReport:
-    """Outcome of classifying one open line per layer shift.
+class FamilyVerdict:
+    """One potential family classified at one angle (see classify_family).
 
-    For a non-periodic superposition the quadruple and the open-line energy
-    window belong to the potential family, not to the particular shift; this
-    report says whether the computation agrees.
+    intervals, levels and classifications have one entry per shift
+    classified; an interval is None where the shift was given its level.
     """
 
     shifts: tuple
-    classifications: tuple
     intervals: tuple
     levels: tuple
-    quadruple_consistent: bool
-    shared_quadruple: Quadruple | None
-    intervals_consistent: bool
-    tol_eps: float
-    skipped: bool = False
-    reason: str | None = None
+    classifications: tuple
+    quadruple: Quadruple | None
+    mean_width: float | None
+    verdict: str  # regular | chaotic | undetermined | no-open-lines
+    commensurate: bool
 
 
-def shift_family_check(
+def classify_family(
     v: PeriodicPotential,
     u: PeriodicPotential,
     alpha: float,
     shifts,
-    budget: TraceBudget | None = None,
-    window: Rect | None = None,
+    window: Rect,
+    budget: TraceBudget,
     combiner: Combiner = Sum(),
+    level: float | None = None,
     tol_eps: float = 1e-3,
-) -> ShiftFamilyReport:
-    """Classify one open line per shift and compare labels and intervals.
+    search_each_shift: bool = False,
+) -> FamilyVerdict:
+    """Classify one open line per layer shift and form one family verdict.
 
-    Shift independence is only meaningful for non-periodic superpositions,
-    so a commensurate layer pair short-circuits to a skipped report.  Each
-    shift gets its own energy-interval search and classifies an open line at
-    its own interval's midpoint (see classify_family_member).
+    The open-line interval and the quadruple belong to the family, not to
+    one shift.  Without a level, shift 0's interval midpoint is the level
+    the other shifts are classified at; when shift 0 has no interval,
+    nothing is classified and the verdict is no-open-lines.  With
+    search_each_shift every shift is classified at its own interval's
+    midpoint.  A given level skips every search.  A shift with no open line
+    at its level (no interval, no seed, or only loops) is Undetermined.
+
+    The verdict is regular when every shift is Regular with one quadruple
+    (mean_width is their mean strip width), chaotic when every shift is
+    Chaotic, and undetermined otherwise.  A commensurate twist is
+    classified as any other, and flagged.  Raises ValueError on no shifts.
     """
-    shifts = [np.asarray(a, dtype=float) for a in shifts]
-    transform0 = EuclideanTransform(alpha, shifts[0] if shifts else (0.0, 0.0))
-    common = is_commensurate(v.lattice, u.lattice, transform0)
-    if common is not None:
-        return ShiftFamilyReport(
-            shifts=tuple(shifts),
-            classifications=(),
-            intervals=(),
-            levels=(),
-            quadruple_consistent=False,
-            shared_quadruple=None,
-            intervals_consistent=False,
-            tol_eps=tol_eps,
-            skipped=True,
-            reason="layers are commensurate at this angle: the superposition "
-            "is periodic and shift independence does not apply",
-        )
+    shifts = tuple(np.asarray(a, dtype=float) for a in shifts)
+    if not shifts:
+        raise ValueError("need at least one shift")
+    transform0 = EuclideanTransform(alpha, shifts[0])
+    commensurate = is_commensurate(v.lattice, u.lattice, transform0) is not None
 
-    probe = SuperpositionPotential(v, u, transform0, combiner)
-    if budget is None:
-        budget = TraceBudget.for_potential(probe)
-    if window is None:
-        window = Rect.centered((0.0, 0.0), 4.0 * probe.longest_period())
+    intervals, levels, classifications = [], [], []
+    for a in shifts:
+        s = SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner)
+        interval, eps, c = classify_potential(s, window, budget, level, tol_eps)
+        intervals.append(interval)
+        levels.append(eps)
+        if eps is None:
+            if not search_each_shift:
+                break  # shift 0 found no interval: the family has none
+            c = Undetermined(reason="no open-line interval found")
+        elif c is None or isinstance(c, Closed):
+            c = Undetermined(reason=f"no open line found at level {eps}")
+        classifications.append(c)
+        if not search_each_shift:
+            level = eps
 
-    outcomes = [
-        classify_family_member(
-            SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner),
-            window, budget, tol_eps=tol_eps,
-        )
-        for a in shifts
-    ]
-    intervals = tuple(iv for iv, _, _ in outcomes)
-    levels = tuple(eps for _, eps, _ in outcomes)
-    classifications = tuple(c for _, _, c in outcomes)
-
-    quadruples = [
-        c.quadruple for c in classifications if isinstance(c, Regular)
-    ]
-    quad_ok = (
-        len(quadruples) == len(classifications)
-        and len(classifications) > 0
-        and all(q == quadruples[0] for q in quadruples)
-    )
-    found = [iv for iv in intervals if iv.found]
-    ivals_ok = len(found) == len(intervals) and len(found) > 0
-    if ivals_ok:
-        los = [iv.lo for iv in found]
-        his = [iv.hi for iv in found]
-        ivals_ok = (max(los) - min(los) <= 2 * tol_eps) and (
-            max(his) - min(his) <= 2 * tol_eps
-        )
-    return ShiftFamilyReport(
-        shifts=tuple(shifts),
-        classifications=classifications,
-        intervals=intervals,
-        levels=levels,
-        quadruple_consistent=quad_ok,
-        shared_quadruple=quadruples[0] if quad_ok else None,
-        intervals_consistent=ivals_ok,
-        tol_eps=tol_eps,
+    quadruple, width, verdict = None, None, "undetermined"
+    regulars = [c for c in classifications if isinstance(c, Regular)]
+    if not classifications:
+        verdict = "no-open-lines"
+    elif len(regulars) == len(classifications):
+        # Shifts that disagree on the quadruple leave it undetermined.
+        if all(c.quadruple == regulars[0].quadruple for c in regulars):
+            quadruple = regulars[0].quadruple
+            width = float(np.mean([c.strip_width for c in regulars]))
+            verdict = "regular"
+    elif all(isinstance(c, Chaotic) for c in classifications):
+        verdict = "chaotic"
+    return FamilyVerdict(
+        shifts=shifts,
+        intervals=tuple(intervals),
+        levels=tuple(levels),
+        classifications=tuple(classifications),
+        quadruple=quadruple,
+        mean_width=width,
+        verdict=verdict,
+        commensurate=commensurate,
     )
 
 

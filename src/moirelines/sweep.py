@@ -16,6 +16,7 @@ number of worker processes.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -29,7 +30,6 @@ from .potential import (
     PeriodicPotential,
     Sum,
     SuperpositionPotential,
-    is_commensurate,
 )
 from .tracer import CELLS_PER_PERIOD, EnergyInterval, TraceBudget, bisect
 from .classifier import (
@@ -37,11 +37,9 @@ from .classifier import (
     K_GROW,
     MAX_SEEDS,
     TAU_SAT,
-    Chaotic,
     Quadruple,
-    Regular,
     classification_to_dict,
-    classify_family_member,
+    classify_family,
 )
 from .output import fmt_float
 
@@ -64,6 +62,14 @@ class SweepConfig:
     budget_arc: float | None = None
 
     def __post_init__(self):
+        for name in ("alpha_start", "alpha_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("alpha_count", "shifts_per_alpha", "seed", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.alpha_start < self.alpha_end:
             raise ValueError("need alpha_start < alpha_end")
         if self.alpha_count < 2:
@@ -131,52 +137,25 @@ def sample_shifts(
     return [t[k] @ u.lattice.basis for k in range(count)]
 
 
-def _consensus(classifications) -> tuple:
-    # Only a family with no open-line interval leaves every shift unclassified.
-    if not classifications:
-        return None, None, "no-open-lines"
-    regulars = [c for c in classifications if isinstance(c, Regular)]
-    if regulars and len(regulars) == len(classifications):
-        q0 = regulars[0].quadruple
-        if all(c.quadruple == q0 for c in regulars):
-            width = float(np.mean([c.strip_width for c in regulars]))
-            return q0, width, "regular"
-        return None, None, "undetermined"  # shift disagreement demotes
-    if all(isinstance(c, Chaotic) for c in classifications):
-        return None, None, "chaotic"
-    return None, None, "undetermined"
-
-
 def _sample_alpha(
     v, u, combiner, cfg: SweepConfig, budget: TraceBudget, window: Rect, alpha: float
 ) -> AlphaSample:
     alpha = float(alpha)
     try:
         shifts = sample_shifts(u, cfg.seed, alpha, cfg.shifts_per_alpha)
-        transform0 = EuclideanTransform(alpha, shifts[0])
-        commensurate = is_commensurate(v.lattice, u.lattice, transform0) is not None
-
-        def member(shift, level):
-            s = SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
-            return classify_family_member(s, window, budget, level, cfg.tol_eps)
-
-        # Shift 0 fixes the level (the interval is the family's); the other
-        # shifts are classified at it.
-        interval, level, c0 = member(shifts[0], cfg.level)
-        classifications = ()
-        if level is not None:
-            classifications = (c0,) + tuple(member(a, level)[2] for a in shifts[1:])
-        quadruple, width, verdict = _consensus(classifications)
+        family = classify_family(
+            v, u, alpha, shifts, window, budget, combiner, cfg.level, cfg.tol_eps
+        )
         return AlphaSample(
             alpha=alpha,
-            shifts=tuple(shifts),
-            classifications=classifications,
-            interval=interval,
-            level=level,
-            quadruple=quadruple,
-            mean_width=width,
-            verdict=verdict,
-            commensurate=commensurate,
+            shifts=family.shifts,
+            classifications=family.classifications,
+            interval=family.intervals[0],
+            level=family.levels[0],
+            quadruple=family.quadruple,
+            mean_width=family.mean_width,
+            verdict=family.verdict,
+            commensurate=family.commensurate,
         )
     except Exception as err:  # per-point failures stay in the record
         return AlphaSample(

@@ -26,8 +26,6 @@ SETTABLE = [
     ("LevelLine", "jitter_scale"),
     ("LevelLine", "record"),
     ("Rect.centered", "height"),
-    ("ShiftFamilyReport", "reason"),
-    ("ShiftFamilyReport", "skipped"),
     ("StabilityZone", "verified"),
     ("StabilityZone", "verify_alpha"),
     ("SuperpositionPotential", "combiner"),
@@ -48,8 +46,10 @@ SETTABLE = [
     ("classification_to_dict", "parameters"),
     ("classify", "field"),
     ("classify", "long_line"),
-    ("classify_family_member", "level"),
-    ("classify_family_member", "tol_eps"),
+    ("classify_family", "combiner"),
+    ("classify_family", "level"),
+    ("classify_family", "search_each_shift"),
+    ("classify_family", "tol_eps"),
     ("classify_first_open", "field"),
     ("classify_potential", "level"),
     ("classify_potential", "tol_eps"),
@@ -63,10 +63,6 @@ SETTABLE = [
     ("recover_quadruple", "bound"),
     ("recover_quadruple", "tol"),
     ("result_to_dict", "zone_set"),
-    ("shift_family_check", "budget"),
-    ("shift_family_check", "combiner"),
-    ("shift_family_check", "tol_eps"),
-    ("shift_family_check", "window"),
     ("stable_json", "indent"),
     ("sweep_angle", "combiner"),
     ("three_cosine_potential", "amplitude"),
@@ -111,7 +107,7 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
-    assert len(SETTABLE) == 53
+    assert len(SETTABLE) == 49
 
 
 def test_import_loads_numpy_only():

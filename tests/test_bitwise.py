@@ -28,8 +28,8 @@ from moirelines.classifier import (
     Regular,
     classification_to_dict,
     classify,
+    classify_family,
     classify_first_open,
-    shift_family_check,
 )
 from moirelines.cli import main
 from moirelines.geometry import Rect
@@ -201,9 +201,9 @@ def test_shift_family_bitwise():
     u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, 0.3),))
     budget = TraceBudget(TWO_PI / 16, 30.0 * TWO_PI, int(8 * 30 * 16) + 64)
     window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
-    report = shift_family_check(
-        v, u, 0.7, shifts=[(0.0, 0.0), (2.0, 1.0)],
-        budget=budget, window=window, tol_eps=1e-2,
+    report = classify_family(
+        v, u, 0.7, [(0.0, 0.0), (2.0, 1.0)], window, budget,
+        tol_eps=1e-2, search_each_shift=True,
     )
     summary = {
         "classifications": [classification_to_dict(c) for c in report.classifications],

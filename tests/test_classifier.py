@@ -18,15 +18,16 @@ from moirelines.classifier import (
     _diameter,
     classification_to_dict,
     classify,
+    classify_family,
     classify_first_open,
     direction_from_quadruple,
     fit_direction,
     quadruple_basis,
     recover_quadruple,
-    shift_family_check,
     strip_width,
 )
 from moirelines.geometry import EuclideanTransform, Rect
+from moirelines.output import stable_json
 from moirelines.potential import (
     FourierTerm,
     PeriodicPotential,
@@ -439,36 +440,95 @@ class TestSerialization:
             classification_to_dict("closed")
 
 
+def _three_frequency_family():
+    """The README layers with the shift-family pin's budget and window."""
+    v = two_cosine_potential(TWO_PI)
+    u = PeriodicPotential(square_lattice(TWO_PI), (FourierTerm(1, 0, 0.3),))
+    budget = TraceBudget(TWO_PI / 16, 30.0 * TWO_PI, int(8 * 30 * 16) + 64)
+    window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
+    return v, u, window, budget
+
+
+def _family_record(family):
+    """Every field of a FamilyVerdict as JSON text, for exact comparison."""
+    return stable_json({
+        "shifts": [list(map(float, a)) for a in family.shifts],
+        "intervals": [None if iv is None else vars(iv) for iv in family.intervals],
+        "levels": list(family.levels),
+        "classifications": [classification_to_dict(c) for c in family.classifications],
+        "quadruple": family.quadruple and family.quadruple.as_tuple(),
+        "mean_width": family.mean_width,
+        "verdict": family.verdict,
+        "commensurate": family.commensurate,
+    })
+
+
 class TestShiftFamily:
-    def test_commensurate_pair_skipped(self):
+    SHIFTS = [(0.0, 0.0), (2.0, 1.0)]
+
+    def test_commensurate_pair_flagged(self):
         v = two_cosine_potential(1.0)
-        report = shift_family_check(v, v, oracles.COMMENSURATE_ALPHA,
-                                    shifts=[(0.0, 0.0), (0.3, 0.3)])
-        assert report.skipped
-        assert "commensurate" in report.reason
-        assert not report.quadruple_consistent
+        probe = SuperpositionPotential(v, v, EuclideanTransform(oracles.COMMENSURATE_ALPHA))
+        window = Rect.centered((0.0, 0.0), 4.0 * probe.longest_period())
+        report = classify_family(v, v, oracles.COMMENSURATE_ALPHA,
+                                 [(0.0, 0.0), (0.3, 0.3)], window,
+                                 TraceBudget.for_potential(probe))
+        assert report.commensurate
+        assert len(report.classifications) == 2
+        assert report.verdict != "regular"
+        assert report.quadruple is None
 
     def test_three_frequency_family_consistent(self):
-        v = two_cosine_potential(TWO_PI)
-        u = PeriodicPotential(square_lattice(TWO_PI),
-                              (FourierTerm(1, 0, 0.3),))
-        budget = TraceBudget(TWO_PI / 16, 30.0 * TWO_PI,
-                             int(8 * 30 * 16) + 64)
-        window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
-        report = shift_family_check(
-            v, u, 0.7,
-            shifts=[(0.0, 0.0), (2.0, 1.0)],
-            budget=budget,
-            window=window,
-            tol_eps=1e-2,
+        v, u, window, budget = _three_frequency_family()
+        tol_eps = 1e-2
+        report = classify_family(
+            v, u, 0.7, self.SHIFTS, window, budget,
+            tol_eps=tol_eps, search_each_shift=True,
         )
-        assert not report.skipped
+        assert not report.commensurate
         assert len(report.classifications) == 2
         assert all(isinstance(c, Regular) for c in report.classifications)
-        assert report.quadruple_consistent
-        assert report.shared_quadruple.as_tuple() == oracles.THREEQ_QUADRUPLE
-        assert report.intervals_consistent
+        assert report.verdict == "regular"
+        assert report.quadruple.as_tuple() == oracles.THREEQ_QUADRUPLE
         for interval in report.intervals:
             assert interval.found and not interval.degenerate
+        los = [iv.lo for iv in report.intervals]
+        his = [iv.hi for iv in report.intervals]
+        assert max(los) - min(los) <= 2.0 * tol_eps
+        assert max(his) - min(his) <= 2.0 * tol_eps
         for level, interval in zip(report.levels, report.intervals):
             assert interval.lo < level < interval.hi
+
+    def test_fixed_level_is_the_same_in_both_modes(self):
+        v, u, window, budget = _three_frequency_family()
+        records = [
+            _family_record(classify_family(
+                v, u, 0.7, self.SHIFTS, window, budget, level=0.0,
+                search_each_shift=each,
+            ))
+            for each in (False, True)
+        ]
+        assert records[0] == records[1]
+        assert '"verdict": "regular"' in records[0]
+
+    def test_shift_zero_fixes_the_level_of_the_others(self):
+        v, u, window, budget = _three_frequency_family()
+        report = classify_family(v, u, 0.7, self.SHIFTS, window, budget, tol_eps=1e-2)
+        assert report.intervals[0].found
+        assert report.intervals[1:] == (None,)
+        assert report.levels[0] == 0.5 * (report.intervals[0].lo + report.intervals[0].hi)
+        assert all(level == report.levels[0] for level in report.levels)
+
+    def test_shift_with_no_open_line_is_undetermined(self):
+        # At level 0.9 every line of this family is a loop.
+        v, u, window, budget = _three_frequency_family()
+        report = classify_family(v, u, 0.7, self.SHIFTS, window, budget, level=0.9)
+        assert report.verdict == "undetermined"
+        assert [c.reason for c in report.classifications] == [
+            "no open line found at level 0.9"
+        ] * 2
+
+    def test_no_shifts_raises(self):
+        v, u, window, budget = _three_frequency_family()
+        with pytest.raises(ValueError, match="at least one shift"):
+            classify_family(v, u, 0.7, [], window, budget)

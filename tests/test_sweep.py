@@ -113,6 +113,20 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             SweepConfig(0.2, 0.8, 4, **{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("shifts_per_alpha", 1.5, "shifts_per_alpha must be an integer, got 1.5"),
+        ("alpha_count", 2.5, "alpha_count must be an integer, got 2.5"),
+        ("workers", 2.0, "workers must be an integer, got 2.0"),
+        ("alpha_start", -math.inf, "alpha_start must be finite, got -inf"),
+        ("alpha_end", math.inf, "alpha_end must be finite, got inf"),
+        ("alpha_end", math.nan, "alpha_end must be finite, got nan"),
+    ])
+    def test_grid_fields_are_integers_and_finite(self, field, value, message):
+        args = {"alpha_start": 0.2, "alpha_end": 0.8, "alpha_count": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepConfig(**args)
+
     @pytest.mark.parametrize("field", ["cell_h", "budget_arc"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
     def test_budget_overrides_must_be_positive_and_finite(self, field, value):

@@ -670,3 +670,27 @@ class TestEnergyInterval:
                                                    small_budget, tol):
         with pytest.raises(ValueError, match="tol_eps must be positive and finite"):
             energy_interval(two_cos, small_window, small_budget, -1.0, 1.0, tol_eps=tol)
+
+
+def _ladder_interval(s, length_periods):
+    """classify_potential's interval search at h = period/16, a window of
+    four periods and tol_eps 1e-3, with the arc budget L in periods."""
+    budget = TraceBudget.for_potential(s, 16, length_periods)
+    window = Rect.centered((0.0, 0.0), 4.0 * s.longest_period())
+    scale = 1.01 * s.value_scale()
+    return energy_interval(s, window, budget, -scale, scale, 1e-3)
+
+
+class TestBudgetLadder:
+    """The interval depends on the arc budget L: a level open at a longer
+    budget is open at a shorter one, so the intervals nest as L grows."""
+
+    def test_longer_budget_interval_nests_inside_shorter(self):
+        s = single_harmonic_sum(0.3, 0.7)
+        short, long = _ladder_interval(s, 60.0), _ladder_interval(s, 240.0)
+        assert short.found and long.found and not long.degenerate
+        assert short.lo - 1e-3 <= long.lo < long.hi <= short.hi + 1e-3
+
+    def test_equal_layer_family_collapses_at_960_periods(self):
+        iv = _ladder_interval(two_layer_sum(0.05, 0.7, (0.1, -0.2)), 960.0)
+        assert iv.found and iv.degenerate
