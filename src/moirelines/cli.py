@@ -47,6 +47,8 @@ from .sweep import (
     zones_to_svg,
 )
 from .tracer import (
+    CELLS_PER_PERIOD,
+    LENGTH_PERIODS,
     ChunkedField,
     TraceBudget,
     find_seeds,
@@ -96,7 +98,8 @@ def _window_from(args, s) -> Rect:
             return Rect(x0, y0, x1, y1)
         except ValueError as err:
             raise CliError(str(err)) from None
-    side = 4.0 * s.longest_period()
+    # Every command seeds over the sweep's default window.
+    side = SweepConfig.window_periods * s.longest_period()
     return Rect.centered((0.0, 0.0), side)
 
 
@@ -154,16 +157,21 @@ def cmd_eval(args) -> int:
             raise CliError(f"--grid needs two positive whole counts, got {args.grid!r}")
         xs = np.linspace(w.x0, w.x1, int(counts[0]))
         ys = np.linspace(w.y0, w.y1, int(counts[1]))
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.concatenate([
-        np.array(points, dtype=float).reshape(-1, 2),
-        np.column_stack([gx.ravel(), gy.ravel()]),
-    ])
+    head = np.array(points, dtype=float).reshape(-1, 2)
+    total = len(head) + len(xs) * len(ys)
     labels = _eval_labels(points, xs, ys)
     row = f"{{}},{{:{FLOAT_SPEC}}}\n".format
     sys.stdout.write("x,y,f\n")
-    for start in range(0, len(pts), _EVAL_BLOCK):
-        block = pts[start : start + _EVAL_BLOCK]
+    for start in range(0, total, _EVAL_BLOCK):
+        # Row r is point r, then grid node r - len(head) with x fastest.
+        y_at, x_at = np.divmod(
+            np.arange(max(start, len(head)), min(start + _EVAL_BLOCK, total)) - len(head),
+            max(len(xs), 1),
+        )
+        block = np.concatenate([
+            head[start : start + _EVAL_BLOCK],
+            np.column_stack([xs[x_at], ys[y_at]]),
+        ])
         # The middle axis makes every row its own (1,2) @ (2,k) product, the
         # same per-row BLAS call a single point gets, so the values equal
         # one-point evaluations bit for bit.  A flat (N,2) batch goes through
@@ -321,14 +329,15 @@ def cmd_zones(args) -> int:
     return EXIT_OK
 
 
-def _budget_options(periods: int) -> argparse.ArgumentParser:
+def _budget_options(periods: float) -> argparse.ArgumentParser:
     """--cell-h and --budget-L; the arc budget defaults to this many periods."""
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--cell-h", type=_finite, default=None, dest="cell_h",
-                        help="marching grid spacing (default: shortest period / 16)")
+                        help="marching grid spacing "
+                        f"(default: shortest period / {CELLS_PER_PERIOD})")
     budget.add_argument("--budget-L", type=_finite, default=None, dest="budget_l",
                         help="arc-length budget for open lines "
-                        f"(default: {periods} * longest period)")
+                        f"(default: {periods:g} * longest period)")
     return budget
 
 
@@ -353,16 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="output formats (repeatable; each command has its own default set)",
     )
 
-    budget = _budget_options(200)
+    window = f"(default: {SweepConfig.window_periods:g} longest periods around the origin)"
+    budget = _budget_options(LENGTH_PERIODS)
     budget.add_argument("--window", default=None,
                         help="x0,y0,x1,y1 seeding window; write "
-                        "--window=x0,... when x0 is negative "
-                        "(default: 4 longest periods around the origin)")
+                        f"--window=x0,... when x0 is negative {window}")
 
     p_eval = sub.add_parser("eval", parents=[config], help="print potential values")
     p_eval.add_argument("--point", action="append", help="x,y (repeatable)")
     p_eval.add_argument("--grid", default=None, help="nx,ny samples over the window")
-    p_eval.add_argument("--window", default=None, help="x0,y0,x1,y1 for --grid")
+    p_eval.add_argument("--window", default=None, help=f"x0,y0,x1,y1 for --grid {window}")
     p_eval.set_defaults(func=cmd_eval)
 
     p_trace = sub.add_parser("trace", parents=[config, out, fmt, budget],
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "at least 1, results do not depend on it (default: 1)")
     sweep_common.add_argument("--level", type=_finite, default=None,
                               help="fixed level (default: per-angle interval midpoint)")
-    sweep_parents = [config, out, fmt, sweep_common, _budget_options(60)]
+    sweep_parents = [config, out, fmt, sweep_common, _budget_options(SweepConfig.length_periods)]
 
     p_sweep = sub.add_parser("sweep", parents=sweep_parents, help="classify an angle grid")
     p_sweep.set_defaults(func=cmd_sweep)

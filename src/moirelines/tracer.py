@@ -9,11 +9,11 @@ in arc length and keeps memory proportional to the visited set.
 The continuation itself is plain marching squares on the residual f - level:
 inside each cell the crossing points on the cell edges are joined, the walk
 steps to the neighbouring cell through the exit edge, and terminates when it
-returns to its starting edge (closed), runs out of arc-length or cell budget,
-or leaves an optional clip window.  Corner signs are made strict by nudging
-residuals within 1e-9 of zero (relative to the potential's value scale) to
-the positive side; this desingularizes levels at or next to critical values
-deterministically, and every line reports whether the nudge fired.
+returns to its starting edge (closed) or runs out of arc-length or cell
+budget.  Corner signs are made strict by nudging residuals within 1e-9 of
+zero (relative to the potential's value scale) to the positive side; this
+desingularizes levels at or next to critical values deterministically, and
+every line reports whether the nudge fired.
 
 Orientation is fixed once and for all: lines are walked with the region
 f > level on their left.  Closed loops around a maximum therefore come out
@@ -45,6 +45,9 @@ MIN_CELLS_PER_PERIOD = 8
 # The default budget cell resolves the shortest period this finely.
 CELLS_PER_PERIOD = 16
 
+# The default arc budget spans this many of the longest period.
+LENGTH_PERIODS = 200.0
+
 # Classification follows a line to this many budgets, and to half as many;
 # interval probes trace as deep.
 CLASSIFY_DEPTH = 4.0
@@ -73,7 +76,6 @@ class BudgetError(ValueError):
 class LineStatus(Enum):
     CLOSED = "closed"
     OPEN_BUDGET_EXHAUSTED = "open-budget-exhausted"
-    OPEN_LEFT_WINDOW = "open-left-window"
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,18 @@ class TraceBudget:
     @staticmethod
     def for_potential(
         s: SuperpositionPotential,
-        cells_per_period: int = CELLS_PER_PERIOD,
-        length_periods: float = 200.0,
+        length_periods: float = LENGTH_PERIODS,
         cell_size: float | None = None,
         max_arc_length: float | None = None,
     ) -> "TraceBudget":
-        """Defaults: h resolves the shortest period cells_per_period-fold, L
+        """Defaults: h resolves the shortest period CELLS_PER_PERIOD-fold, L
         spans length_periods of the longest one, and the cell cap allows 8
         cells per unit of L/h.  cell_size and max_arc_length, when given,
         replace the per-period h and L.  Raises BudgetError when h is too
         coarse for the potential's shortest period, and before the cell cap
         is computed when h or L is not a positive number or the cap, scaled
         to CLASSIFY_DEPTH, overflows or exceeds MAX_SCALED_CELLS."""
-        h = s.shortest_period() / cells_per_period if cell_size is None else cell_size
+        h = s.shortest_period() / CELLS_PER_PERIOD if cell_size is None else cell_size
         arc = length_periods * s.longest_period() if max_arc_length is None else max_arc_length
         _check_positive("cell_size", h)
         _check_positive("max_arc_length", arc)
@@ -142,16 +143,15 @@ class TraceRecord:
     """How the two walks of a trace ran, so that traces of the same line
     under smaller budgets can be cut out of it (see cut_trace).
 
-    start is the index of the start crossing in the points.  forward and
-    backward are the walks' stop reasons ("closed", "budget", "cells",
-    "window"; backward is None when the forward walk closed).  The *_jitter
-    fields give the 1-based cell of each walk's first nudged residual (None
-    if none); start_jitter says whether locating the start nudged one.
+    start is the index of the start crossing in the points.  forward is the
+    forward walk's stop reason ("closed", "budget" or "cells"); the backward
+    walk runs only when the forward one did not close.  The *_jitter fields
+    give the 1-based cell of each walk's first nudged residual (None if
+    none); start_jitter says whether locating the start nudged one.
     """
 
     start: int
     forward: str
-    backward: str | None
     forward_jitter: int | None
     backward_jitter: int | None
     start_jitter: bool
@@ -166,7 +166,6 @@ class LevelLine:
     status: LineStatus
     arc_length: float
     seed: np.ndarray
-    cell_size: float
     jitter_scale: float = 0.0
     record: TraceRecord | None = dataclasses.field(default=None, repr=False, compare=False)
 
@@ -460,14 +459,14 @@ class _Walker:
             g = self.delta
         return _SADDLE_EXIT[index][bool(g > 0)]
 
-    def walk(self, i, j, entry, p0, start_edge, window, arc_limit, cell_limit):
+    def walk(self, i, j, entry, p0, start_edge, arc_limit, cell_limit):
         """Continue from the start crossing p0 into cell (i, j), entered
         through side `entry`, until a stop condition.
 
         Returns (xs, ys, arc, reason, first_jitter).  Vertex k is the
         crossing on the side cell k was left through, computed as crossing()
         computes it; a closed walk ends on p0 itself.  reason is one of
-        "closed", "budget", "cells", "window"; first_jitter is the 1-based
+        "closed", "budget" or "cells"; first_jitter is the 1-based
         index of the first cell whose residuals were nudged, or None.
         """
         # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
@@ -485,9 +484,6 @@ class _Walker:
             ea, ib, jb, eb = 0, ia, ja - 1, 2
         else:
             ea, ib, jb, eb = 3, ia - 1, ja, 1
-        clip = window is not None
-        if clip:
-            wx0, wy0, wx1, wy1 = window.x0, window.y0, window.x1, window.y1
         # The running arc decides where the walk stops, so it must be the
         # sequential sum of np.hypot steps bit for bit.  math.hypot is much
         # cheaper but may differ in the last bit; it tracks the arc until
@@ -576,9 +572,6 @@ class _Walker:
             dx, dy = qx - px, qy - py
             arc += hypot(dx, dy)
             px, py = qx, qy
-            if clip and not (wx0 <= qx <= wx1 and wy0 <= qy <= wy1):
-                reason = "window"
-                break
             if arc >= soft_limit:
                 if exact is None:
                     exact = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1])
@@ -641,11 +634,10 @@ def _start(walker: _Walker, seed: np.ndarray):
     return start_edge, fwd, bwd, walker.crossing(start_edge)
 
 
-def _walk_forward(walker: _Walker, start, budget: TraceBudget, window: Rect | None):
+def _walk_forward(walker: _Walker, start, budget: TraceBudget):
     """The forward walk from a _start, which gets half the arc budget."""
     start_edge, fwd, _, p0 = start
-    return walker.walk(*fwd, p0, start_edge, window, budget.max_arc_length / 2,
-                       budget.max_cells)
+    return walker.walk(*fwd, p0, start_edge, budget.max_arc_length / 2, budget.max_cells)
 
 
 def trace_level_line(
@@ -653,15 +645,13 @@ def trace_level_line(
     seed,
     level: float,
     budget: TraceBudget,
-    window: Rect | None = None,
     field: ChunkedField | None = None,
 ) -> LevelLine:
     """Trace the level line through seed in both directions.
 
     The polyline is oriented with f > level on its left.  Tracing runs
     forward from the seed's grid edge, then backward, until the line closes,
-    the combined arc length reaches the budget, the cell cap is hit, or (when
-    a clip window is given) both ends have left the window.
+    the combined arc length reaches the budget, or the cell cap is hit.
     """
     _check_cell_size(s, budget.cell_size)
     if field is None:
@@ -670,16 +660,15 @@ def trace_level_line(
     walker = _Walker(s, level, field)
     start = start_edge, _, bwd, p0 = _start(walker, seed)
     start_jitter = walker.jitter_hits > 0
-    fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget, window)
+    fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget)
     p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
         xs, ys = [p0x] + fx, [p0y] + fy
         arc = farc
-        bx, breason, bjitter = [], None, None
+        bx, bjitter = [], None
     else:
-        bx, by, barc, breason, bjitter = walker.walk(
-            *bwd, p0, start_edge, window, budget.max_arc_length - farc,
-            budget.max_cells - len(fx)
+        bx, by, barc, _, bjitter = walker.walk(
+            *bwd, p0, start_edge, budget.max_arc_length - farc, budget.max_cells - len(fx)
         )
         xs, ys = bx[::-1] + [p0x] + fx, by[::-1] + [p0y] + fy
         arc = farc + barc
@@ -688,15 +677,13 @@ def trace_level_line(
     return LevelLine(
         level=level,
         points=np.column_stack((xs, ys)),
-        status=_status(freason, breason),
+        status=_status(freason),
         arc_length=arc,
         seed=seed,
-        cell_size=budget.cell_size,
         jitter_scale=walker.delta if jittered else 0.0,
         record=TraceRecord(
             start=len(bx),
             forward=freason,
-            backward=breason,
             forward_jitter=fjitter,
             backward_jitter=bjitter,
             start_jitter=start_jitter,
@@ -704,27 +691,23 @@ def trace_level_line(
     )
 
 
-def _status(forward: str, backward: str | None) -> LineStatus:
-    """Line status from the stop reasons of its forward and backward walks."""
-    if forward == "closed":
-        return LineStatus.CLOSED
-    if forward == "window" and backward == "window":
-        return LineStatus.OPEN_LEFT_WINDOW
-    return LineStatus.OPEN_BUDGET_EXHAUSTED
+def _status(forward: str) -> LineStatus:
+    """Line status from the stop reason of its forward walk."""
+    return LineStatus.CLOSED if forward == "closed" else LineStatus.OPEN_BUDGET_EXHAUSTED
 
 
-def _cut_walk(x, y, reason, arc_limit, cell_limit):
+def _cut_walk(x, y, closed, arc_limit, cell_limit):
     """Where a walk with other limits stops along the vertices (x, y) of a
-    walk that stopped for `reason`; x[0], y[0] is the start crossing.
+    walk that closed there if `closed`; x[0], y[0] is the start crossing.
 
     Returns (vertices, arc, reason), or None if it would run past the end.
     """
     n = len(x) - 1
     arcs = _arc_lengths(x, y)
     budget_at = int(np.searchsorted(arcs, arc_limit)) + 1  # n + 1: never
-    if reason in ("closed", "window") and budget_at >= n:
-        # Both end a walk on its last vertex and are tested before the arc.
-        stop, why = n, reason
+    if closed and budget_at >= n:
+        # Closing ends a walk on its last vertex and is tested before the arc.
+        stop, why = n, "closed"
     elif budget_at <= n:
         stop, why = budget_at, "budget"
     else:
@@ -737,8 +720,8 @@ def _cut_walk(x, y, reason, arc_limit, cell_limit):
 
 
 def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
-    """The line trace_level_line returns for the same seed, level and window
-    under a smaller budget, cut out of this longer trace of it.
+    """The line trace_level_line returns for the same seed and level under a
+    smaller budget, cut out of this longer trace of it.
 
     Walks are deterministic, so the shorter trace walks a prefix of each of
     the longer one's walks and stops where the same rules, applied to the
@@ -751,21 +734,24 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
         return None
     pts = line.points
     s = rec.start
-    fwd = _cut_walk(pts[s:, 0], pts[s:, 1], rec.forward, budget.max_arc_length / 2,
-                    budget.max_cells)
+    fwd = _cut_walk(pts[s:, 0], pts[s:, 1], rec.forward == "closed",
+                    budget.max_arc_length / 2, budget.max_cells)
     if fwd is None:
         return None
     nf, farc, freason = fwd
-    nb, breason, arc = 0, None, farc
+    nb, arc = 0, farc
     if freason != "closed":
-        if rec.backward is None:
+        if rec.forward == "closed":  # the longer trace has no backward walk
             return None
         back = pts[s::-1]
-        bwd = _cut_walk(back[:, 0], back[:, 1], rec.backward,
+        # The status follows the forward walk alone.  Cut the backward walk as
+        # if it never closed: where it did, that stops it on the budget at the
+        # same vertex, or returns None.
+        bwd = _cut_walk(back[:, 0], back[:, 1], False,
                         budget.max_arc_length - farc, budget.max_cells - nf)
         if bwd is None:
             return None
-        nb, barc, breason = bwd
+        nb, barc, _ = bwd
         arc = farc + barc
 
     def nudged(first_jitter, cells):
@@ -779,10 +765,9 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
     return LevelLine(
         level=line.level,
         points=pts[s - nb : s + nf + 1],
-        status=_status(freason, breason),
+        status=_status(freason),
         arc_length=arc,
         seed=line.seed,
-        cell_size=line.cell_size,
         jitter_scale=line.jitter_scale if jittered else 0.0,
     )
 
@@ -893,9 +878,7 @@ class _IntervalProbe:
                 # A trace is closed exactly when its forward walk closes, and
                 # any open one decides the state: the backward walk of a
                 # trace_level_line could never change it.
-                xs, ys, arc, reason, _ = _walk_forward(
-                    walker, start, self.trace_budget, None
-                )
+                xs, ys, arc, reason, _ = _walk_forward(walker, start, self.trace_budget)
                 if reason == "closed":
                     points = np.column_stack(([float(x0)] + xs, [float(y0)] + ys))
                     loops.append(points)

@@ -18,7 +18,7 @@ def two_cos() -> SuperpositionPotential:
     return SuperpositionPotential(v, u, EuclideanTransform(0.0))
 
 
-def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0, cell=0.1):
+def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0):
     """Synthetic LevelLine around an explicit vertex array."""
     pts = np.asarray(points, dtype=float)
     seg = np.diff(pts, axis=0)
@@ -29,7 +29,6 @@ def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0, cell=0.
         status=status,
         arc_length=arc,
         seed=pts[0],
-        cell_size=cell,
     )
 
 
@@ -45,4 +44,4 @@ def small_window() -> Rect:
 
 @pytest.fixture
 def small_budget(two_cos) -> TraceBudget:
-    return TraceBudget.for_potential(two_cos, cells_per_period=16, length_periods=20.0)
+    return TraceBudget.for_potential(two_cos, length_periods=20.0)

@@ -114,7 +114,7 @@ def test_criterion_03_separatrix_interval_and_closed_contours(two_cos):
     tol_eps = 1e-3
     with capped(30.0):
         window = Rect.centered((0.0, 0.0), 4.0 * two_cos.longest_period())
-        budget = TraceBudget.for_potential(two_cos, 16, 40.0)
+        budget = TraceBudget.for_potential(two_cos, length_periods=40.0)
         iv = energy_interval(two_cos, window, budget, -0.6, 0.6, tol_eps)
         assert iv.found
         assert iv.hi - iv.lo < 2.0 * tol_eps
@@ -122,7 +122,7 @@ def test_criterion_03_separatrix_interval_and_closed_contours(two_cos):
         for level in (0.5, -0.5):
             seeds = find_seeds(two_cos, level, window, budget.cell_size)
             assert seeds
-            line = trace_level_line(two_cos, seeds[0], level, budget, window)
+            line = trace_level_line(two_cos, seeds[0], level, budget)
             assert isinstance(classify(two_cos, line, budget), Closed)
 
 
@@ -135,7 +135,7 @@ def perturbed_square_run():
     two-square-layer family (second layer at strength 0.05, twist 0.7)."""
     s = two_layer_sum(0.05, 0.7, (0.1, -0.2))
     window = Rect.centered((0.0, 0.0), 4.0 * s.longest_period())
-    budget = TraceBudget.for_potential(s, 16, 60.0)
+    budget = TraceBudget.for_potential(s, length_periods=60.0)
     t0 = time.monotonic()
     iv = energy_interval(s, window, budget, -1.0, 1.0, 1e-3)
     level = 0.5 * (iv.lo + iv.hi)
@@ -202,7 +202,7 @@ def shift_family_run():
     v = two_cosine_potential(TWO_PI)
     u = two_cosine_potential(TWO_PI, amplitude=0.05)
     probe = SuperpositionPotential(v, u, EuclideanTransform(0.7, (0.0, 0.0)))
-    budget = TraceBudget.for_potential(probe, 16, 90.0)
+    budget = TraceBudget.for_potential(probe, length_periods=90.0)
     window = Rect.centered((0.0, 0.0), 8.0 * probe.longest_period())
     shifts = np.random.default_rng(505).uniform(0.0, TWO_PI, (5, 2))
     t0 = time.monotonic()
@@ -342,13 +342,15 @@ def test_criterion_10_tracer_convergence():
             window = Rect.centered((0.0, 0.0), 2.0 * TWO_PI)
             median_residual = {}
             for cells_per_period in (16, 32):
-                budget = TraceBudget.for_potential(s, cells_per_period, 20.0)
+                budget = TraceBudget.for_potential(
+                    s, 20.0, cell_size=s.shortest_period() / cells_per_period
+                )
                 seeds = find_seeds(s, level, window, budget.cell_size)
                 assert seeds
                 residuals = [
                     np.abs(
                         eval_superposition(
-                            s, trace_level_line(s, seed, level, budget, window).points
+                            s, trace_level_line(s, seed, level, budget).points
                         )
                         - level
                     )

@@ -39,7 +39,6 @@ SETTABLE = [
     ("SweepConfig", "window_periods"),
     ("SweepConfig", "workers"),
     ("TraceBudget.for_potential", "cell_size"),
-    ("TraceBudget.for_potential", "cells_per_period"),
     ("TraceBudget.for_potential", "length_periods"),
     ("TraceBudget.for_potential", "max_arc_length"),
     ("Undetermined", "widths_by_length"),
@@ -67,7 +66,6 @@ SETTABLE = [
     ("sweep_angle", "combiner"),
     ("three_cosine_potential", "amplitude"),
     ("trace_level_line", "field"),
-    ("trace_level_line", "window"),
     ("two_cosine_potential", "amplitude"),
 ]
 
@@ -107,7 +105,7 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
-    assert len(SETTABLE) == 49
+    assert len(SETTABLE) == 47
 
 
 def test_import_loads_numpy_only():

@@ -79,7 +79,7 @@ CLASSIFY_QUADRUPLE = (1, 1, -1, 0)
 
 def _setup():
     s = single_harmonic_sum(delta=0.3, alpha=0.7)
-    budget = TraceBudget.for_potential(s, cells_per_period=16, length_periods=30.0)
+    budget = TraceBudget.for_potential(s, length_periods=30.0)
     window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
     return s, budget, window
 

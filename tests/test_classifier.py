@@ -307,8 +307,7 @@ class TestDiameter:
             _assert_diameter(pts)
 
     def test_traced_loops(self, two_cos):
-        budget = TraceBudget.for_potential(two_cos, cells_per_period=16,
-                                           length_periods=20.0)
+        budget = TraceBudget.for_potential(two_cos, length_periods=20.0)
         window = Rect.centered((0.0, 0.0), 9.0)
         loops = 0
         for level in (0.5, -0.5, 1.5):
@@ -322,8 +321,7 @@ class TestDiameter:
 
 class TestClassify:
     def test_closed_loop(self, two_cos):
-        budget = TraceBudget.for_potential(two_cos, cells_per_period=16,
-                                           length_periods=20.0)
+        budget = TraceBudget.for_potential(two_cos, length_periods=20.0)
         seeds = find_seeds(two_cos, 0.5, Rect.centered((0.0, 0.0), 5.0),
                            budget.cell_size)
         line = trace_level_line(two_cos, seeds[0], 0.5, budget)
@@ -344,8 +342,7 @@ class TestClassify:
 
     def test_regular_line_in_three_frequency_field(self):
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
-        budget = TraceBudget.for_potential(s, cells_per_period=16,
-                                           length_periods=40.0)
+        budget = TraceBudget.for_potential(s, length_periods=40.0)
         window = Rect.centered((0.0, 0.0), 4 * TWO_PI)
         hit = classify_first_open(s, 0.0, window, budget)
         assert hit is not None
@@ -364,8 +361,7 @@ class TestClassify:
 
     def test_chaotic_line_in_four_frequency_field(self):
         s = two_layer_sum(delta=0.05, alpha=0.7)
-        budget = TraceBudget.for_potential(s, cells_per_period=16,
-                                           length_periods=60.0)
+        budget = TraceBudget.for_potential(s, length_periods=60.0)
         window = Rect.centered((0.0, 0.0), 4 * TWO_PI)
         hit = classify_first_open(s, 0.0, window, budget)
         assert hit is not None
@@ -376,8 +372,7 @@ class TestClassify:
 
     def test_first_open_line(self):
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
-        budget = TraceBudget.for_potential(s, cells_per_period=16,
-                                           length_periods=20.0)
+        budget = TraceBudget.for_potential(s, length_periods=20.0)
         window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
         line, c = classify_first_open(s, 0.0, window, budget)
         assert line.status is LineStatus.OPEN_BUDGET_EXHAUSTED
@@ -387,8 +382,7 @@ class TestClassify:
         assert line.points.tobytes() == direct.points.tobytes()
 
     def test_first_open_all_loops_returns_first_loop(self, two_cos):
-        budget = TraceBudget.for_potential(two_cos, cells_per_period=16,
-                                           length_periods=20.0)
+        budget = TraceBudget.for_potential(two_cos, length_periods=20.0)
         window = Rect.centered((0.0, 0.0), 3 * TWO_PI)
         line, c = classify_first_open(two_cos, 0.5, window, budget)
         assert isinstance(c, Closed)

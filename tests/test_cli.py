@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moirelines import cli, sweep
-from moirelines.cli import build_parser, main
+from moirelines.cli import EXIT_EMPTY, build_parser, main
 from moirelines.output import fmt_float, manifests_equivalent
 from moirelines.potential import eval_superposition
 from moirelines.config import parse_config
@@ -100,6 +103,21 @@ class TestEval:
         for row, (x, y) in zip(rows[1:], want):
             f = eval_superposition(s, np.array([x, y]))
             assert row == f"{fmt_float(x)},{fmt_float(y)},{fmt_float(f)}"
+
+    def test_memory_does_not_grow_with_the_grid(self, cfg_threeq):
+        # 90,000 grid rows; building the whole grid first peaked at 4.2 MiB.
+        class Sink:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                assert main(["eval", "--config", cfg_threeq, "--grid", "300,300"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_needs_some_points(self, cfg_twocos, capsys):
         code = main(["eval", "--config", cfg_twocos])
@@ -473,6 +491,47 @@ class TestHelp:
                 assert "default" in action.help, (name, flag)
             checked += 1
         assert checked == len(OPTIONS)
+
+    def test_stated_defaults_are_the_resolved_ones(
+        self, cfg_twocos, tmp_path, monkeypatch, capsys
+    ):
+        # A default run records the budget and window its help states.
+        monkeypatch.setattr(cli, "sweep_angle",
+                            lambda v, u, config, combiner: sweep.SweepResult(config, ()))
+        s = parse_config(TWO_COS_CFG)
+        short, long = s.shortest_period(), s.longest_period()
+        helps = {(n, flag): a.help for n, flag, a in _option_actions()}
+
+        def stated(name, flag, pattern):
+            return float(re.search(pattern, helps[name, flag]).group(1))
+
+        window = r"default: ([\d.]+) longest periods around the origin\)"
+        # eval writes no manifest: its 2x2 grid spans the window's corners.
+        half = stated("eval", "--window", window) * long / 2
+        assert main(["eval", "--config", cfg_twocos, "--grid", "2,2"]) == 0
+        rows = capsys.readouterr().out.split("\n")[1:5]
+        assert [row.rsplit(",", 1)[0] for row in rows] == [
+            f"{fmt_float(x)},{fmt_float(y)}" for y in (-half, half) for x in (-half, half)
+        ]
+        angles = ["--alpha-start", "0.7", "--alpha-end", "0.8", "--alpha-count", "2"]
+        runs = {"trace": ["--level", "0.5"], "classify": ["--level", "0.5"],
+                "sweep": angles, "zones": angles}
+        for name, args in runs.items():
+            cells = stated(name, "--cell-h", r"default: shortest period / ([\d.]+)\)")
+            periods = stated(name, "--budget-L", r"default: ([\d.]+) \* longest period\)")
+            out = tmp_path / name
+            code = main([name, "--config", cfg_twocos, *args, "--out", str(out)])
+            assert code == (EXIT_EMPTY if name == "zones" else 0)  # zones: no samples
+            params = json.loads((out / "manifest.json").read_text())["parameters"]
+            if name in ("trace", "classify"):
+                half = stated(name, "--window", window) * long / 2
+                assert params["cell_size"] == short / cells
+                assert params["max_arc_length"] == periods * long
+                assert params["window"] == [-half, -half, half, half]
+            else:
+                assert params["cells_per_period"] == cells
+                assert params["length_periods"] == periods
+                assert params["cell_h"] is None and params["budget_arc"] is None
 
 
 class TestErrors:
