@@ -41,6 +41,7 @@ from .sweep import (
     detect_zones,
     make_point_fn,
     result_to_dict,
+    shared_pool,
     sweep_angle,
     sweep_to_csv,
     zones_to_csv,
@@ -307,9 +308,10 @@ def cmd_zones(args) -> int:
         raise CliError("--refine-tol must be positive")
     s, data = _load(args)
     config = _sweep_config(args)
-    result = sweep_angle(s.v, s.u, config, s.combiner)
-    point_fn = make_point_fn(s.v, s.u, config, s.combiner)
-    zone_set = detect_zones(result, args.refine_tol, point_fn=point_fn)
+    with shared_pool(config.workers):
+        result = sweep_angle(s.v, s.u, config, s.combiner)
+        point_fn = make_point_fn(s.v, s.u, config, s.combiner)
+        zone_set = detect_zones(result, args.refine_tol, point_fn=point_fn)
     files = {
         "zones.csv": lambda: zones_to_csv(zone_set),
         "zones.json": lambda: stable_json(result_to_dict(result, zone_set), indent=2),

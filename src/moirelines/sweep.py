@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
+from . import _walk
 from .geometry import EuclideanTransform, Rect
 from .potential import (
     DEFAULT_COMMENSURATE_BOUND,
@@ -172,6 +175,29 @@ def _sample_alpha(
         )
 
 
+# The pool of the innermost open shared_pool, if any.
+_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar("_POOL", default=None)
+
+
+@contextmanager
+def shared_pool(workers: int):
+    """Run every pool map inside the block on one pool of `workers`
+    processes, so that a zones run starts its workers once for the grid,
+    the edge bisections and the verify samples.  Inside an open shared pool
+    this opens none; with one worker no process starts."""
+    if workers < 2 or _POOL.get() is not None:
+        yield
+        return
+    # Forked workers inherit the walk kernel instead of each loading it.
+    _walk.kernel()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        token = _POOL.set(pool)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
+
+
 def _map(fn, jobs: list[tuple], workers: int) -> list:
     """[fn(*job) for job in jobs], on a process pool when workers > 1.
 
@@ -179,8 +205,8 @@ def _map(fn, jobs: list[tuple], workers: int) -> list:
     worker no process starts and nothing is pickled, so fn may be a closure.
     """
     if workers > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*jobs)))
+        with shared_pool(workers):
+            return list(_POOL.get().map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
 
 

@@ -29,10 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import hypot
 
 import numpy as np
 
+from . import _walk
+from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS, arc_lengths
 from .geometry import Rect
 from .potential import SuperpositionPotential, eval_superposition
 
@@ -58,8 +59,6 @@ CLASSIFY_DEPTH = 4.0
 # That is about 1,300 times the scaled cap of `trace`'s default budget on
 # the README potential (102,657 cells).
 MAX_SCALED_CELLS = 2**27
-
-CHUNK = 32
 
 _HORIZONTAL = 0
 _VERTICAL = 1
@@ -219,27 +218,29 @@ class ChunkedField:
     def __init__(self, s: SuperpositionPotential, h: float):
         self.h = float(h)
         self._s = s
-        self._chunks: dict[tuple[int, int], np.ndarray] = {}
+        self._chunks: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
 
-    def _chunk(self, ci: int, cj: int) -> np.ndarray:
+    def _chunk(self, ci: int, cj: int) -> tuple[np.ndarray, int]:
+        """Chunk (ci, cj)'s corner values and the address of their buffer,
+        which the compiled walk reads."""
         key = (ci, cj)
-        vals = self._chunks.get(key)
-        if vals is None:
-            xs = (ci * CHUNK + np.arange(CHUNK + 1)) * self.h
-            ys = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
-            pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-            vals = np.ascontiguousarray(eval_superposition(self._s, pts))
-            self._chunks[key] = vals
-        return vals
+        entry = self._chunks.get(key)
+        if entry is None:
+            pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
+            pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
+            pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
+            vals = np.ascontiguousarray(eval_superposition(self._s, pts), dtype=np.float64)
+            entry = self._chunks[key] = vals, vals.__array_interface__["data"][0]
+        return entry
 
     def view(self, ci: int, cj: int) -> memoryview:
         """Chunk (ci, cj) as a flat float view, row-major with CHUNK + 1
         columns; indexing it is much cheaper than indexing the array."""
-        return memoryview(self._chunk(ci, cj)).cast("B").cast("d")
+        return memoryview(self._chunk(ci, cj)[0]).cast("B").cast("d")
 
     def corner(self, gi: int, gj: int) -> float:
         ci, cj = gi // CHUNK, gj // CHUNK
-        return self._chunk(ci, cj)[gi - ci * CHUNK, gj - cj * CHUNK]
+        return self._chunk(ci, cj)[0][gi - ci * CHUNK, gj - cj * CHUNK]
 
     def block(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
         """Corner values for gi in [i0, i0+ni), gj in [j0, j0+nj)."""
@@ -248,7 +249,7 @@ class ChunkedField:
         cj0, cj1 = j0 // CHUNK, (j0 + nj - 1) // CHUNK
         for ci in range(ci0, ci1 + 1):
             for cj in range(cj0, cj1 + 1):
-                vals = self._chunk(ci, cj)
+                vals = self._chunk(ci, cj)[0]
                 gi_lo = max(i0, ci * CHUNK)
                 gi_hi = min(i0 + ni, ci * CHUNK + CHUNK + 1)
                 gj_lo = max(j0, cj * CHUNK)
@@ -365,61 +366,10 @@ def find_seeds(
     return [np.array(p) for p in zip(xs.tolist(), ys.tolist())]
 
 
-# Marching-squares tables.  Cell corners are numbered counterclockwise from
-# the lower-left, 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); cell sides are
-# 0:bottom 1:right 2:top 3:left.  Per side: its two corners and the grid edge
-# it is as (orient, di, dj) relative to the cell.
-_SIDE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+# Per cell side (numbered as in _walk): the grid edge it is, as (orient,
+# di, dj) relative to the cell; and the cell's corners as offsets.
 _SIDE_EDGE = ((_HORIZONTAL, 0, 0), (_VERTICAL, 1, 0), (_HORIZONTAL, 0, 1), (_VERTICAL, 0, 0))
 _CORNER_OFFSET = ((0, 0), (1, 0), (1, 1), (0, 1))
-_SADDLE = -1
-_INCONSISTENT = -2
-
-
-def _exit_tables() -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """Exit side of a cell for every entry side and corner sign pattern.
-
-    Indexed by 16 * entry + code, where bit k of code is set when corner k
-    lies above the level.  A saddle cell (all four sides crossed) maps to
-    _SADDLE, and its exit is then saddle[index][centre above level]: the
-    branches wrap the isolated-sign corners, the centre's sign says which
-    pair is isolated, and the exit shares the wrapped corner with the entry.
-    """
-    exits = []
-    saddle = {}
-    for entry in range(4):
-        for code in range(16):
-            above = [bool(code >> k & 1) for k in range(4)]
-            crossed = [e for e, (a, b) in enumerate(_SIDE_CORNERS) if above[a] != above[b]]
-            others = [e for e in crossed if e != entry]
-            if entry not in crossed:
-                exits.append(_INCONSISTENT)
-            elif len(others) == 1:
-                exits.append(others[0])
-            else:
-                exits.append(_SADDLE)
-
-                def wrap(corner_above: bool) -> int:
-                    target = next(c for c in _SIDE_CORNERS[entry] if above[c] == corner_above)
-                    return next(e for e in others if target in _SIDE_CORNERS[e])
-
-                saddle[16 * entry + code] = (wrap(True), wrap(False))
-    return tuple(exits), saddle
-
-
-_EXIT, _SADDLE_EXIT = _exit_tables()
-# A cell index lies outside [0, CHUNK) exactly when it has one of these bits
-# set (CHUNK is a power of two).
-_OFF_CHUNK = -CHUNK
-
-
-def _arc_lengths(x, y) -> np.ndarray:
-    """Running arc length along a polyline, step by step.
-
-    np.cumsum adds sequentially, so entry k equals the walk's running sum
-    of np.hypot steps bit for bit.
-    """
-    return np.cumsum(np.hypot(np.diff(x), np.diff(y)))
 
 
 class _Walker:
@@ -440,24 +390,24 @@ class _Walker:
             return self.delta
         return g
 
-    def crossing(self, edge: tuple[int, int, int]) -> np.ndarray:
+    def crossing(self, edge: tuple[int, int, int]) -> tuple[float, float]:
         orient, gi, gj = edge
         g0 = self.residual(gi, gj)
         if orient == _HORIZONTAL:
             t = g0 / (g0 - self.residual(gi + 1, gj))
-            return np.array([(gi + t) * self.h, gj * self.h])
+            return (gi + t) * self.h, gj * self.h
         t = g0 / (g0 - self.residual(gi, gj + 1))
-        return np.array([gi * self.h, (gj + t) * self.h])
+        return gi * self.h, (gj + t) * self.h
 
     def saddle_exit(self, index: int, i: int, j: int) -> int:
-        if _EXIT[index] == _INCONSISTENT:
+        if index not in SADDLE_EXIT:
             raise RuntimeError(f"inconsistent sign pattern in cell {(i, j)}")
         p = np.array([(i + 0.5) * self.h, (j + 0.5) * self.h])
         g = eval_superposition(self.s, p) - self.level
         if abs(g) < self.delta:
             self.jitter_hits += 1
             g = self.delta
-        return _SADDLE_EXIT[index][bool(g > 0)]
+        return SADDLE_EXIT[index][bool(g > 0)]
 
     def walk(self, i, j, entry, p0, start_edge, arc_limit, cell_limit):
         """Continue from the start crossing p0 into cell (i, j), entered
@@ -468,121 +418,24 @@ class _Walker:
         computes it; a closed walk ends on p0 itself.  reason is one of
         "closed", "budget" or "cells"; first_jitter is the 1-based
         index of the first cell whose residuals were nudged, or None.
+
+        The compiled kernel walks where it can be built, else the same walk
+        in Python, bit for bit.
         """
-        # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
-        level, delta, h = float(self.level), float(self.delta), float(self.h)
-        low = -delta
-        field = self.field
-        exit_of = _EXIT
-        stride = CHUNK + 1
-        diagonal = stride + 1
         p0x, p0y = float(p0[0]), float(p0[1])
         # Leaving cell (ia, ja) through side ea, or (ib, jb) through eb,
         # crosses the start edge again.
         orient, ia, ja = start_edge
         if orient == _HORIZONTAL:
-            ea, ib, jb, eb = 0, ia, ja - 1, 2
+            closing = ia, ja, 0, ia, ja - 1, 2
         else:
-            ea, ib, jb, eb = 3, ia - 1, ja, 1
-        # The running arc decides where the walk stops, so it must be the
-        # sequential sum of np.hypot steps bit for bit.  math.hypot is much
-        # cheaper but may differ in the last bit; it tracks the arc until
-        # the accumulated difference could matter, exact sums decide after.
-        soft_limit = arc_limit - 1e-15 * (cell_limit + 2) * abs(arc_limit)
-        exact = None
-        arc = 0.0
-        px, py = p0x, p0y
-        xs, ys = [], []
-        add_x, add_y = xs.append, ys.append
-        first_jitter = None
-        code_base = 16 * entry
-        oi, oj = i - i % CHUNK, j - j % CHUNK
-        view = field.view(oi // CHUNK, oj // CHUNK)
-        n = 0
-        while True:
-            if n >= cell_limit:
-                reason = "cells"
-                break
-            n += 1
-            # All four corners of a cell lie in one chunk.
-            li, lj = i - oi, j - oj
-            if (li | lj) & _OFF_CHUNK:
-                oi, oj = i - i % CHUNK, j - j % CHUNK
-                view = field.view(oi // CHUNK, oj // CHUNK)
-                li, lj = i - oi, j - oj
-            k = li * stride + lj
-            # Residuals within delta of zero count as +delta: the sign test
-            # is g > -delta, the nudge itself only matters for crossings.
-            code = code_base
-            g0 = view[k] - level
-            if g0 > low:
-                code += 1
-                if g0 < delta:
-                    g0, first_jitter = delta, first_jitter or n
-            g1 = view[k + stride] - level
-            if g1 > low:
-                code += 2
-                if g1 < delta:
-                    g1, first_jitter = delta, first_jitter or n
-            g2 = view[k + diagonal] - level
-            if g2 > low:
-                code += 4
-                if g2 < delta:
-                    g2, first_jitter = delta, first_jitter or n
-            g3 = view[k + 1] - level
-            if g3 > low:
-                code += 8
-                if g3 < delta:
-                    g3, first_jitter = delta, first_jitter or n
-            out = exit_of[code]
-            if out < 0:
-                hits = self.jitter_hits
-                out = self.saddle_exit(code, i, j)
-                if self.jitter_hits > hits:
-                    first_jitter = first_jitter or n
-            if (i == ia and j == ja and out == ea) or (i == ib and j == jb and out == eb):
-                add_x(p0x)
-                add_y(p0y)
-                reason = "closed"
-                break
-            # Crossing on the exit side, then step into the next cell, which
-            # is entered through the opposite side.
-            if out == 0:
-                t = g0 / (g0 - g1)
-                qx, qy = (i + t) * h, j * h
-                j -= 1
-                code_base = 32
-            elif out == 1:
-                t = g1 / (g1 - g2)
-                qx, qy = (i + 1) * h, (j + t) * h
-                i += 1
-                code_base = 48
-            elif out == 2:
-                t = g3 / (g3 - g2)
-                qx, qy = (i + t) * h, (j + 1) * h
-                j += 1
-                code_base = 0
-            else:
-                t = g0 / (g0 - g3)
-                qx, qy = i * h, (j + t) * h
-                i -= 1
-                code_base = 16
-            add_x(qx)
-            add_y(qy)
-            dx, dy = qx - px, qy - py
-            arc += hypot(dx, dy)
-            px, py = qx, qy
-            if arc >= soft_limit:
-                if exact is None:
-                    exact = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1])
-                else:
-                    exact += float(np.hypot(dx, dy))
-                if exact >= arc_limit:
-                    reason = "budget"
-                    break
-                soft_limit = -math.inf
-        arc = float(_arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
-        return xs, ys, arc, reason, first_jitter
+            closing = ia, ja, 3, ia - 1, ja, 1
+        fn = _walk.kernel()
+        if fn is None:
+            return _walk.walk_python(self, i, j, entry, p0x, p0y, closing, arc_limit,
+                                     cell_limit)
+        return _walk.walk_compiled(fn, self, i, j, entry, p0x, p0y, closing, arc_limit,
+                                   cell_limit)
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray):
@@ -603,15 +456,17 @@ def _locate_start(walker: _Walker, seed: np.ndarray):
         g = [walker.residual(ci + di, cj + dj) for di, dj in _CORNER_OFFSET]
         crossed = [
             (orient, ci + di, cj + dj)
-            for (a, b), (orient, di, dj) in zip(_SIDE_CORNERS, _SIDE_EDGE)
+            for (a, b), (orient, di, dj) in zip(SIDE_CORNERS, _SIDE_EDGE)
             if g[a] * g[b] < 0
         ]
         if crossed:
-            best = min(
-                crossed,
-                key=lambda e: (float(np.sum((walker.crossing(e) - seed) ** 2)), e),
-            )
-            return (ci, cj), best
+            sx, sy = float(seed[0]), float(seed[1])
+
+            def distance(e):
+                x, y = walker.crossing(e)
+                return (x - sx) * (x - sx) + (y - sy) * (y - sy), e
+
+            return (ci, cj), min(crossed, key=distance)
     raise SeedNotOnLevelError(
         f"no sign change of f - {walker.level} in the cell of seed {seed}"
     )
@@ -631,7 +486,7 @@ def _start(walker: _Walker, seed: np.ndarray):
         fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
         if walker.residual(gi, gj + 1) <= 0:
             fwd, bwd = bwd, fwd
-    return start_edge, fwd, bwd, walker.crossing(start_edge)
+    return start_edge, fwd, bwd, np.array(walker.crossing(start_edge))
 
 
 def _walk_forward(walker: _Walker, start, budget: TraceBudget):
@@ -703,7 +558,7 @@ def _cut_walk(x, y, closed, arc_limit, cell_limit):
     Returns (vertices, arc, reason), or None if it would run past the end.
     """
     n = len(x) - 1
-    arcs = _arc_lengths(x, y)
+    arcs = arc_lengths(x, y)
     budget_at = int(np.searchsorted(arcs, arc_limit)) + 1  # n + 1: never
     if closed and budget_at >= n:
         # Closing ends a walk on its last vertex and is tested before the arc.
@@ -783,7 +638,7 @@ def _restart_loop(pts: np.ndarray, k: int, budget: TraceBudget):
     if n > budget.max_cells:
         return None
     ring = np.concatenate((pts[k:n], pts[: k + 1]))
-    arcs = _arc_lengths(ring[:, 0], ring[:, 1])
+    arcs = arc_lengths(ring[:, 0], ring[:, 1])
     if arcs[-2] >= budget.max_arc_length / 2:
         return None
     return ring, float(arcs[-1])

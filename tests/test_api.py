@@ -108,11 +108,14 @@ def test_settable_values_are_pinned():
     assert len(SETTABLE) == 47
 
 
-def test_import_loads_numpy_only():
+def test_import_loads_numpy_only(tmp_path):
     src = str(Path(moirelines.__file__).resolve().parents[1])
-    code = "import moirelines, sys; assert 'scipy' not in sys.modules"
+    # Nor does it build or load the walk kernel: the first walk does that.
+    code = ("import moirelines, sys; assert 'scipy' not in sys.modules; "
+            "assert moirelines._walk.kernel.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+                   env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path)})
+    assert not any(tmp_path.iterdir())
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

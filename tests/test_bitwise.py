@@ -16,14 +16,20 @@ The zones pin, with the list of angles zone refinement sampled, was recorded
 before the edge bisections and verify samples moved onto the worker pool.
 The CLI eval and trace pins were recorded before ``eval`` evaluated its
 points in blocks and the CSV and SVG writers formatted whole arrays.
+
+Every pin holds for both walkers: each test runs once as it is, with the
+compiled walk kernel where it can be built, and once more, with the suffix
+``_python_walker``, with the kernel set aside.
 """
 
+import functools
 import hashlib
 import math
 import struct
 
 import pytest
 
+from moirelines import _walk
 from moirelines.classifier import (
     Regular,
     classification_to_dict,
@@ -340,3 +346,23 @@ def test_cli_trace_bitwise(tmp_path, capsys):
     assert capsys.readouterr().out.count("status=closed") == 5
     digests = {name: _sha256((out / name).read_text()) for name in CLI_TRACE_DIGESTS}
     assert digests == CLI_TRACE_DIGESTS
+
+
+@pytest.fixture
+def python_walker(monkeypatch):
+    """Walk with the Python loop, as where the kernel cannot be built."""
+    monkeypatch.setattr(_walk, "kernel", lambda: None)
+
+
+def _on_python_walker(test):
+    """A copy of test that runs under the python_walker fixture."""
+    @functools.wraps(test)
+    def twin(*args, **kwargs):
+        return test(*args, **kwargs)
+
+    return pytest.mark.usefixtures("python_walker")(twin)
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        globals()[f"{_name}_python_walker"] = _on_python_walker(_test)

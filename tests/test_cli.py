@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -350,7 +351,17 @@ class TestZonesWorkers:
             # One worker runs in-process: any pool would raise here.
             m.setattr(sweep, "ProcessPoolExecutor", _no_pool)
             stdout1 = self._run(cfg_threeq, tmp_path / "w1", 1, capsys)
-        stdout2 = self._run(cfg_threeq, tmp_path / "w2", 2, capsys)
+        pools = []
+
+        def counted_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "ProcessPoolExecutor", counted_pool)
+            stdout2 = self._run(cfg_threeq, tmp_path / "w2", 2, capsys)
+        # The grid, the edge bisections and the verify samples share a pool.
+        assert pools == [{"max_workers": 2}]
         assert stdout1 == stdout2
         assert stdout1.count("zone [") == 2
         for name in ("zones.csv", "zones.svg"):

@@ -1,0 +1,162 @@
+"""The compiled walk kernel and its loader.
+
+Where a C compiler is present the kernel must give every walk exactly what
+the Python walk gives; where it cannot be built, tracing falls back to the
+Python walk with the same outputs.
+"""
+
+import math
+import shutil
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from moirelines import _walk
+from moirelines.geometry import Rect
+from moirelines.tracer import ChunkedField, _start, _Walker, find_seeds
+
+from families import hexagonal_pair, two_layer_sum
+import test_bitwise
+
+TWO_PI = 2.0 * math.pi
+
+needs_kernel = pytest.mark.skipif(shutil.which(_walk.CC) is None,
+                                  reason="no C compiler to build the walk kernel")
+
+
+def test_compile_flags_keep_ieee_rounding():
+    assert "-ffp-contract=off" in _walk.FLAGS
+    assert not any(f.startswith(("-ffast-math", "-Ofast", "-march")) for f in _walk.FLAGS)
+
+
+def _bits(walk):
+    xs, ys, arc, reason, first_jitter = walk
+    return (np.array(xs).tobytes(), np.array(ys).tobytes(), struct.pack("<d", arc),
+            reason, first_jitter)
+
+
+def _both(walker, cell, p0, start_edge, arc_limit, cell_limit):
+    """One walk by the kernel, then by the Python loop."""
+    args = (*cell, p0, start_edge, arc_limit, cell_limit)
+    compiled = walker.walk(*args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_walk, "kernel", lambda: None)
+        python = walker.walk(*args)
+    return compiled, python
+
+
+def _saddle_cells(field, i0, j0, n):
+    """(level, i, j) for every cell (i, j) in the n x n block at (i0, j0)
+    that some level makes a saddle cell, with its diagonal corners on one
+    side of the level and the other two on the other; widest gap first."""
+    g = field.block(i0, j0, n + 1, n + 1)
+    diagonal = (g[:-1, :-1], g[1:, 1:])
+    anti = (g[1:, :-1], g[:-1, 1:])
+    found = []
+    for up, down in ((diagonal, anti), (anti, diagonal)):
+        lo, hi = np.minimum(*up), np.maximum(*down)
+        for i, j in zip(*np.nonzero(lo - hi > 1e-6)):
+            found.append((lo[i, j] - hi[i, j], 0.5 * float(lo[i, j] + hi[i, j]),
+                          i0 + int(i), j0 + int(j)))
+    return [cell[1:] for cell in sorted(found, reverse=True)]
+
+
+def _walk_near(s, field, level, i, j, arc_limit, cell_limit):
+    """Both walks from every seed within two cells of cell (i, j), by the
+    kernel and by the Python loop; yields each (compiled, python) pair."""
+    h = field.h
+    walker = _Walker(s, level, field)
+    around = Rect((i - 2) * h, (j - 2) * h, (i + 3) * h, (j + 3) * h)
+    for seed in find_seeds(s, level, around, h, field):
+        start_edge, fwd, bwd, p0 = _start(walker, seed)
+        for cell in (fwd, bwd):
+            yield cell, p0, start_edge, _both(walker, cell, p0, start_edge,
+                                              arc_limit, cell_limit)
+
+
+class TestCompiledWalk:
+    pytestmark = needs_kernel
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from([two_layer_sum, hexagonal_pair]),
+           alpha=st.floats(0.05, 1.5), sx=st.floats(0.0, TWO_PI), sy=st.floats(0.0, TWO_PI),
+           mode=st.sampled_from(["free", "grid value", "saddle"]),
+           frac=st.floats(-0.9, 0.9), cells=st.sampled_from([8, 12, 16]),
+           cut=st.floats(0.0, 1.0), cell_limit=st.sampled_from([1, 2, 37, 10**6]))
+    def test_kernel_walks_as_python(self, family, alpha, sx, sy, mode, frac, cells,
+                                    cut, cell_limit):
+        s = family(alpha=alpha, shift=(sx, sy))
+        h = s.shortest_period() / cells
+        field = ChunkedField(s, h)
+        i = j = 0
+        level = frac * s.value_scale()
+        if mode == "grid value":  # the residual nudge fires on that corner
+            level = float(field.corner(3, -2))
+        elif mode == "saddle":
+            saddles = _saddle_cells(field, -2 * cells, -2 * cells, 4 * cells)
+            if saddles:
+                level, i, j = saddles[0]
+        for cell, p0, start_edge, (compiled, python) in _walk_near(
+            s, field, level, i, j, 30 * TWO_PI, 4000
+        ):
+            assert _bits(compiled) == _bits(python)
+            # Arc limits at an exact running arc stop on that vertex.
+            xs, ys = compiled[:2]
+            arcs = _walk.arc_lengths([float(p0[0])] + xs, [float(p0[1])] + ys)
+            arc_limit = float(arcs[int(cut * (len(arcs) - 1))])
+            walker = _Walker(s, level, field)
+            compiled, python = _both(walker, cell, p0, start_edge, arc_limit, cell_limit)
+            assert _bits(compiled) == _bits(python)
+
+    def test_saddle_cells_resolve_alike(self, monkeypatch):
+        s = hexagonal_pair(0.3, (0.4, 1.1))
+        field = ChunkedField(s, s.shortest_period() / 16)
+        met = {"compiled": [], "python": []}
+        resolve = _Walker.saddle_exit
+
+        def counted(walker, index, i, j):
+            met["python" if _walk.kernel() is None else "compiled"].append((i, j))
+            return resolve(walker, index, i, j)
+
+        monkeypatch.setattr(_Walker, "saddle_exit", counted)
+        for level, i, j in _saddle_cells(field, -32, -32, 64)[:8]:
+            for *_, (compiled, python) in _walk_near(s, field, level, i, j,
+                                                     10 * TWO_PI, 10**6):
+                assert _bits(compiled) == _bits(python)
+        assert met["compiled"] and met["compiled"] == met["python"]
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """Loads the kernel anew, with its cache under tmp_path."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _walk.kernel.cache_clear()
+    yield tmp_path / "cache" / "moirelines"
+    _walk.kernel.cache_clear()
+
+
+@needs_kernel
+def test_kernel_builds_into_the_cache(fresh_loader):
+    assert _walk.kernel() is not None
+    built = sorted(p.name for p in fresh_loader.iterdir())
+    assert len(built) == 1 and built[0].startswith("walk-") and built[0].endswith(".so")
+    _walk.kernel.cache_clear()
+    assert _walk.kernel() is not None
+    assert sorted(p.name for p in fresh_loader.iterdir()) == built
+
+
+def test_failing_compiler_falls_back_to_python(fresh_loader, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(_walk, "CC", "false")
+    assert _walk.kernel() is None
+    assert not any(fresh_loader.iterdir())
+    test_bitwise.test_cli_trace_bitwise(tmp_path, capsys)
+
+
+def test_unwritable_cache_falls_back_to_python(fresh_loader, monkeypatch, tmp_path, capsys):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert _walk.kernel() is None
+    test_bitwise.test_cli_trace_bitwise(tmp_path, capsys)
