@@ -20,7 +20,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from math import hypot
+from math import hypot, inf
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +296,6 @@ def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
             if exact >= arc_limit:
                 reason = "budget"
                 break
-            soft_limit = -math.inf
+            soft_limit = -inf
     arc = float(arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
     return xs, ys, arc, reason, first_jitter
