@@ -42,6 +42,7 @@ from .tracer import (
     EnergyInterval,
     LevelLine,
     TraceBudget,
+    _field,
     cut_trace,
     energy_interval,
     find_seeds,
@@ -328,10 +329,9 @@ def classify(
     angular uncertainty of the direction fit itself, floored at 1e-12 so an
     exactly straight line still admits candidates.
     """
+    field = _field(s, budget.cell_size, field)
     if line.is_closed:
         return Closed(diameter=_diameter(line.points))
-    if field is None:
-        field = ChunkedField(s, budget.cell_size)
     if long_line is None:
         long_line = trace_level_line(
             s, line.seed, line.level, budget.scaled(CLASSIFY_DEPTH), field=field
@@ -402,8 +402,7 @@ def classify_first_open(
     closes, the first seed's loop and Closed; None when the window holds no
     seed.
     """
-    if field is None:
-        field = ChunkedField(s, budget.cell_size)
+    field = _field(s, budget.cell_size, field)
     long_budget = budget.scaled(CLASSIFY_DEPTH)
     first_loop = None
     for seed in find_seeds(s, level, window, budget.cell_size, field)[:MAX_SEEDS]:

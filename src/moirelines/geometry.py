@@ -155,10 +155,6 @@ class Rect:
         x, y = p
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    @property
-    def size(self) -> tuple[float, float]:
-        return (self.x1 - self.x0, self.y1 - self.y0)
-
     @staticmethod
     def centered(center, width: float, height: float | None = None) -> "Rect":
         cx, cy = center

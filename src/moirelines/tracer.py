@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _walk
 from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS, arc_lengths
-from .geometry import Rect
+from .geometry import Rect, as_vec2
 from .potential import SuperpositionPotential, eval_superposition
 
 # Residuals below JITTER_REL * value_scale are pushed to +JITTER_REL * scale.
@@ -83,7 +84,7 @@ class TraceBudget:
 
     cell_size is the marching-squares grid spacing h, max_arc_length the
     total polyline length L at which an open trace stops, max_cells a hard
-    cap on visited cells (memory/time guard).
+    cap on visited cells, an integer below 2**63 (memory/time guard).
     """
 
     cell_size: float
@@ -93,8 +94,8 @@ class TraceBudget:
     def __post_init__(self):
         _check_positive("cell_size", self.cell_size)
         _check_positive("max_arc_length", self.max_arc_length)
-        if self.max_cells < 1:
-            raise BudgetError(f"max_cells must be >= 1, got {self.max_cells}")
+        if not (isinstance(self.max_cells, numbers.Integral) and 1 <= self.max_cells < 2**63):
+            raise BudgetError(f"max_cells {self.max_cells!r} is not an integer in [1, 2**63)")
 
     @staticmethod
     def for_potential(
@@ -198,6 +199,7 @@ def _check_positive(name: str, value: float):
 
 
 def _check_cell_size(s: SuperpositionPotential, h: float):
+    _check_positive("cell_size", h)
     limit = s.shortest_period() / MIN_CELLS_PER_PERIOD
     if h > limit * (1 + 1e-12):
         raise BudgetError(
@@ -212,12 +214,16 @@ class ChunkedField:
     Corners sit at (i*h, j*h) for all integers; values are computed one
     CHUNK x CHUNK block at a time and cached, so repeated traces and level
     probes over the same region share evaluations (values are level
-    independent: the residual shift happens at read time).
+    independent: the residual shift happens at read time).  It owns the
+    grid: the potential s, the cell size h (BudgetError unless it is positive
+    and resolves s's shortest period) and the residual nudge delta.
     """
 
     def __init__(self, s: SuperpositionPotential, h: float):
+        _check_cell_size(s, h)
+        self.s = s
         self.h = float(h)
-        self._s = s
+        self.delta = JITTER_REL * s.value_scale()
         self._chunks: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
 
     def _chunk(self, ci: int, cj: int) -> tuple[np.ndarray, int]:
@@ -229,7 +235,7 @@ class ChunkedField:
             pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
             pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
             pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
-            vals = np.ascontiguousarray(eval_superposition(self._s, pts), dtype=np.float64)
+            vals = np.ascontiguousarray(eval_superposition(self.s, pts), dtype=np.float64)
             entry = self._chunks[key] = vals, vals.__array_interface__["data"][0]
         return entry
 
@@ -262,17 +268,28 @@ class ChunkedField:
                 ]
         return out
 
+    def window_block(self, window: Rect) -> tuple[int, int, np.ndarray]:
+        """(i0, j0, values): the corners of every cell meeting the window,
+        from corner (i0, j0) on."""
+        i0, j0 = math.floor(window.x0 / self.h), math.floor(window.y0 / self.h)
+        i1, j1 = math.ceil(window.x1 / self.h), math.ceil(window.y1 / self.h)
+        return i0, j0, self.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
+
     @property
     def cells_evaluated(self) -> int:
         return len(self._chunks) * (CHUNK + 1) ** 2
 
 
-def _window_corner_range(window: Rect, h: float) -> tuple[int, int, int, int]:
-    i0 = math.floor(window.x0 / h)
-    j0 = math.floor(window.y0 / h)
-    i1 = math.ceil(window.x1 / h)
-    j1 = math.ceil(window.y1 / h)
-    return i0, j0, i1, j1
+def _field(s: SuperpositionPotential, h: float, field: ChunkedField | None) -> ChunkedField:
+    """The field a call on potential s at cell size h reads: a new one, or
+    the given one, which must have been built for that s object and h."""
+    if field is None:
+        return ChunkedField(s, h)
+    if field.s is not s:
+        raise ValueError("field was built for another potential")
+    if field.h != h:
+        raise ValueError(f"field cell size {field.h} disagrees with h = {h}")
+    return field
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,17 +328,12 @@ def find_seeds(
     The count is therefore a resolution-independent estimate of how many
     distinct level-line pieces meet the window.
     """
-    _check_cell_size(s, h)
-    if field is None:
-        field = ChunkedField(s, h)
-    if abs(field.h - h) > 1e-15 * abs(h):
-        raise ValueError("field cell size disagrees with h")
-
-    i0, j0, i1, j1 = _window_corner_range(window, h)
-    ni, nj = i1 - i0 + 1, j1 - j0 + 1
-    g = field.block(i0, j0, ni, nj) - level
-    delta = JITTER_REL * s.value_scale()
-    g = np.where(np.abs(g) < delta, delta, g)
+    field = _field(s, h, field)
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
+    i0, j0, g = field.window_block(window)
+    g -= level
+    g = np.where(np.abs(g) < field.delta, field.delta, g)
     pos = g > 0
 
     # Crossed edges are numbered horizontal first, then vertical, each in
@@ -375,12 +387,10 @@ _CORNER_OFFSET = ((0, 0), (1, 0), (1, 1), (0, 1))
 class _Walker:
     """Marching-squares continuation at one level over a chunked field."""
 
-    def __init__(self, s: SuperpositionPotential, level: float, field: ChunkedField):
-        self.s = s
-        self.level = level
+    def __init__(self, field: ChunkedField, level: float):
         self.field = field
-        self.h = field.h
-        self.delta = JITTER_REL * s.value_scale()
+        self.level = level
+        self.h, self.delta = field.h, field.delta
         self.jitter_hits = 0
 
     def residual(self, gi: int, gj: int) -> float:
@@ -403,7 +413,7 @@ class _Walker:
         if index not in SADDLE_EXIT:
             raise RuntimeError(f"inconsistent sign pattern in cell {(i, j)}")
         p = np.array([(i + 0.5) * self.h, (j + 0.5) * self.h])
-        g = eval_superposition(self.s, p) - self.level
+        g = eval_superposition(self.field.s, p) - self.level
         if abs(g) < self.delta:
             self.jitter_hits += 1
             g = self.delta
@@ -508,11 +518,10 @@ def trace_level_line(
     forward from the seed's grid edge, then backward, until the line closes,
     the combined arc length reaches the budget, or the cell cap is hit.
     """
-    _check_cell_size(s, budget.cell_size)
-    if field is None:
-        field = ChunkedField(s, budget.cell_size)
-    seed = np.asarray(seed, dtype=float)
-    walker = _Walker(s, level, field)
+    walker = _Walker(_field(s, budget.cell_size, field), level)
+    seed = as_vec2(seed)
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     start = start_edge, _, bwd, p0 = _start(walker, seed)
     start_jitter = walker.jitter_hits > 0
     fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget)
@@ -631,17 +640,12 @@ def _restart_loop(pts: np.ndarray, k: int, budget: TraceBudget):
     """(points, arc) of the trace started at vertex k of the closed loop
     pts, or None when that trace stops before it closes.
 
-    The trace walks the same cycle from vertex k on, and stops early only
-    on the cell cap or on the arc before its closing step.
+    The trace walks the same cycle from vertex k on, and the stop rules of
+    its forward walk decide whether it gets round.
     """
-    n = len(pts) - 1
-    if n > budget.max_cells:
-        return None
-    ring = np.concatenate((pts[k:n], pts[: k + 1]))
-    arcs = arc_lengths(ring[:, 0], ring[:, 1])
-    if arcs[-2] >= budget.max_arc_length / 2:
-        return None
-    return ring, float(arcs[-1])
+    ring = np.concatenate((pts[k:-1], pts[: k + 1]))
+    _, arc, why = _cut_walk(*ring.T, True, budget.max_arc_length / 2, budget.max_cells)
+    return (ring, arc) if why == "closed" else None
 
 
 @dataclass(frozen=True)
@@ -688,26 +692,22 @@ class _IntervalProbe:
     exactly when the level sweeps through the open range.
     """
 
-    def __init__(self, s, window, budget, field):
-        self.s = s
+    def __init__(self, field: ChunkedField, window: Rect, budget: TraceBudget):
+        self.field = field
         self.window = window
-        self.budget = budget
         # Probe as deep as classification ever retraces, else loops with
         # perimeter just over the base budget would read as open lines and
         # inflate the interval.
         self.trace_budget = budget.scaled(CLASSIFY_DEPTH)
-        self.field = field
-        i0, j0, i1, j1 = _window_corner_range(window, budget.cell_size)
-        samples = self.field.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
-        self.f_min = float(samples.min())
+        self.f_min = float(field.window_block(window)[2].min())
         self.count = 0
 
     def state(self, level: float) -> str:
         self.count += 1
-        seeds = find_seeds(self.s, level, self.window, self.budget.cell_size, self.field)
+        seeds = find_seeds(self.field.s, level, self.window, self.field.h, self.field)
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
-        walker = _Walker(self.s, level, self.field)
+        walker = _Walker(self.field, level)
         loops = []  # points of the loops traced at this level
         best_arc = -1.0
         best_area = 0.0
@@ -772,9 +772,7 @@ def energy_interval(
         raise ValueError("need eps_min < eps_max")
     if not (tol_eps > 0 and math.isfinite(tol_eps)):
         raise ValueError(f"tol_eps must be positive and finite, got {tol_eps}")
-    if field is None:
-        field = ChunkedField(s, budget.cell_size)
-    probe = _IntervalProbe(s, window, budget, field)
+    probe = _IntervalProbe(_field(s, budget.cell_size, field), window, budget)
 
     levels = np.linspace(eps_min, eps_max, _COARSE_LEVELS)
     states = {float(e): probe.state(float(e)) for e in levels}

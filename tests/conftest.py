@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moirelines import LevelLine, LineStatus, Rect, TraceBudget, two_cosine_potential
+from moirelines import LevelLine, LineStatus, Rect, TraceBudget, _walk, two_cosine_potential
 from moirelines.potential import SuperpositionPotential
 from moirelines.geometry import EuclideanTransform
 
@@ -30,6 +30,12 @@ def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0):
         arc_length=arc,
         seed=pts[0],
     )
+
+
+@pytest.fixture
+def python_walker(monkeypatch):
+    """Walk with the Python loop, as where the kernel cannot be built."""
+    monkeypatch.setattr(_walk, "kernel", lambda: None)
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ import struct
 
 import pytest
 
-from moirelines import _walk
 from moirelines.classifier import (
     Regular,
     classification_to_dict,
@@ -346,12 +345,6 @@ def test_cli_trace_bitwise(tmp_path, capsys):
     assert capsys.readouterr().out.count("status=closed") == 5
     digests = {name: _sha256((out / name).read_text()) for name in CLI_TRACE_DIGESTS}
     assert digests == CLI_TRACE_DIGESTS
-
-
-@pytest.fixture
-def python_walker(monkeypatch):
-    """Walk with the Python loop, as where the kernel cannot be built."""
-    monkeypatch.setattr(_walk, "kernel", lambda: None)
 
 
 def _on_python_walker(test):

@@ -143,7 +143,6 @@ class TestVectorsAndRect:
         r = Rect(0.0, -1.0, 2.0, 1.0)
         assert r.contains((0.0, -1.0)) and r.contains((1.0, 0.5))
         assert not r.contains((2.1, 0.0))
-        assert r.size == (2.0, 2.0)
         with pytest.raises(ValueError):
             Rect(0.0, 0.0, 0.0, 1.0)
 
@@ -151,7 +150,7 @@ class TestVectorsAndRect:
         r = Rect.centered((1.0, 2.0), 4.0)
         assert (r.x0, r.y0, r.x1, r.y1) == (-1.0, 0.0, 3.0, 4.0)
         tall = Rect.centered((0.0, 0.0), 2.0, 6.0)
-        assert tall.size == (2.0, 6.0)
+        assert (tall.x0, tall.y0, tall.x1, tall.y1) == (-1.0, -3.0, 1.0, 3.0)
 
     def test_lattice_periods(self):
         lat = Lattice2((3.0, 0.0), (0.0, 1.0))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moirelines import tracer
+from moirelines.classifier import classify, classify_first_open
 from moirelines.geometry import Rect
 from moirelines.potential import eval_superposition
 from moirelines.tracer import (
@@ -71,6 +72,28 @@ class TestBudget:
         assert TraceBudget.for_potential(two_cos, cell_size=limit).cell_size == limit
         with pytest.raises(BudgetError, match="too coarse"):
             TraceBudget.for_potential(two_cos, cell_size=1.01 * limit)
+
+    @pytest.mark.parametrize("walker", ["kernel", "python_walker"])
+    @pytest.mark.parametrize("max_cells", [2**64 + 5, 2**63 + 5, 2**63, 2.5, 10.0, 0])
+    def test_cell_cap_must_be_an_int64(self, request, walker, max_cells):
+        # Both walks read the cap as a signed 64-bit count of cells, and only
+        # such a count stops them alike: beyond it the compiled walk would
+        # wrap the cap and the Python walk would not, and a fractional cap
+        # would stop them one cell apart.
+        if walker == "python_walker":
+            request.getfixturevalue(walker)
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        base = TraceBudget.for_potential(s, length_periods=10.0)
+        h, arc = base.cell_size, base.max_arc_length
+        with pytest.raises(BudgetError, match="is not an integer in"):
+            TraceBudget(h, arc, max_cells)
+        with pytest.raises(BudgetError, match="is not an integer in"):
+            TraceBudget(h, arc, 2**61).scaled(4.0)
+        # The largest cap is no cap on this line: it stops on the arc budget.
+        seed = find_seeds(s, 0.05, Rect.centered((0.0, 0.0), 4.0 * TWO_PI), h)[0]
+        widest = trace_level_line(s, seed, 0.05, TraceBudget(h, arc, 2**63 - 1))
+        assert widest.record.forward == "budget"
+        assert_same_trace(widest, trace_level_line(s, seed, 0.05, base))
 
     def test_for_potential_refuses_a_cell_cap_over_the_ceiling(self, two_cos):
         # h = 0.5 and L = 2**21 give CLASSIFY_DEPTH * 8 * L / h = 2**27 exactly.
@@ -248,6 +271,19 @@ class TestTraceLevelLine:
     def test_seed_off_level_rejected(self, two_cos, small_budget):
         with pytest.raises(SeedNotOnLevelError):
             trace_level_line(two_cos, np.array([0.0, 0.0]), 0.5, small_budget)
+
+    @pytest.mark.parametrize("seed", [[math.nan, 0.0], [math.inf, 0.0],
+                                      [math.pi / 2, 0.0, 1.0]])
+    def test_seed_must_be_a_finite_2_vector(self, two_cos, small_budget, seed):
+        with pytest.raises(ValueError, match="2-vector"):
+            trace_level_line(two_cos, seed, 0.5, small_budget)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_level_must_be_finite(self, two_cos, small_window, small_budget, level):
+        with pytest.raises(ValueError, match=f"level must be finite, got {level}"):
+            find_seeds(two_cos, level, small_window, small_budget.cell_size)
+        with pytest.raises(ValueError, match=f"level must be finite, got {level}"):
+            trace_level_line(two_cos, [math.pi / 2, 0.0], level, small_budget)
 
     def test_polyline_shape_guard(self):
         with pytest.raises(ValueError):
@@ -459,7 +495,7 @@ class TestTraceOnce:
             tight = TraceBudget(self.base.cell_size,
                                 2 * (loop.arc_length - float(np.median(steps))), 10**6)
             capped = TraceBudget(self.base.cell_size, self.base.max_arc_length, n - 1)
-            walker = _Walker(self.s, level, self.field)
+            walker = _Walker(self.field, level)
             for k in range(1, n + 1):
                 vertex = loop.points[k]
                 # Interval probes find the loop a seed lies on by this match.
@@ -489,7 +525,7 @@ class TestIntervalProbe:
 
     def assert_states_match(self, s, budget, levels):
         field = ChunkedField(s, budget.cell_size)
-        probe = _IntervalProbe(s, self.WINDOW, budget, field)
+        probe = _IntervalProbe(field, self.WINDOW, budget)
         lines = []
         states = Counter()
         for level in levels:
@@ -569,7 +605,7 @@ class TestIntervalProbe:
         for centre in ((0.0, 0.0), (-far, 0.0), (0.0, far)):
             window = Rect.centered(centre, 1.5 * TWO_PI)
             field = ChunkedField(s, budget.cell_size)
-            probe = _IntervalProbe(s, window, budget, field)
+            probe = _IntervalProbe(field, window, budget)
             with monkeypatch.context() as patched:
                 calls = self.count_probe_work(patched)
                 states = [probe.state(level) for level in levels]
@@ -578,6 +614,61 @@ class TestIntervalProbe:
             derived.append(calls["seeds"] - calls["walks"])
         near, *beyond = derived
         assert near > 0 and beyond == [0, 0], derived
+
+
+class TestSharedField:
+    """Every entry point that takes a field reads its grid from it, so the
+    field must be one built for the same potential object and cell size.
+    Read in place of the README potential's own field at 10 periods, one of
+    the potential at alpha = 0.9 would move the open-line interval over
+    +-1.01 * value_scale() from [-0.2203, 0.1982] to [-0.1988, 0.1823],
+    turn the first open line at its midpoint from Regular (1, 1, -1, 0)
+    into Regular (0, 1, 1, -1), and put trace vertices up to 0.6 off the
+    level."""
+
+    S = single_harmonic_sum(delta=0.3, alpha=0.7)
+    BUDGET = TraceBudget.for_potential(S, length_periods=10.0)
+    WINDOW = Rect.centered((0.0, 0.0), 4.0 * TWO_PI)
+    LEVEL = 0.05
+
+    def call(self, entry, field):
+        s, budget, window, level = self.S, self.BUDGET, self.WINDOW, self.LEVEL
+        if entry == "find_seeds":
+            return find_seeds(s, level, window, budget.cell_size, field)
+        if entry == "energy_interval":
+            scale = 1.01 * s.value_scale()
+            return energy_interval(s, window, budget, -scale, scale, 1e-3, field)
+        if entry == "classify_first_open":
+            return classify_first_open(s, level, window, budget, field=field)
+        seed = find_seeds(s, level, window, budget.cell_size)[0]
+        if entry == "trace_level_line":
+            return trace_level_line(s, seed, level, budget, field=field)
+        line = trace_level_line(s, seed, level, budget)
+        assert not line.is_closed
+        return classify(s, line, budget, field=field)
+
+    ENTRIES = ["find_seeds", "trace_level_line", "energy_interval", "classify",
+               "classify_first_open"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_field_of_another_potential_refused(self, entry):
+        other = single_harmonic_sum(delta=0.3, alpha=0.9)
+        with pytest.raises(ValueError, match="another potential"):
+            self.call(entry, ChunkedField(other, self.BUDGET.cell_size))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_field_of_another_cell_size_refused(self, entry):
+        with pytest.raises(ValueError, match="cell size"):
+            self.call(entry, ChunkedField(self.S, self.BUDGET.cell_size / 2))
+
+    @pytest.mark.parametrize("h, error", [(S.shortest_period() / 4, "too coarse"),
+                                          (0.0, "must be positive"),
+                                          (math.nan, "must be positive")])
+    def test_field_cell_size_checked(self, h, error):
+        with pytest.raises(BudgetError, match=error):
+            ChunkedField(self.S, h)
+        with pytest.raises(BudgetError, match=error):
+            find_seeds(self.S, self.LEVEL, self.WINDOW, h)
 
 
 class TestEnergyInterval:

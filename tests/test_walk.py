@@ -67,7 +67,7 @@ def _walk_near(s, field, level, i, j, arc_limit, cell_limit):
     """Both walks from every seed within two cells of cell (i, j), by the
     kernel and by the Python loop; yields each (compiled, python) pair."""
     h = field.h
-    walker = _Walker(s, level, field)
+    walker = _Walker(field, level)
     around = Rect((i - 2) * h, (j - 2) * h, (i + 3) * h, (j + 3) * h)
     for seed in find_seeds(s, level, around, h, field):
         start_edge, fwd, bwd, p0 = _start(walker, seed)
@@ -106,7 +106,7 @@ class TestCompiledWalk:
             xs, ys = compiled[:2]
             arcs = _walk.arc_lengths([float(p0[0])] + xs, [float(p0[1])] + ys)
             arc_limit = float(arcs[int(cut * (len(arcs) - 1))])
-            walker = _Walker(s, level, field)
+            walker = _Walker(field, level)
             compiled, python = _both(walker, cell, p0, start_edge, arc_limit, cell_limit)
             assert _bits(compiled) == _bits(python)
 
