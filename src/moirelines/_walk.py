@@ -170,7 +170,7 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
     x_at = buf.__array_interface__["data"][0]
     y_at = x_at + buf.strides[0]
     chunk = field._chunk(st.oi // CHUNK, st.oj // CHUNK)[1]
-    xs, ys = [], []
+    parts = []  # the buffer's vertices, copied each time it fills and at the end
     while True:
         stop = fn(chunk, st, x_at, y_at, CAPACITY)
         if stop == LEAVE:
@@ -181,12 +181,11 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
             if walker.jitter_hits > hits and not st.first_jitter:
                 st.first_jitter = st.n
         else:
-            count = st.count
-            xs += buf[0, :count].tolist()
-            ys += buf[1, :count].tolist()
+            parts.append(buf[:, :st.count].copy())
             if stop != FULL:
                 break
             st.count = 0
+    xs, ys = np.concatenate(parts, axis=1)
     return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None
 
 
@@ -298,4 +297,5 @@ def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
                 break
             soft_limit = -inf
     arc = float(arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
+    xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
     return xs, ys, arc, reason, first_jitter

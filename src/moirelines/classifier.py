@@ -42,6 +42,7 @@ from .tracer import (
     EnergyInterval,
     LevelLine,
     TraceBudget,
+    _SHARE_FIRST_LAYER,
     _field,
     cut_trace,
     energy_interval,
@@ -504,20 +505,25 @@ def classify_family(
     commensurate = is_commensurate(v.lattice, u.lattice, transform0) is not None
 
     intervals, levels, classifications = [], [], []
-    for a in shifts:
-        s = SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner)
-        interval, eps, c = classify_potential(s, window, budget, level, tol_eps)
-        intervals.append(interval)
-        levels.append(eps)
-        if eps is None:
+    # Every shift's field takes V's chunk values from the first-layer store.
+    token = _SHARE_FIRST_LAYER.set(True)
+    try:
+        for a in shifts:
+            s = SuperpositionPotential(v, u, EuclideanTransform(alpha, a), combiner)
+            interval, eps, c = classify_potential(s, window, budget, level, tol_eps)
+            intervals.append(interval)
+            levels.append(eps)
+            if eps is None:
+                if not search_each_shift:
+                    break  # shift 0 found no interval: the family has none
+                c = Undetermined(reason="no open-line interval found")
+            elif c is None or isinstance(c, Closed):
+                c = Undetermined(reason=f"no open line found at level {eps}")
+            classifications.append(c)
             if not search_each_shift:
-                break  # shift 0 found no interval: the family has none
-            c = Undetermined(reason="no open-line interval found")
-        elif c is None or isinstance(c, Closed):
-            c = Undetermined(reason=f"no open line found at level {eps}")
-        classifications.append(c)
-        if not search_each_shift:
-            level = eps
+                level = eps
+    finally:
+        _SHARE_FIRST_LAYER.reset(token)
 
     quadruple, width, verdict = None, None, "undetermined"
     regulars = [c for c in classifications if isinstance(c, Regular)]

@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import _walk
 from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS, arc_lengths
-from .geometry import Rect, as_vec2
-from .potential import SuperpositionPotential, eval_superposition
+from .geometry import Rect, apply_transform, as_vec2
+from .potential import SuperpositionPotential, eval_periodic, eval_superposition
 
 # Residuals below JITTER_REL * value_scale are pushed to +JITTER_REL * scale.
 JITTER_REL = 1e-9
@@ -63,6 +64,16 @@ MAX_SCALED_CELLS = 2**27
 
 _HORIZONTAL = 0
 _VERTICAL = 1
+
+# Fields built while _SHARE_FIRST_LAYER is set, which classifier.classify_family
+# does, take the first layer's chunk values from _FIRST_LAYER_STORE: V depends
+# on neither the twist angle nor the shift, so the fields of a sweep share its
+# chunks for the life of the process.  A key holds V's values, never its id
+# (pool workers unpickle a fresh layer for every task), h and the chunk.  Past
+# _FIRST_LAYER_CAP chunks (about 9 MB) the oldest one is dropped.
+_FIRST_LAYER_CAP = 1024
+_SHARE_FIRST_LAYER: ContextVar[bool] = ContextVar("_SHARE_FIRST_LAYER", default=False)
+_FIRST_LAYER_STORE: dict[tuple, np.ndarray] = {}
 
 
 class SeedNotOnLevelError(ValueError):
@@ -216,7 +227,9 @@ class ChunkedField:
     probes over the same region share evaluations (values are level
     independent: the residual shift happens at read time).  It owns the
     grid: the potential s, the cell size h (BudgetError unless it is positive
-    and resolves s's shortest period) and the residual nudge delta.
+    and resolves s's shortest period) and the residual nudge delta.  A field
+    built inside classifier.classify_family takes V's share of every chunk
+    from the per-process first-layer store.
     """
 
     def __init__(self, s: SuperpositionPotential, h: float):
@@ -225,6 +238,11 @@ class ChunkedField:
         self.h = float(h)
         self.delta = JITTER_REL * s.value_scale()
         self._chunks: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        v = s.v
+        self._first_layer = (
+            (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
+            if _SHARE_FIRST_LAYER.get() else None
+        )
 
     def _chunk(self, ci: int, cj: int) -> tuple[np.ndarray, int]:
         """Chunk (ci, cj)'s corner values and the address of their buffer,
@@ -235,7 +253,11 @@ class ChunkedField:
             pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
             pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
             pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
-            vals = np.ascontiguousarray(eval_superposition(self.s, pts), dtype=np.float64)
+            if self._first_layer is None:
+                vals = eval_superposition(self.s, pts)
+            else:
+                vals = _superpose_stored(self.s, pts, (self._first_layer, ci, cj))
+            vals = np.ascontiguousarray(vals, dtype=np.float64)
             entry = self._chunks[key] = vals, vals.__array_interface__["data"][0]
         return entry
 
@@ -278,6 +300,18 @@ class ChunkedField:
     @property
     def cells_evaluated(self) -> int:
         return len(self._chunks) * (CHUNK + 1) ** 2
+
+
+def _superpose_stored(s: SuperpositionPotential, pts: np.ndarray, key: tuple) -> np.ndarray:
+    """eval_superposition(s, pts) bit for bit, with V's values taken from
+    the first-layer store under key, and put there when missing."""
+    v = _FIRST_LAYER_STORE.get(key)
+    if v is None:
+        if len(_FIRST_LAYER_STORE) >= _FIRST_LAYER_CAP:
+            del _FIRST_LAYER_STORE[next(iter(_FIRST_LAYER_STORE))]
+        v = _FIRST_LAYER_STORE[key] = eval_periodic(s.v, pts)
+        v.setflags(write=False)
+    return s.combiner.apply(v, eval_periodic(s.u, apply_transform(s.transform, pts)))
 
 
 def _field(s: SuperpositionPotential, h: float, field: ChunkedField | None) -> ChunkedField:
@@ -333,6 +367,15 @@ def find_seeds(
         raise ValueError(f"level must be finite, got {level}")
     i0, j0, g = field.window_block(window)
     g -= level
+    return [np.array((x, y)) for x, y, _ in _seed_edges(field, i0, j0, g)]
+
+
+def _seed_edges(field: ChunkedField, i0: int, j0: int, g: np.ndarray) -> list[tuple]:
+    """find_seeds' seeds as (x, y, edge), from the residuals g of f - level
+    at the corners from (i0, j0) on.  edge is the grid edge (orient, gi, gj)
+    the crossing (x, y) lies on; _Walker.crossing(edge) gives (x, y) back bit
+    for bit.
+    """
     g = np.where(np.abs(g) < field.delta, field.delta, g)
     pos = g > 0
 
@@ -373,9 +416,11 @@ def find_seeds(
     g1 = np.concatenate((g[1:, :][h_cross], g[:, 1:][v_cross]))[pick]
     t = g0 / (g0 - g1)
     gi, gj, horizontal = gi[pick], gj[pick], horizontal[pick]
+    h = field.h
     xs = np.where(horizontal, (gi + t) * h, gi * h)
     ys = np.where(horizontal, gj * h, (gj + t) * h)
-    return [np.array(p) for p in zip(xs.tolist(), ys.tolist())]
+    edges = zip(np.where(horizontal, _HORIZONTAL, _VERTICAL).tolist(), gi.tolist(), gj.tolist())
+    return list(zip(xs.tolist(), ys.tolist(), edges))
 
 
 # Per cell side (numbered as in _walk): the grid edge it is, as (orient,
@@ -423,11 +468,12 @@ class _Walker:
         """Continue from the start crossing p0 into cell (i, j), entered
         through side `entry`, until a stop condition.
 
-        Returns (xs, ys, arc, reason, first_jitter).  Vertex k is the
-        crossing on the side cell k was left through, computed as crossing()
-        computes it; a closed walk ends on p0 itself.  reason is one of
-        "closed", "budget" or "cells"; first_jitter is the 1-based
-        index of the first cell whose residuals were nudged, or None.
+        Returns (xs, ys, arc, reason, first_jitter), xs and ys as float64
+        arrays.  Vertex k is the crossing on the side cell k was left
+        through, computed as crossing() computes it; a closed walk ends on p0
+        itself.  reason is one of "closed", "budget" or "cells";
+        first_jitter is the 1-based index of the first cell whose residuals
+        were nudged, or None.
 
         The compiled kernel walks where it can be built, else the same walk
         in Python, bit for bit.
@@ -448,8 +494,8 @@ class _Walker:
                                    cell_limit)
 
 
-def _locate_start(walker: _Walker, seed: np.ndarray):
-    """Cell containing the seed and its crossed edge nearest to the seed."""
+def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
+    """The crossed edge nearest to the seed of the cell containing it."""
     h = walker.h
     fx, fy = seed[0] / h, seed[1] / h
     i, j = math.floor(fx), math.floor(fy)
@@ -476,17 +522,17 @@ def _locate_start(walker: _Walker, seed: np.ndarray):
                 x, y = walker.crossing(e)
                 return (x - sx) * (x - sx) + (y - sy) * (y - sy), e
 
-            return (ci, cj), min(crossed, key=distance)
+            return min(crossed, key=distance)
     raise SeedNotOnLevelError(
         f"no sign change of f - {walker.level} in the cell of seed {seed}"
     )
 
 
-def _start(walker: _Walker, seed: np.ndarray):
-    """Where a trace through seed starts: (start edge, forward cell,
-    backward cell, start crossing p0).  Cells are given as (i, j, side
-    entered through); the forward one keeps f > level on the left."""
-    _, start_edge = _locate_start(walker, seed)
+def _start(walker: _Walker, start_edge: tuple[int, int, int], p0: tuple[float, float]):
+    """Where the walks from the crossing p0 = (x, y) on start_edge start:
+    (start edge, forward cell, backward cell, p0).  Cells are given as
+    (i, j, side entered through); the forward one keeps f > level on the
+    left."""
     orient, gi, gj = start_edge
     if orient == _HORIZONTAL:
         fwd, bwd = (gi, gj, 0), (gi, gj - 1, 2)
@@ -496,7 +542,7 @@ def _start(walker: _Walker, seed: np.ndarray):
         fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
         if walker.residual(gi, gj + 1) <= 0:
             fwd, bwd = bwd, fwd
-    return start_edge, fwd, bwd, np.array(walker.crossing(start_edge))
+    return start_edge, fwd, bwd, p0
 
 
 def _walk_forward(walker: _Walker, start, budget: TraceBudget):
@@ -522,25 +568,25 @@ def trace_level_line(
     seed = as_vec2(seed)
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    start = start_edge, _, bwd, p0 = _start(walker, seed)
+    start_edge = _locate_start(walker, seed)
+    start = _, _, bwd, (p0x, p0y) = _start(walker, start_edge, walker.crossing(start_edge))
     start_jitter = walker.jitter_hits > 0
     fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget)
-    p0x, p0y = float(p0[0]), float(p0[1])
     if freason == "closed":
-        xs, ys = [p0x] + fx, [p0y] + fy
-        arc = farc
-        bx, bjitter = [], None
+        bx = by = np.empty(0)
+        arc, bjitter = farc, None
     else:
         bx, by, barc, _, bjitter = walker.walk(
-            *bwd, p0, start_edge, budget.max_arc_length - farc, budget.max_cells - len(fx)
+            *bwd, (p0x, p0y), start_edge, budget.max_arc_length - farc,
+            budget.max_cells - len(fx)
         )
-        xs, ys = bx[::-1] + [p0x] + fx, by[::-1] + [p0y] + fy
         arc = farc + barc
 
     jittered = start_jitter or fjitter is not None or bjitter is not None
     return LevelLine(
         level=level,
-        points=np.column_stack((xs, ys)),
+        points=np.column_stack((np.concatenate((bx[::-1], [p0x], fx)),
+                                np.concatenate((by[::-1], [p0y], fy)))),
         status=_status(freason),
         arc_length=arc,
         seed=seed,
@@ -694,26 +740,30 @@ class _IntervalProbe:
 
     def __init__(self, field: ChunkedField, window: Rect, budget: TraceBudget):
         self.field = field
-        self.window = window
+        # The window's corner values, which every probed level's seeds are
+        # found in.
+        self.i0, self.j0, self.block = field.window_block(window)
         # Probe as deep as classification ever retraces, else loops with
         # perimeter just over the base budget would read as open lines and
         # inflate the interval.
         self.trace_budget = budget.scaled(CLASSIFY_DEPTH)
-        self.f_min = float(field.window_block(window)[2].min())
+        self.f_min = float(self.block.min())
         self.count = 0
 
     def state(self, level: float) -> str:
         self.count += 1
-        seeds = find_seeds(self.field.s, level, self.window, self.field.h, self.field)
+        seeds = _seed_edges(self.field, self.i0, self.j0, self.block - level)
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.field, level)
         loops = []  # points of the loops traced at this level
         best_arc = -1.0
         best_area = 0.0
-        for seed in seeds[:_PROBE_SEEDS]:
-            start = (_, gi, gj), _, _, p0 = _start(walker, seed)
-            x0, y0 = p0
+        for x0, y0, edge in seeds[:_PROBE_SEEDS]:
+            # The seed is its edge's crossing bit for bit: no need to
+            # locate it.
+            start = _start(walker, edge, (x0, y0))
+            _, gi, gj = edge
             # Every edge has one successor, so a seed on a loop traced here
             # already would walk that same cycle from another vertex: derive
             # that trace from the loop instead of walking it again.  The seed
@@ -735,7 +785,8 @@ class _IntervalProbe:
                 # trace_level_line could never change it.
                 xs, ys, arc, reason, _ = _walk_forward(walker, start, self.trace_budget)
                 if reason == "closed":
-                    points = np.column_stack(([float(x0)] + xs, [float(y0)] + ys))
+                    points = np.column_stack((np.concatenate(([x0], xs)),
+                                              np.concatenate(([y0], ys))))
                     loops.append(points)
                     traced = points, arc
                 else:
@@ -768,6 +819,10 @@ def energy_interval(
     inside, both boundaries are then refined with the open-line predicate
     alone until the brackets are narrower than tol_eps.
     """
+    for name, value in (("eps_min", eps_min), ("eps_max", eps_max),
+                        ("eps_max - eps_min", eps_max - eps_min)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not eps_min < eps_max:
         raise ValueError("need eps_min < eps_max")
     if not (tol_eps > 0 and math.isfinite(tol_eps)):

@@ -104,3 +104,19 @@ def random_quadruple(rng: np.random.Generator, max_norm: int = 6) -> Quadruple:
         q = Quadruple.normalized(*(int(v) for v in m))
         if q.max_norm() <= max_norm:
             return q
+
+
+def saddle_cells(field, i0: int, j0: int, n: int):
+    """(level, i, j) for every cell (i, j) in the n x n block at (i0, j0)
+    that some level makes a saddle cell, with its diagonal corners on one
+    side of the level and the other two on the other; widest gap first."""
+    g = field.block(i0, j0, n + 1, n + 1)
+    diagonal = (g[:-1, :-1], g[1:, 1:])
+    anti = (g[1:, :-1], g[:-1, 1:])
+    found = []
+    for up, down in ((diagonal, anti), (anti, diagonal)):
+        lo, hi = np.minimum(*up), np.maximum(*down)
+        for i, j in zip(*np.nonzero(lo - hi > 1e-6)):
+            found.append((lo[i, j] - hi[i, j], 0.5 * float(lo[i, j] + hi[i, j]),
+                          i0 + int(i), j0 + int(j)))
+    return [cell[1:] for cell in sorted(found, reverse=True)]

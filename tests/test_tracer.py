@@ -6,9 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moirelines import tracer
-from moirelines.classifier import classify, classify_first_open
-from moirelines.geometry import Rect
-from moirelines.potential import eval_superposition
+from moirelines.classifier import (
+    classify,
+    classify_family,
+    classify_first_open,
+    classify_potential,
+)
+from moirelines.geometry import EuclideanTransform, Rect
+from moirelines.potential import (
+    FourierTerm,
+    PeriodicPotential,
+    Product,
+    SuperpositionPotential,
+    WeightedSum,
+    eval_superposition,
+)
 from moirelines.tracer import (
     CLASSIFY_DEPTH,
     JITTER_REL,
@@ -21,7 +33,9 @@ from moirelines.tracer import (
     SeedNotOnLevelError,
     TraceBudget,
     _IntervalProbe,
+    _locate_start,
     _restart_loop,
+    _seed_edges,
     _start,
     _Walker,
     bisect,
@@ -33,7 +47,14 @@ from moirelines.tracer import (
 )
 
 import oracles
-from families import hexagonal_pair, single_harmonic_sum, two_layer_sum
+from families import (
+    hexagonal_pair,
+    random_superposition,
+    saddle_cells,
+    single_harmonic_sum,
+    three_frequency_layers,
+    two_layer_sum,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -355,6 +376,41 @@ class TestTraceInvariants:
                 assert pts[-1].tobytes() == pts[0].tobytes()
 
 
+class TestSeedEdges:
+    """Interval probes start their walks from the edges _seed_edges returns
+    with the seeds, where trace_level_line locates each seed's edge anew."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(["random", "grid value", "saddle"]),
+           frac=st.floats(-0.9, 0.9), cells=st.sampled_from([8, 12, 16]))
+    def test_each_seed_is_the_crossing_of_the_edge_its_trace_starts_on(
+        self, seed, mode, frac, cells
+    ):
+        s = random_superposition(np.random.default_rng(seed))
+        h = s.shortest_period() / cells
+        field = ChunkedField(s, h)
+        window = Rect.centered((0.0, 0.0), 3.0 * s.longest_period())
+        level = frac * s.value_scale()
+        if mode == "grid value":  # the residual nudge fires on that corner
+            level = float(field.corner(3, -2))
+        elif mode == "saddle":
+            saddles = saddle_cells(field, -2 * cells, -2 * cells, 4 * cells)
+            if saddles:
+                level = saddles[0][0]
+        i0, j0, g = field.window_block(window)
+        seeds = _seed_edges(field, i0, j0, g - level)
+        found = find_seeds(s, level, window, h, field)
+        assert [np.array((x, y)).tobytes() for x, y, _ in seeds] == [p.tobytes() for p in found]
+        walker = _Walker(field, level)
+        for x, y, edge in seeds:
+            located = _locate_start(walker, np.array((x, y)))
+            assert located == edge
+            assert np.array(walker.crossing(edge)).tobytes() == np.array((x, y)).tobytes()
+            assert _start(walker, edge, (x, y)) == _start(walker, located,
+                                                          walker.crossing(located))
+
+
 class TestTraceOnce:
     """Shorter traces cut out of a longer one, and loops restarted from
     another vertex, equal the traces they replace bit for bit."""
@@ -499,7 +555,8 @@ class TestTraceOnce:
             for k in range(1, n + 1):
                 vertex = loop.points[k]
                 # Interval probes find the loop a seed lies on by this match.
-                assert _start(walker, vertex)[3].tobytes() == vertex.tobytes()
+                p0 = walker.crossing(_locate_start(walker, vertex))
+                assert np.array(p0).tobytes() == vertex.tobytes()
                 for b in (self.base, tight, capped):
                     restarted = _restart_loop(loop.points, k, b)
                     direct = trace_level_line(self.s, vertex, level, b, field=self.field)
@@ -715,6 +772,17 @@ class TestEnergyInterval:
             energy_interval(two_cos, small_window, small_budget, -1.0, 1.0,
                             tol_eps=0.0)
 
+    @pytest.mark.parametrize("eps_min, eps_max, error", [
+        (-1.0, math.inf, "eps_max must be finite, got inf"),
+        (math.nan, 1.0, "eps_min must be finite, got nan"),
+        (-math.inf, 1.0, "eps_min must be finite, got -inf"),
+        (-1e308, 1e308, "eps_max - eps_min must be finite, got inf"),
+    ])
+    def test_bracket_must_be_finite(self, two_cos, small_window, small_budget,
+                                    eps_min, eps_max, error):
+        with pytest.raises(ValueError, match=error):
+            energy_interval(two_cos, small_window, small_budget, eps_min, eps_max, 1e-3)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_tolerance_must_be_positive_and_finite(self, two_cos, small_window,
                                                    small_budget, tol):
@@ -744,3 +812,86 @@ class TestBudgetLadder:
     def test_equal_layer_family_collapses_at_960_periods(self):
         iv = _ladder_interval(two_layer_sum(0.05, 0.7, (0.1, -0.2)), 960.0)
         assert iv.found and iv.degenerate
+
+
+class TestFirstLayerStore:
+    """Fields built inside classify_family take V's chunk values from one
+    store per process; every other field evaluates both layers."""
+
+    V, U = three_frequency_layers(0.3)
+    H = TWO_PI / 16
+    CHUNKS = [(0, 0), (-1, 0), (2, -3), (-2, -1)]
+
+    @pytest.fixture(autouse=True)
+    def store(self, monkeypatch):
+        store = {}
+        monkeypatch.setattr(tracer, "_FIRST_LAYER_STORE", store)
+        return store
+
+    @staticmethod
+    def chunk_bytes(s, h, chunks, shared):
+        token = tracer._SHARE_FIRST_LAYER.set(shared)
+        try:
+            field = ChunkedField(s, h)
+        finally:
+            tracer._SHARE_FIRST_LAYER.reset(token)
+        return [field._chunk(ci, cj)[0].tobytes() for ci, cj in chunks]
+
+    @pytest.mark.parametrize("combiner", [None, WeightedSum(0.5, 2.0), Product()],
+                             ids=["Sum", "WeightedSum", "Product"])
+    def test_stored_chunks_equal_evaluated_ones_bit_for_bit(self, store, combiner):
+        extra = () if combiner is None else (combiner,)
+        for alpha in (0.3, 0.7):
+            for shift in ((0.0, 0.0), (1.3, -0.4)):
+                s = SuperpositionPotential(self.V, self.U, EuclideanTransform(alpha, shift),
+                                           *extra)
+                stored = self.chunk_bytes(s, self.H, self.CHUNKS, True)
+                assert stored == self.chunk_bytes(s, self.H, self.CHUNKS, False)
+        # Every angle and shift read the first one's V chunks.
+        assert len(store) == len(self.CHUNKS)
+
+    def test_a_layer_that_differs_in_one_amplitude_misses(self, store):
+        terms = list(self.V.terms)
+        terms[1] = FourierTerm(terms[1].n1, terms[1].n2, np.nextafter(terms[1].amplitude, 2.0))
+        other = PeriodicPotential(self.V.lattice, terms)
+        chunks = self.CHUNKS[:1]
+        s = SuperpositionPotential(self.V, self.U, EuclideanTransform(0.7))
+        near = SuperpositionPotential(other, self.U, EuclideanTransform(0.7))
+        assert self.chunk_bytes(s, self.H, chunks, True) != self.chunk_bytes(near, self.H,
+                                                                             chunks, True)
+        assert self.chunk_bytes(near, self.H, chunks, True) == self.chunk_bytes(
+            near, self.H, chunks, False)
+        assert len(store) == 2
+        # So does one at another cell size.
+        self.chunk_bytes(s, self.H / 2, chunks, True)
+        assert len(store) == 3
+
+    def test_the_store_never_holds_more_than_its_cap(self, store, monkeypatch):
+        monkeypatch.setattr(tracer, "_FIRST_LAYER_CAP", 3)
+        s = SuperpositionPotential(self.V, self.U, EuclideanTransform(0.7))
+        chunks = [(ci, 0) for ci in range(-3, 3)]
+        token = tracer._SHARE_FIRST_LAYER.set(True)
+        try:
+            field = ChunkedField(s, self.H)
+            for ci, cj in chunks:
+                field._chunk(ci, cj)
+                assert len(store) <= 3
+        finally:
+            tracer._SHARE_FIRST_LAYER.reset(token)
+        assert len(store) == 3
+        assert self.chunk_bytes(s, self.H, chunks, True) == self.chunk_bytes(
+            s, self.H, chunks, False)
+        assert len(store) == 3
+
+    def test_only_classify_family_fills_the_store(self, store):
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, length_periods=10.0)
+        window = Rect.centered((0.0, 0.0), 2.0 * TWO_PI)
+        seed = find_seeds(s, 0.05, window, budget.cell_size)[0]
+        trace_level_line(s, seed, 0.05, budget)
+        classify_potential(s, window, budget, tol_eps=1e-2)
+        assert store == {}
+        family = classify_family(self.V, self.U, 0.7, [(0.0, 0.0)], window, budget,
+                                 tol_eps=1e-2)
+        assert family.verdict == "regular"
+        assert store and not tracer._SHARE_FIRST_LAYER.get()

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from moirelines import _walk
 from moirelines.geometry import Rect
-from moirelines.tracer import ChunkedField, _start, _Walker, find_seeds
+from moirelines.tracer import ChunkedField, _locate_start, _start, _Walker, find_seeds
 
-from families import hexagonal_pair, two_layer_sum
+from families import hexagonal_pair, saddle_cells, two_layer_sum
 import test_bitwise
 
 TWO_PI = 2.0 * math.pi
@@ -33,8 +33,10 @@ def test_compile_flags_keep_ieee_rounding():
 
 def _bits(walk):
     xs, ys, arc, reason, first_jitter = walk
-    return (np.array(xs).tobytes(), np.array(ys).tobytes(), struct.pack("<d", arc),
-            reason, first_jitter)
+    # Both walks return their vertices as float64 arrays of one shape.
+    for a in (xs, ys):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (len(xs),)
+    return xs.tobytes(), ys.tobytes(), struct.pack("<d", arc), reason, first_jitter
 
 
 def _both(walker, cell, p0, start_edge, arc_limit, cell_limit):
@@ -47,22 +49,6 @@ def _both(walker, cell, p0, start_edge, arc_limit, cell_limit):
     return compiled, python
 
 
-def _saddle_cells(field, i0, j0, n):
-    """(level, i, j) for every cell (i, j) in the n x n block at (i0, j0)
-    that some level makes a saddle cell, with its diagonal corners on one
-    side of the level and the other two on the other; widest gap first."""
-    g = field.block(i0, j0, n + 1, n + 1)
-    diagonal = (g[:-1, :-1], g[1:, 1:])
-    anti = (g[1:, :-1], g[:-1, 1:])
-    found = []
-    for up, down in ((diagonal, anti), (anti, diagonal)):
-        lo, hi = np.minimum(*up), np.maximum(*down)
-        for i, j in zip(*np.nonzero(lo - hi > 1e-6)):
-            found.append((lo[i, j] - hi[i, j], 0.5 * float(lo[i, j] + hi[i, j]),
-                          i0 + int(i), j0 + int(j)))
-    return [cell[1:] for cell in sorted(found, reverse=True)]
-
-
 def _walk_near(s, field, level, i, j, arc_limit, cell_limit):
     """Both walks from every seed within two cells of cell (i, j), by the
     kernel and by the Python loop; yields each (compiled, python) pair."""
@@ -70,7 +56,8 @@ def _walk_near(s, field, level, i, j, arc_limit, cell_limit):
     walker = _Walker(field, level)
     around = Rect((i - 2) * h, (j - 2) * h, (i + 3) * h, (j + 3) * h)
     for seed in find_seeds(s, level, around, h, field):
-        start_edge, fwd, bwd, p0 = _start(walker, seed)
+        edge = _locate_start(walker, seed)
+        start_edge, fwd, bwd, p0 = _start(walker, edge, walker.crossing(edge))
         for cell in (fwd, bwd):
             yield cell, p0, start_edge, _both(walker, cell, p0, start_edge,
                                               arc_limit, cell_limit)
@@ -95,7 +82,7 @@ class TestCompiledWalk:
         if mode == "grid value":  # the residual nudge fires on that corner
             level = float(field.corner(3, -2))
         elif mode == "saddle":
-            saddles = _saddle_cells(field, -2 * cells, -2 * cells, 4 * cells)
+            saddles = saddle_cells(field, -2 * cells, -2 * cells, 4 * cells)
             if saddles:
                 level, i, j = saddles[0]
         for cell, p0, start_edge, (compiled, python) in _walk_near(
@@ -104,7 +91,8 @@ class TestCompiledWalk:
             assert _bits(compiled) == _bits(python)
             # Arc limits at an exact running arc stop on that vertex.
             xs, ys = compiled[:2]
-            arcs = _walk.arc_lengths([float(p0[0])] + xs, [float(p0[1])] + ys)
+            arcs = _walk.arc_lengths(np.concatenate(([p0[0]], xs)),
+                                     np.concatenate(([p0[1]], ys)))
             arc_limit = float(arcs[int(cut * (len(arcs) - 1))])
             walker = _Walker(field, level)
             compiled, python = _both(walker, cell, p0, start_edge, arc_limit, cell_limit)
@@ -121,7 +109,7 @@ class TestCompiledWalk:
             return resolve(walker, index, i, j)
 
         monkeypatch.setattr(_Walker, "saddle_exit", counted)
-        for level, i, j in _saddle_cells(field, -32, -32, 64)[:8]:
+        for level, i, j in saddle_cells(field, -32, -32, 64)[:8]:
             for *_, (compiled, python) in _walk_near(s, field, level, i, j,
                                                      10 * TWO_PI, 10**6):
                 assert _bits(compiled) == _bits(python)
