@@ -682,18 +682,6 @@ def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
     )
 
 
-def _restart_loop(pts: np.ndarray, k: int, budget: TraceBudget):
-    """(points, arc) of the trace started at vertex k of the closed loop
-    pts, or None when that trace stops before it closes.
-
-    The trace walks the same cycle from vertex k on, and the stop rules of
-    its forward walk decide whether it gets round.
-    """
-    ring = np.concatenate((pts[k:-1], pts[: k + 1]))
-    _, arc, why = _cut_walk(*ring.T, True, budget.max_arc_length / 2, budget.max_cells)
-    return (ring, arc) if why == "closed" else None
-
-
 @dataclass(frozen=True)
 class EnergyInterval:
     """Levels that admit open lines, as found by bisection."""
@@ -756,47 +744,21 @@ class _IntervalProbe:
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.field, level)
-        loops = []  # points of the loops traced at this level
         best_arc = -1.0
         best_area = 0.0
         for x0, y0, edge in seeds[:_PROBE_SEEDS]:
             # The seed is its edge's crossing bit for bit: no need to
-            # locate it.
+            # locate it.  A trace is closed exactly when its forward walk
+            # closes, and any open one decides the state: the backward walk
+            # of a trace_level_line could never change it.
             start = _start(walker, edge, (x0, y0))
-            _, gi, gj = edge
-            # Every edge has one successor, so a seed on a loop traced here
-            # already would walk that same cycle from another vertex: derive
-            # that trace from the loop instead of walking it again.  The seed
-            # is on a loop exactly when p0 is one of its vertices bit for bit.
-            # A walk computes each vertex with the IEEE operations crossing()
-            # uses for p0, so the seed's own edge gives p0 back.  Nudged
-            # residuals keep every crossing at least 5e-10 of a cell off the
-            # grid corners, which below 2**19 cells is several ulps, so no
-            # other edge gives the same point; farther out, seeds are walked.
-            near = abs(gi) < 2**19 and abs(gj) < 2**19
-            for loop in loops if near else ():
-                (on,) = np.nonzero((loop[1:, 0] == x0) & (loop[1:, 1] == y0))
-                if len(on):
-                    traced = _restart_loop(loop, int(on[0]) + 1, self.trace_budget)
-                    break
-            else:
-                # A trace is closed exactly when its forward walk closes, and
-                # any open one decides the state: the backward walk of a
-                # trace_level_line could never change it.
-                xs, ys, arc, reason, _ = _walk_forward(walker, start, self.trace_budget)
-                if reason == "closed":
-                    points = np.column_stack((np.concatenate(([x0], xs)),
-                                              np.concatenate(([y0], ys))))
-                    loops.append(points)
-                    traced = points, arc
-                else:
-                    traced = None
-            if traced is None:
+            xs, ys, arc, reason, _ = _walk_forward(walker, start, self.trace_budget)
+            if reason != "closed":
                 return _OPEN
-            points, arc = traced
             if arc > best_arc:
                 best_arc = arc
-                best_area = signed_area(points)
+                best_area = signed_area(np.column_stack((np.concatenate(([x0], xs)),
+                                                         np.concatenate(([y0], ys)))))
         return _ABOVE if best_area > 0 else _BELOW
 
 

@@ -252,9 +252,10 @@ def brute_diameter(points) -> float:
 def full_trace_probe(s, level, window, budget, field):
     """An interval probe's state computed the first way: a full
     trace_level_line, both walks, of each of the first 12 seeds at the
-    CLASSIFY_DEPTH-fold budget, with no loop reuse.  Unlike the rest of
-    this module it runs the package's own seed finder and tracer: what it
-    checks is the probe's shortcuts (forward walks only, loop reuse).
+    CLASSIFY_DEPTH-fold budget.  Unlike the rest of this module it runs the
+    package's own seed finder and tracer: what it checks is the probe's
+    shortcuts (forward walks only, seeds and start edges from one window
+    block).
 
     Returns (state, lines traced).  The state is "open" at the first open
     line; otherwise the longest loop decides, "above" if it runs

@@ -34,7 +34,6 @@ from moirelines.tracer import (
     TraceBudget,
     _IntervalProbe,
     _locate_start,
-    _restart_loop,
     _seed_edges,
     _start,
     _Walker,
@@ -412,8 +411,8 @@ class TestSeedEdges:
 
 
 class TestTraceOnce:
-    """Shorter traces cut out of a longer one, and loops restarted from
-    another vertex, equal the traces they replace bit for bit."""
+    """Shorter traces cut out of a longer one equal the traces they replace
+    bit for bit."""
 
     def setup_method(self):
         self.s = single_harmonic_sum(delta=0.3, alpha=0.7)
@@ -538,46 +537,23 @@ class TestTraceOnce:
         line = make_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert cut_trace(line, self.base) is None
 
-    def test_restarted_loop_equals_trace_from_its_vertex(self):
-        level = 0.9
-        restarts = {True: 0, False: 0}
-        for seed in self.seeds(level, count=3):
-            loop = trace_level_line(self.s, seed, level, self.base, field=self.field)
+    def test_locating_a_loop_vertex_gives_it_back(self):
+        # A trace restarted from a vertex of another starts on that vertex.
+        walker = _Walker(self.field, 0.9)
+        for seed in self.seeds(0.9, count=3):
+            loop = trace_level_line(self.s, seed, 0.9, self.base, field=self.field)
             assert loop.is_closed
-            n = len(loop.points) - 1
-            steps = np.hypot(*np.diff(loop.points, axis=0).T)
-            # Arc limits between the shortest and the longest arc before a
-            # closing step: loops close from some vertices and not others.
-            tight = TraceBudget(self.base.cell_size,
-                                2 * (loop.arc_length - float(np.median(steps))), 10**6)
-            capped = TraceBudget(self.base.cell_size, self.base.max_arc_length, n - 1)
-            walker = _Walker(self.field, level)
-            for k in range(1, n + 1):
-                vertex = loop.points[k]
-                # Interval probes find the loop a seed lies on by this match.
+            for vertex in loop.points[1:]:
                 p0 = walker.crossing(_locate_start(walker, vertex))
                 assert np.array(p0).tobytes() == vertex.tobytes()
-                for b in (self.base, tight, capped):
-                    restarted = _restart_loop(loop.points, k, b)
-                    direct = trace_level_line(self.s, vertex, level, b, field=self.field)
-                    restarts[restarted is not None] += 1
-                    if restarted is None:
-                        assert not direct.is_closed
-                    else:
-                        points, arc = restarted
-                        assert direct.is_closed
-                        assert points.tobytes() == direct.points.tobytes()
-                        assert arc == direct.arc_length
-        assert min(restarts.values()) > 0, restarts
 
 
 class TestIntervalProbe:
     """Probe states equal the states full two-way traces of every seed
-    give (oracles.full_trace_probe), although probes walk forward only and
-    derive the traces of seeds on known loops."""
+    give (oracles.full_trace_probe), although probes walk forward only."""
 
-    # Large loops leave this window and come back, so some seeds lie on
-    # loops a probe has traced already.
+    # Large loops leave this window and come back, so several seeds may lie
+    # on one loop.
     WINDOW = Rect.centered((0.0, 0.0), 1.5 * TWO_PI)
 
     def assert_states_match(self, s, budget, levels):
@@ -625,9 +601,22 @@ class TestIntervalProbe:
         assert {line.record.forward for line in lines} == {"closed", "cells"}
         assert states["open"] and states["below"] and states["above"], states
 
-    @staticmethod
-    def count_probe_work(monkeypatch) -> Counter:
-        """Counts of walks, seeds started and traces derived from loops."""
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           fracs=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=4))
+    def test_states_match_full_traces_on_random_families(self, seed, fracs):
+        s = random_superposition(np.random.default_rng(seed))
+        budget = TraceBudget.for_potential(s, length_periods=6.0)
+        window = Rect.centered((0.0, 0.0), 1.5 * s.longest_period())
+        field = ChunkedField(s, budget.cell_size)
+        probe = _IntervalProbe(field, window, budget)
+        # The last level is a grid value: the residual nudge fires.
+        levels = [f * s.value_scale() for f in fracs] + [float(field.corner(3, -2))]
+        for level in levels:
+            assert probe.state(level) == oracles.full_trace_probe(
+                s, level, window, budget, field)[0], level
+
+    def test_every_seed_a_probe_starts_is_walked_once(self, monkeypatch):
         calls = Counter()
 
         def counted(name, fn):
@@ -638,39 +627,27 @@ class TestIntervalProbe:
 
         monkeypatch.setattr(_Walker, "walk", counted("walks", _Walker.walk))
         monkeypatch.setattr(tracer, "_start", counted("seeds", tracer._start))
-        monkeypatch.setattr(tracer, "_restart_loop", counted("derived", tracer._restart_loop))
-        return calls
-
-    def test_one_walk_per_probe_trace_not_derived_from_a_loop(self, monkeypatch):
-        calls = self.count_probe_work(monkeypatch)
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, length_periods=10.0)
         res = energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3)
         # Open levels were probed, so some probe traces were open.
         assert res.found and not res.degenerate
-        assert calls["derived"] > 0
-        assert calls["walks"] == calls["seeds"] - calls["derived"]
+        assert calls["seeds"] > 0
+        assert calls["walks"] == calls["seeds"]
 
-    def test_no_loop_is_derived_beyond_two_to_the_19_cells(self, monkeypatch):
-        # Past 2**19 cells a crossing may round onto a grid corner, so a
-        # vertex match no longer proves that a seed is on a loop.
+    def test_states_match_full_traces_far_from_the_origin(self):
+        # Past 2**19 cells a crossing may round onto a grid corner.
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, length_periods=10.0)
         far = 1.5 * 2**19 * budget.cell_size
         levels = np.linspace(-1.0, 1.0, 9).tolist()
-        derived = []
         for centre in ((0.0, 0.0), (-far, 0.0), (0.0, far)):
             window = Rect.centered(centre, 1.5 * TWO_PI)
             field = ChunkedField(s, budget.cell_size)
             probe = _IntervalProbe(field, window, budget)
-            with monkeypatch.context() as patched:
-                calls = self.count_probe_work(patched)
-                states = [probe.state(level) for level in levels]
+            states = [probe.state(level) for level in levels]
             assert states == [oracles.full_trace_probe(s, level, window, budget, field)[0]
                               for level in levels]
-            derived.append(calls["seeds"] - calls["walks"])
-        near, *beyond = derived
-        assert near > 0 and beyond == [0, 0], derived
 
 
 class TestSharedField:
