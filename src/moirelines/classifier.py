@@ -310,46 +310,37 @@ def _diameter(points: np.ndarray) -> float:
     return float(math.sqrt(d2.max()))
 
 
-def classify(
+def _classify_seed(
     s: SuperpositionPotential,
-    line: LevelLine,
+    field: ChunkedField,
+    seed,
+    level: float,
     budget: TraceBudget,
-    field: ChunkedField | None = None,
-    long_line: LevelLine | None = None,
-) -> Classification:
-    """Decide closed / regular / chaotic / undetermined for one line.
+) -> tuple[LevelLine, Classification | None]:
+    """Walk one seed once, at CLASSIFY_DEPTH times the budget, and classify it.
 
-    The line must have been traced from its seed with the given budget.  It
-    is followed for twice and four times (CLASSIFY_DEPTH) the arc length and
-    the strip widths are compared: saturation (within TAU_SAT) is regular,
-    growth (by K_GROW or more) is chaotic.  long_line, when given, is the
-    same seed already traced at CLASSIFY_DEPTH times the budget; otherwise
-    that trace is made here, and the twice-budget line is cut out of it.
-    For regular lines the quadruple search runs over |m_i| <=
-    DEFAULT_QUAD_BOUND with tolerance 2 * residual / arc_length, the
-    angular uncertainty of the direction fit itself, floored at 1e-12 so an
-    exactly straight line still admits candidates.
+    A closed walk is returned with None.  Otherwise the traces at one and
+    two budgets are cut out of it and the three strip widths compared:
+    saturation (within TAU_SAT) is regular, growth (by K_GROW or more)
+    chaotic.  Returns the trace at the budget and its classification.  A
+    regular line's quadruple is searched over |m_i| <= DEFAULT_QUAD_BOUND
+    with tolerance 2 * residual / arc_length, the angular uncertainty of the
+    fit, floored at 1e-12 so an exactly straight line still admits candidates.
     """
-    field = _field(s, budget.cell_size, field)
-    if line.is_closed:
-        return Closed(diameter=_diameter(line.points))
-    if long_line is None:
-        long_line = trace_level_line(
-            s, line.seed, line.level, budget.scaled(CLASSIFY_DEPTH), field=field
-        )
-    if long_line.is_closed:
-        # The longer budget revealed a loop the short trace cut off.
-        return Closed(diameter=_diameter(long_line.points))
-    double = budget.scaled(CLASSIFY_DEPTH / 2)
-    mid_line = cut_trace(long_line, double) or trace_level_line(
-        s, line.seed, line.level, double, field=field
+    long_line = trace_level_line(
+        s, seed, level, budget.scaled(CLASSIFY_DEPTH), field=field
     )
-    lines = [line, mid_line, long_line]
+    if long_line.is_closed:
+        return long_line, None
+    lines = [
+        cut_trace(long_line, b) or trace_level_line(s, seed, level, b, field=field)
+        for b in (budget, budget.scaled(CLASSIFY_DEPTH / 2))
+    ] + [long_line]
 
     try:
         fits = [fit_direction(ln) for ln in lines]
     except LineFitError as err:
-        return Undetermined(reason=f"direction fit failed: {err}")
+        return lines[0], Undetermined(reason=f"direction fit failed: {err}")
     widths = [strip_width(ln, fit.direction) for ln, fit in zip(lines, fits)]
     widths_by_length = tuple(
         (ln.arc_length, w) for ln, w in zip(lines, widths)
@@ -364,12 +355,12 @@ def classify(
             fit.direction, s.v.lattice, s.rotated_u_lattice(), tol=quad_tol
         )
         if q is None:
-            return Undetermined(
+            return lines[0], Undetermined(
                 reason="strip width saturated but no quadruple within "
                 f"|m|<={DEFAULT_QUAD_BOUND}",
                 widths_by_length=widths_by_length,
             )
-        return Regular(
+        return lines[0], Regular(
             quadruple=q,
             direction=fit.direction,
             strip_width=widths[2],
@@ -377,14 +368,30 @@ def classify(
             widths_by_length=widths_by_length,
         )
     if growth >= K_GROW:
-        return Chaotic(widths_by_length=widths_by_length)
-    return Undetermined(
+        return lines[0], Chaotic(widths_by_length=widths_by_length)
+    return lines[0], Undetermined(
         reason=(
             f"width growth {growth:.3f} between saturation (<= {1 + TAU_SAT:.3f}) "
             f"and chaos (>= {K_GROW:.3f}) thresholds"
         ),
         widths_by_length=widths_by_length,
     )
+
+
+def classify(
+    s: SuperpositionPotential, line: LevelLine, budget: TraceBudget
+) -> Classification:
+    """Decide closed / regular / chaotic / undetermined for one line.
+
+    The line must have been traced from its seed with the given budget; an
+    open one is classified as classify_first_open classifies its seed.
+    """
+    if not line.is_closed:
+        field = ChunkedField(s, budget.cell_size)
+        line, c = _classify_seed(s, field, line.seed, line.level, budget)
+        if c is not None:
+            return c
+    return Closed(diameter=_diameter(line.points))
 
 
 def classify_first_open(
@@ -397,27 +404,20 @@ def classify_first_open(
     """Classify the first genuinely open line among the first MAX_SEEDS seeds.
 
     Loops with perimeter above the arc budget masquerade as open at one
-    budget.  So each seed is traced once, at the CLASSIFY_DEPTH times the
-    budget that classification follows it for, and skipped when that trace
-    closes.  Returns the first open line and its classification; when every seed
-    closes, the first seed's loop and Closed; None when the window holds no
-    seed.
+    budget.  So each seed is walked once, at the CLASSIFY_DEPTH times the
+    budget that classification follows it for, and skipped when that walk
+    closes.  Returns the first open line and its classification; when every
+    seed closes, the first seed's loop and Closed; None when the window
+    holds no seed.
     """
     field = _field(s, budget.cell_size, field)
-    long_budget = budget.scaled(CLASSIFY_DEPTH)
     first_loop = None
     for seed in find_seeds(s, level, window, budget.cell_size, field)[:MAX_SEEDS]:
-        long_line = trace_level_line(s, seed, level, long_budget, field=field)
-        if long_line.is_closed:
-            if first_loop is None:
-                first_loop = long_line
-            continue
-        # Open that deep, so open (budget exhausted) at one budget.
-        line = cut_trace(long_line, budget) or trace_level_line(
-            s, seed, level, budget, field=field
-        )
-        c = classify(s, line, budget, field=field, long_line=long_line)
-        return line, c
+        line, c = _classify_seed(s, field, seed, level, budget)
+        if c is not None:
+            return line, c
+        if first_loop is None:
+            first_loop = line
     if first_loop is None:
         return None
     return first_loop, Closed(diameter=_diameter(first_loop.points))
@@ -459,16 +459,20 @@ class FamilyVerdict:
 
     intervals, levels and classifications have one entry per shift
     classified; an interval is None where the shift was given its level.
+    A failed sweep sample has its error, no classification and shift 0's
+    interval and level None.
     """
 
+    alpha: float
     shifts: tuple
     intervals: tuple
     levels: tuple
     classifications: tuple
     quadruple: Quadruple | None
     mean_width: float | None
-    verdict: str  # regular | chaotic | undetermined | no-open-lines
+    verdict: str  # regular | chaotic | undetermined | no-open-lines | error
     commensurate: bool
+    error: str | None = None
 
 
 def classify_family(
@@ -538,6 +542,7 @@ def classify_family(
     elif all(isinstance(c, Chaotic) for c in classifications):
         verdict = "chaotic"
     return FamilyVerdict(
+        alpha=alpha,
         shifts=shifts,
         intervals=tuple(intervals),
         levels=tuple(levels),

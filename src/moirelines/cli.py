@@ -308,7 +308,8 @@ def cmd_zones(args) -> int:
         raise CliError("--refine-tol must be positive")
     s, data = _load(args)
     config = _sweep_config(args)
-    with shared_pool(config.workers):
+    # Edge bisections (<= 2 per zone of 2+ angles) and verifies never outnumber the grid.
+    with shared_pool(min(config.workers, config.alpha_count)):
         result = sweep_angle(s.v, s.u, config, s.combiner)
         point_fn = make_point_fn(s.v, s.u, config, s.combiner)
         zone_set = detect_zones(result, args.refine_tol, point_fn=point_fn)

@@ -156,7 +156,6 @@ class Rect:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     @staticmethod
-    def centered(center, width: float, height: float | None = None) -> "Rect":
+    def centered(center, side: float) -> "Rect":
         cx, cy = center
-        h = width if height is None else height
-        return Rect(cx - width / 2, cy - h / 2, cx + width / 2, cy + h / 2)
+        return Rect(cx - side / 2, cy - side / 2, cx + side / 2, cy + side / 2)

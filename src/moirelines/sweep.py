@@ -40,6 +40,7 @@ from .classifier import (
     K_GROW,
     MAX_SEEDS,
     TAU_SAT,
+    FamilyVerdict,
     Quadruple,
     classification_to_dict,
     classify_family,
@@ -106,22 +107,6 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class AlphaSample:
-    """Everything learned at one angle."""
-
-    alpha: float
-    shifts: tuple
-    classifications: tuple
-    interval: EnergyInterval | None
-    level: float | None
-    quadruple: Quadruple | None
-    mean_width: float | None
-    verdict: str  # regular | chaotic | undetermined | no-open-lines | error
-    commensurate: bool
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
     samples: tuple
@@ -142,36 +127,18 @@ def sample_shifts(
 
 def _sample_alpha(
     v, u, combiner, cfg: SweepConfig, budget: TraceBudget, window: Rect, alpha: float
-) -> AlphaSample:
+) -> FamilyVerdict:
     alpha = float(alpha)
     try:
         shifts = sample_shifts(u, cfg.seed, alpha, cfg.shifts_per_alpha)
-        family = classify_family(
+        return classify_family(
             v, u, alpha, shifts, window, budget, combiner, cfg.level, cfg.tol_eps
         )
-        return AlphaSample(
-            alpha=alpha,
-            shifts=family.shifts,
-            classifications=family.classifications,
-            interval=family.intervals[0],
-            level=family.levels[0],
-            quadruple=family.quadruple,
-            mean_width=family.mean_width,
-            verdict=family.verdict,
-            commensurate=family.commensurate,
-        )
     except Exception as err:  # per-point failures stay in the record
-        return AlphaSample(
-            alpha=alpha,
-            shifts=(),
-            classifications=(),
-            interval=None,
-            level=None,
-            quadruple=None,
-            mean_width=None,
-            verdict="error",
-            commensurate=False,
-            error=f"{type(err).__name__}: {err}",
+        return FamilyVerdict(
+            alpha=alpha, shifts=(), intervals=(None,), levels=(None,),
+            classifications=(), quadruple=None, mean_width=None, verdict="error",
+            commensurate=False, error=f"{type(err).__name__}: {err}",
         )
 
 
@@ -201,12 +168,15 @@ def shared_pool(workers: int):
 def _map(fn, jobs: list[tuple], workers: int) -> list:
     """[fn(*job) for job in jobs], on a process pool when workers > 1.
 
-    Results come back in job order, never in completion order.  With one
-    worker no process starts and nothing is pickled, so fn may be a closure.
+    Results come back in job order, never in completion order.  An open
+    shared pool is used; else a pool of at most one process per job.  With
+    one worker no process starts and nothing is pickled, so fn may be a closure.
     """
     if workers > 1 and jobs:
-        with shared_pool(workers):
-            return list(_POOL.get().map(fn, *zip(*jobs)))
+        with shared_pool(min(workers, len(jobs))):
+            pool = _POOL.get()
+            if pool is not None:
+                return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
 
 
@@ -233,7 +203,7 @@ def make_point_fn(
     config: SweepConfig,
     combiner: Combiner = Sum(),
 ):
-    """The per-angle sampler: alpha -> AlphaSample under this config.
+    """The per-angle sampler: alpha -> FamilyVerdict under this config.
 
     The trace budget and the seeding window depend only on the layer
     periods, so they are resolved here once; a cell size too coarse for the
@@ -418,6 +388,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     rows = [SWEEP_CSV_HEADER]
     for s in result.samples:
         m = s.quadruple.as_tuple() if s.quadruple else ("", "", "", "")
+        interval, level = s.intervals[0], s.levels[0]
         rows.append(
             ",".join(
                 [
@@ -428,9 +399,9 @@ def sweep_to_csv(result: SweepResult) -> str:
                     str(m[2]),
                     str(m[3]),
                     fmt_float(s.mean_width) if s.mean_width is not None else "",
-                    fmt_float(s.level) if s.level is not None else "",
-                    fmt_float(s.interval.lo) if s.interval and s.interval.found else "",
-                    fmt_float(s.interval.hi) if s.interval and s.interval.found else "",
+                    fmt_float(level) if level is not None else "",
+                    fmt_float(interval.lo) if interval and interval.found else "",
+                    fmt_float(interval.hi) if interval and interval.found else "",
                     "1" if s.commensurate else "0",
                     (s.error or "").replace(",", ";"),
                 ]
@@ -451,14 +422,14 @@ def _interval_to_dict(iv: EnergyInterval | None):
     }
 
 
-def sample_to_dict(s: AlphaSample) -> dict:
+def sample_to_dict(s: FamilyVerdict) -> dict:
     return {
         "alpha": s.alpha,
         "verdict": s.verdict,
         "quadruple": list(s.quadruple.as_tuple()) if s.quadruple else None,
         "mean_width": s.mean_width,
-        "level": s.level,
-        "interval": _interval_to_dict(s.interval),
+        "level": s.levels[0],
+        "interval": _interval_to_dict(s.intervals[0]),
         "commensurate": s.commensurate,
         "shifts": [[float(a[0]), float(a[1])] for a in s.shifts],
         "classifications": [classification_to_dict(c) for c in s.classifications],

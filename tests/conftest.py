@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moirelines import LevelLine, LineStatus, Rect, TraceBudget, _walk, two_cosine_potential
+from moirelines import LevelLine, LineStatus, Rect, TraceBudget, _walk, sweep, two_cosine_potential
 from moirelines.potential import SuperpositionPotential
 from moirelines.geometry import EuclideanTransform
 
@@ -36,6 +36,29 @@ def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0):
 def python_walker(monkeypatch):
     """Walk with the Python loop, as where the kernel cannot be built."""
     monkeypatch.setattr(_walk, "kernel", lambda: None)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The max_workers of every process pool the sweep asks for.  The pool
+    is a stand-in that maps in-process, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 @pytest.fixture

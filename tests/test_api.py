@@ -20,12 +20,11 @@ from pathlib import Path
 import moirelines
 
 SETTABLE = [
-    ("AlphaSample", "error"),
     ("EuclideanTransform", "shift"),
+    ("FamilyVerdict", "error"),
     ("FourierTerm", "phase"),
     ("LevelLine", "jitter_scale"),
     ("LevelLine", "record"),
-    ("Rect.centered", "height"),
     ("StabilityZone", "verified"),
     ("StabilityZone", "verify_alpha"),
     ("SuperpositionPotential", "combiner"),
@@ -43,8 +42,6 @@ SETTABLE = [
     ("TraceBudget.for_potential", "max_arc_length"),
     ("Undetermined", "widths_by_length"),
     ("classification_to_dict", "parameters"),
-    ("classify", "field"),
-    ("classify", "long_line"),
     ("classify_family", "combiner"),
     ("classify_family", "level"),
     ("classify_family", "search_each_shift"),
@@ -105,7 +102,7 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
-    assert len(SETTABLE) == 47
+    assert len(SETTABLE) == 44
 
 
 def test_import_loads_numpy_only(tmp_path):

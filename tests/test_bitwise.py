@@ -133,8 +133,8 @@ def test_interval_and_classify_bitwise():
     assert isinstance(c, Regular)
     assert c.widths_by_length == CLASSIFY_WIDTHS
     assert c.quadruple.as_tuple() == CLASSIFY_QUADRUPLE
-    # classify on the line alone retraces it and must agree exactly.
-    again = classify(s, line, budget, field=ChunkedField(s, budget.cell_size))
+    # classify on the line alone walks its seed anew and must agree exactly.
+    again = classify(s, line, budget)
     assert isinstance(again, Regular)
     assert again.widths_by_length == c.widths_by_length
     assert again.quadruple == c.quadruple

@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moirelines.classifier import (
     Chaotic,
     Closed,
     LineFitError,
+    MAX_SEEDS,
     Quadruple,
     Regular,
     Undetermined,
     ZeroAnnihilatorError,
     _candidate_block,
+    _classify_seed,
     _diameter,
     classification_to_dict,
     classify,
@@ -35,10 +38,23 @@ from moirelines.potential import (
     square_lattice,
     two_cosine_potential,
 )
-from moirelines.tracer import LineStatus, TraceBudget, find_seeds, trace_level_line
+from moirelines.tracer import (
+    CLASSIFY_DEPTH,
+    ChunkedField,
+    LineStatus,
+    TraceBudget,
+    find_seeds,
+    trace_level_line,
+)
 
 import oracles
-from families import random_lattice, random_quadruple, single_harmonic_sum, two_layer_sum
+from families import (
+    random_lattice,
+    random_quadruple,
+    random_superposition,
+    single_harmonic_sum,
+    two_layer_sum,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -398,6 +414,52 @@ class TestClassify:
                                              small_budget):
         # |cos x + cos y| <= 2: no line exists at level 2.5.
         assert classify_first_open(two_cos, 2.5, small_window, small_budget) is None
+
+
+def _trace_key(line):
+    return (line.points.tobytes(), line.arc_length, line.status, line.jitter_scale)
+
+
+class TestClassifySeed:
+    """Each seed is walked once, at CLASSIFY_DEPTH times the budget; what
+    that one walk yields equals what direct traces of the seed yield."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(-0.6, 0.6))
+    def test_one_walk_matches_direct_traces_on_random_families(self, seed, frac):
+        s = random_superposition(np.random.default_rng(seed))
+        budget = TraceBudget.for_potential(s, length_periods=6.0)
+        window = Rect.centered((0.0, 0.0), 1.5 * s.longest_period())
+        level = frac * s.value_scale()
+        field = ChunkedField(s, budget.cell_size)
+        first_loop = first_open = None
+        for p in find_seeds(s, level, window, budget.cell_size, field)[:MAX_SEEDS]:
+            line, c = _classify_seed(s, field, p, level, budget)
+            if c is None:
+                loop = trace_level_line(s, p, level, budget.scaled(CLASSIFY_DEPTH),
+                                        field=field)
+                assert _trace_key(line) == _trace_key(loop)
+                direct = trace_level_line(s, p, level, budget, field=field)
+                assert classify(s, direct, budget) == Closed(_diameter(loop.points))
+                if first_loop is None:
+                    first_loop = line
+                continue
+            direct = trace_level_line(s, p, level, budget, field=field)
+            assert _trace_key(line) == _trace_key(direct)
+            assert classification_to_dict(classify(s, direct, budget)) == (
+                classification_to_dict(c))
+            first_open = line, c
+            break
+        hit = classify_first_open(s, level, window, budget, field=field)
+        if first_open is not None:
+            line, c = first_open
+        elif first_loop is not None:
+            line, c = first_loop, Closed(_diameter(first_loop.points))
+        else:
+            assert hit is None
+            return
+        assert _trace_key(hit[0]) == _trace_key(line)
+        assert classification_to_dict(hit[1]) == classification_to_dict(c)
 
 
 class TestSerialization:

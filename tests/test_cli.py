@@ -321,6 +321,20 @@ class TestSweepAndZones:
         assert payload["zones"][0]["verified"] is True
         assert (out / "zones.svg").read_text().count('data-role="zone"') == 1
 
+    def test_zones_pool_starts_at_most_one_worker_per_angle(
+        self, cfg_threeq, tmp_path, capsys, pool_sizes
+    ):
+        out = tmp_path / "run"
+        code = main(["zones", "--config", cfg_threeq, *self.ARGS,
+                     "--refine-tol", "0.02", "--workers", "64", "--out", str(out)])
+        assert code == 0
+        assert "zone [" in capsys.readouterr().out
+        # One pool for the two grid angles, the edge bisections and the verify.
+        assert pool_sizes == [2]
+        payload = json.loads((out / "zones.json").read_text())
+        assert payload["parameters"]["workers"] == 64
+        assert payload["zones"][0]["verified"] is True
+
     def test_zones_empty_exits_two(self, cfg_threeq, tmp_path, capsys):
         # At a level far outside the open-line band everything is a loop.
         args = [a if a != "0.0" else "0.9" for a in self.ARGS]

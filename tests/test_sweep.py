@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from moirelines.classifier import Chaotic, Quadruple, Regular
+from moirelines.classifier import Chaotic, FamilyVerdict, Quadruple, Regular
 from moirelines.output import stable_json
 from moirelines.potential import two_cosine_potential
 from moirelines.sweep import (
     SWEEP_CSV_HEADER,
     ZONES_CSV_HEADER,
-    AlphaSample,
     SweepConfig,
     SweepResult,
     detect_zones,
@@ -39,12 +38,12 @@ def mk_sample(alpha, verdict, quad=None, width=None):
     interval = None
     if verdict in ("regular", "chaotic", "undetermined"):
         interval = EnergyInterval(-0.1, 0.1, True, False, 5)
-    return AlphaSample(
+    return FamilyVerdict(
         alpha=alpha,
         shifts=(),
+        intervals=(interval,),
+        levels=(0.0 if interval else None,),
         classifications=(),
-        interval=interval,
-        level=0.0 if interval else None,
         quadruple=quad,
         mean_width=width,
         verdict=verdict,
@@ -271,8 +270,8 @@ class TestSweepAngleReal:
             assert s.verdict == "regular"
             assert s.quadruple.as_tuple() == oracles.THREEQ_QUADRUPLE
             assert not s.commensurate
-            assert s.interval.found
-            assert s.interval.lo < s.level < s.interval.hi
+            assert s.intervals[0].found
+            assert s.intervals[0].lo < s.levels[0] < s.intervals[0].hi
             assert s.mean_width > 0
 
     def test_worker_count_does_not_change_samples(self):
@@ -294,12 +293,22 @@ class TestSweepAngleReal:
         assert stable_json(sample_to_dict(again)) == stable_json(
             sample_to_dict(result.samples[1]))
 
+    def test_pool_starts_at_most_one_worker_per_angle(self, pool_sizes):
+        v, u = three_frequency_layers()
+        cfg = SweepConfig(0.68, 0.72, 3, level=0.0, workers=64, **LEAN)
+        result = sweep_angle(v, u, cfg)
+        assert pool_sizes == [3]
+        assert [s.verdict for s in result.samples] == ["regular"] * 3
+        assert sweep_to_csv(result) == sweep_to_csv(
+            sweep_angle(v, u, dataclasses.replace(cfg, workers=1)))
+
     def test_fixed_level_skips_interval_search(self):
         v, u = three_frequency_layers()
         cfg = SweepConfig(0.68, 0.72, 2, level=0.0, **LEAN)
         result = sweep_angle(v, u, cfg)
         for s in result.samples:
-            assert s.level == 0.0
+            assert s.levels == (0.0,)
+            assert s.intervals == (None,)
             assert s.verdict == "regular"
 
 
@@ -314,16 +323,22 @@ class TestReports:
         assert fields[1] == "regular"
         assert tuple(int(v) for v in fields[2:6]) == Q_A.as_tuple()
 
-    def test_error_text_never_breaks_csv(self):
-        bad = AlphaSample(
-            alpha=0.5, shifts=(), classifications=(), interval=None,
-            level=None, quadruple=None, mean_width=None, verdict="error",
-            commensurate=False, error="trace failed, badly",
-        )
-        cfg = SweepConfig(0.0, 1.0, 2)
-        csv = sweep_to_csv(SweepResult(config=cfg, samples=(bad,)))
-        row = csv.strip().split("\n")[1]
+    def test_error_text_never_breaks_csv(self, monkeypatch):
+        # A failed angle is an error verdict, and its text keeps the row intact.
+        def fail(*args):
+            raise RuntimeError("trace failed, badly")
+
+        monkeypatch.setattr(sweep_module, "classify_family", fail)
+        v, u = three_frequency_layers()
+        result = sweep_angle(v, u, SweepConfig(0.5, 0.6, 2, **LEAN))
+        bad = result.samples[0]
+        assert (bad.alpha, bad.verdict, bad.classifications) == (0.5, "error", ())
+        assert bad.error == "RuntimeError: trace failed, badly"
+        record = sample_to_dict(bad)
+        assert (record["level"], record["interval"], record["shifts"]) == (None, None, [])
+        row = sweep_to_csv(result).strip().split("\n")[1]
         assert len(row.split(",")) == len(SWEEP_CSV_HEADER.split(","))
+        assert row.startswith("0.5,error,,,,,,,,,0,")
         assert "trace failed; badly" in row
 
     def test_zones_csv(self):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from moirelines import tracer
 from moirelines.classifier import (
-    classify,
     classify_family,
     classify_first_open,
     classify_potential,
@@ -675,13 +674,9 @@ class TestSharedField:
         if entry == "classify_first_open":
             return classify_first_open(s, level, window, budget, field=field)
         seed = find_seeds(s, level, window, budget.cell_size)[0]
-        if entry == "trace_level_line":
-            return trace_level_line(s, seed, level, budget, field=field)
-        line = trace_level_line(s, seed, level, budget)
-        assert not line.is_closed
-        return classify(s, line, budget, field=field)
+        return trace_level_line(s, seed, level, budget, field=field)
 
-    ENTRIES = ["find_seeds", "trace_level_line", "energy_interval", "classify",
+    ENTRIES = ["find_seeds", "trace_level_line", "energy_interval",
                "classify_first_open"]
 
     @pytest.mark.parametrize("entry", ENTRIES)
