@@ -282,8 +282,6 @@ class ChunkedField:
                 gi_hi = min(i0 + ni, ci * CHUNK + CHUNK + 1)
                 gj_lo = max(j0, cj * CHUNK)
                 gj_hi = min(j0 + nj, cj * CHUNK + CHUNK + 1)
-                if gi_lo >= gi_hi or gj_lo >= gj_hi:
-                    continue
                 out[gi_lo - i0 : gi_hi - i0, gj_lo - j0 : gj_hi - j0] = vals[
                     gi_lo - ci * CHUNK : gi_hi - ci * CHUNK,
                     gj_lo - cj * CHUNK : gj_hi - cj * CHUNK,
@@ -438,12 +436,15 @@ class _Walker:
         self.h, self.delta = field.h, field.delta
         self.jitter_hits = 0
 
-    def residual(self, gi: int, gj: int) -> float:
-        g = self.field.corner(gi, gj) - self.level
+    def _nudged(self, g: float) -> float:
+        """g, or +delta (counted as a jitter hit) when |g| is below delta."""
         if abs(g) < self.delta:
             self.jitter_hits += 1
             return self.delta
         return g
+
+    def residual(self, gi: int, gj: int) -> float:
+        return self._nudged(self.field.corner(gi, gj) - self.level)
 
     def crossing(self, edge: tuple[int, int, int]) -> tuple[float, float]:
         orient, gi, gj = edge
@@ -458,15 +459,12 @@ class _Walker:
         if index not in SADDLE_EXIT:
             raise RuntimeError(f"inconsistent sign pattern in cell {(i, j)}")
         p = np.array([(i + 0.5) * self.h, (j + 0.5) * self.h])
-        g = eval_superposition(self.field.s, p) - self.level
-        if abs(g) < self.delta:
-            self.jitter_hits += 1
-            g = self.delta
+        g = self._nudged(eval_superposition(self.field.s, p) - self.level)
         return SADDLE_EXIT[index][bool(g > 0)]
 
-    def walk(self, i, j, entry, p0, start_edge, arc_limit, cell_limit):
-        """Continue from the start crossing p0 into cell (i, j), entered
-        through side `entry`, until a stop condition.
+    def walk(self, edge, p0, forward, arc_limit, cell_limit):
+        """Walk from the crossing p0 on grid edge (orient, gi, gj), forward
+        (f > level on the left) or backward, until a stop condition.
 
         Returns (xs, ys, arc, reason, first_jitter), xs and ys as float64
         arrays.  Vertex k is the crossing on the side cell k was left
@@ -478,20 +476,22 @@ class _Walker:
         The compiled kernel walks where it can be built, else the same walk
         in Python, bit for bit.
         """
-        p0x, p0y = float(p0[0]), float(p0[1])
-        # Leaving cell (ia, ja) through side ea, or (ib, jb) through eb,
-        # crosses the start edge again.
-        orient, ia, ja = start_edge
+        # The edge's two cells as (i, j, side entered through): the walk
+        # starts in one, and leaving either through that side closes it.
+        orient, gi, gj = edge
         if orient == _HORIZONTAL:
-            closing = ia, ja, 0, ia, ja - 1, 2
+            cells = (gi, gj, 0), (gi, gj - 1, 2)
+            above = self.residual(gi, gj) > 0
         else:
-            closing = ia, ja, 3, ia - 1, ja, 1
+            cells = (gi, gj, 3), (gi - 1, gj, 1)
+            above = self.residual(gi, gj + 1) > 0
+        i, j, entry = cells[0] if forward == above else cells[1]
+        args = (i, j, entry, float(p0[0]), float(p0[1]), (*cells[0], *cells[1]),
+                arc_limit, cell_limit)
         fn = _walk.kernel()
         if fn is None:
-            return _walk.walk_python(self, i, j, entry, p0x, p0y, closing, arc_limit,
-                                     cell_limit)
-        return _walk.walk_compiled(fn, self, i, j, entry, p0x, p0y, closing, arc_limit,
-                                   cell_limit)
+            return _walk.walk_python(self, *args)
+        return _walk.walk_compiled(fn, self, *args)
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
@@ -528,27 +528,9 @@ def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
     )
 
 
-def _start(walker: _Walker, start_edge: tuple[int, int, int], p0: tuple[float, float]):
-    """Where the walks from the crossing p0 = (x, y) on start_edge start:
-    (start edge, forward cell, backward cell, p0).  Cells are given as
-    (i, j, side entered through); the forward one keeps f > level on the
-    left."""
-    orient, gi, gj = start_edge
-    if orient == _HORIZONTAL:
-        fwd, bwd = (gi, gj, 0), (gi, gj - 1, 2)
-        if walker.residual(gi, gj) <= 0:
-            fwd, bwd = bwd, fwd
-    else:
-        fwd, bwd = (gi, gj, 3), (gi - 1, gj, 1)
-        if walker.residual(gi, gj + 1) <= 0:
-            fwd, bwd = bwd, fwd
-    return start_edge, fwd, bwd, p0
-
-
-def _walk_forward(walker: _Walker, start, budget: TraceBudget):
-    """The forward walk from a _start, which gets half the arc budget."""
-    start_edge, fwd, _, p0 = start
-    return walker.walk(*fwd, p0, start_edge, budget.max_arc_length / 2, budget.max_cells)
+def _walk_forward(walker: _Walker, edge, p0, budget: TraceBudget):
+    """The forward walk from the crossing p0 on edge: half the arc budget."""
+    return walker.walk(edge, p0, True, budget.max_arc_length / 2, budget.max_cells)
 
 
 def trace_level_line(
@@ -568,17 +550,16 @@ def trace_level_line(
     seed = as_vec2(seed)
     if not math.isfinite(level):
         raise ValueError(f"level must be finite, got {level}")
-    start_edge = _locate_start(walker, seed)
-    start = _, _, bwd, (p0x, p0y) = _start(walker, start_edge, walker.crossing(start_edge))
+    edge = _locate_start(walker, seed)
+    p0 = p0x, p0y = walker.crossing(edge)
     start_jitter = walker.jitter_hits > 0
-    fx, fy, farc, freason, fjitter = _walk_forward(walker, start, budget)
+    fx, fy, farc, freason, fjitter = _walk_forward(walker, edge, p0, budget)
     if freason == "closed":
         bx = by = np.empty(0)
         arc, bjitter = farc, None
     else:
         bx, by, barc, _, bjitter = walker.walk(
-            *bwd, (p0x, p0y), start_edge, budget.max_arc_length - farc,
-            budget.max_cells - len(fx)
+            edge, p0, False, budget.max_arc_length - farc, budget.max_cells - len(fx)
         )
         arc = farc + barc
 
@@ -751,8 +732,7 @@ class _IntervalProbe:
             # locate it.  A trace is closed exactly when its forward walk
             # closes, and any open one decides the state: the backward walk
             # of a trace_level_line could never change it.
-            start = _start(walker, edge, (x0, y0))
-            xs, ys, arc, reason, _ = _walk_forward(walker, start, self.trace_budget)
+            xs, ys, arc, reason, _ = _walk_forward(walker, edge, (x0, y0), self.trace_budget)
             if reason != "closed":
                 return _OPEN
             if arc > best_arc:

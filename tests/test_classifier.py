@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moirelines import classifier
 from moirelines.classifier import (
     Chaotic,
     Closed,
@@ -460,6 +461,35 @@ class TestClassifySeed:
             return
         assert _trace_key(hit[0]) == _trace_key(line)
         assert classification_to_dict(hit[1]) == classification_to_dict(c)
+
+    @staticmethod
+    def _first_open(length_periods):
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, length_periods=length_periods)
+        window = Rect.centered((0.0, 0.0), 1.5 * s.longest_period())
+        return classify_first_open(s, 0.0, window, budget)
+
+    def test_retrace_when_the_cut_fails_gives_the_same_result(self, monkeypatch):
+        line, c = self._first_open(10.0)
+        monkeypatch.setattr(classifier, "cut_trace", lambda line, budget: None)
+        retraced, again = self._first_open(10.0)
+        assert isinstance(c, Regular) and isinstance(again, Regular)
+        assert retraced.points.tobytes() == line.points.tobytes()
+        assert retraced.jitter_scale == line.jitter_scale
+        assert classification_to_dict(again) == classification_to_dict(c)
+
+    @pytest.mark.parametrize("length_periods, vertices", [(1.0, 23), (2.0, 43), (3.0, 64)])
+    def test_short_line_fails_the_direction_fit(self, length_periods, vertices):
+        _, c = self._first_open(length_periods)
+        assert c == Undetermined(
+            reason=f"direction fit failed: need at least 100 vertices, got {vertices}")
+
+    def test_saturated_width_without_a_quadruple_is_undetermined(self, monkeypatch):
+        monkeypatch.setattr(classifier, "recover_quadruple", lambda *a, **k: None)
+        _, c = self._first_open(10.0)
+        assert isinstance(c, Undetermined)
+        assert c.reason == "strip width saturated but no quadruple within |m|<=12"
+        assert len(c.widths_by_length) == 3
 
 
 class TestSerialization:

@@ -706,3 +706,20 @@ class TestErrors:
                      "--window", "1,2,3"])
         assert code == 1
         assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--level", "abc"], "argument --level: invalid float value: 'abc'"),
+        (["--level", "0.5", "--window", "a,b,c,d"],
+         "error: --window: could not convert string to float: 'a'"),
+        (["--level", "0.5", "--window=1,1,0,0"],
+         "error: empty rectangle: Rect(x0=1.0, y0=1.0, x1=0.0, y1=0.0)"),
+    ], ids=["level-word", "window-words", "window-empty"])
+    def test_bad_trace_input_fails_before_any_work(
+        self, cfg_twocos, tmp_path, capsys, monkeypatch, args, message
+    ):
+        monkeypatch.setattr(cli, "find_seeds", _no_seeds)
+        out = tmp_path / "run"
+        code = main(["trace", "--config", cfg_twocos, *args, "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -27,6 +27,7 @@ from moirelines.tracer import (
     MIN_CELLS_PER_PERIOD,
     BudgetError,
     ChunkedField,
+    EnergyInterval,
     LevelLine,
     LineStatus,
     SeedNotOnLevelError,
@@ -34,7 +35,6 @@ from moirelines.tracer import (
     _IntervalProbe,
     _locate_start,
     _seed_edges,
-    _start,
     _Walker,
     bisect,
     cut_trace,
@@ -405,8 +405,6 @@ class TestSeedEdges:
             located = _locate_start(walker, np.array((x, y)))
             assert located == edge
             assert np.array(walker.crossing(edge)).tobytes() == np.array((x, y)).tobytes()
-            assert _start(walker, edge, (x, y)) == _start(walker, located,
-                                                          walker.crossing(located))
 
 
 class TestTraceOnce:
@@ -625,7 +623,7 @@ class TestIntervalProbe:
             return wrapper
 
         monkeypatch.setattr(_Walker, "walk", counted("walks", _Walker.walk))
-        monkeypatch.setattr(tracer, "_start", counted("seeds", tracer._start))
+        monkeypatch.setattr(tracer, "_walk_forward", counted("seeds", tracer._walk_forward))
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, length_periods=10.0)
         res = energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3)
@@ -735,6 +733,15 @@ class TestEnergyInterval:
         # Chunk values do not depend on the level: a second search reuses them.
         assert energy_interval(s, window, budget, -1.0, 1.0, 5e-3, field) == own
         assert field.cells_evaluated == filled
+
+    def test_bracket_below_every_level_finds_nothing(self, two_cos, small_window,
+                                                     small_budget):
+        # Every coarse level lies below the window's minimum: no level is
+        # open and no below/above transition brackets one.
+        scale = two_cos.value_scale()
+        res = energy_interval(two_cos, small_window, small_budget, -3 * scale, -2 * scale,
+                              tol_eps=1e-3)
+        assert res == EnergyInterval(0.0, 0.0, False, False, 9)
 
     def test_bad_arguments(self, two_cos, small_window, small_budget):
         with pytest.raises(ValueError):

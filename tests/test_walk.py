@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from moirelines import _walk
 from moirelines.geometry import Rect
-from moirelines.tracer import ChunkedField, _locate_start, _start, _Walker, find_seeds
+from moirelines.potential import eval_superposition
+from moirelines.tracer import ChunkedField, _locate_start, _Walker, find_seeds
 
 from families import hexagonal_pair, saddle_cells, two_layer_sum
 import test_bitwise
@@ -39,9 +40,9 @@ def _bits(walk):
     return xs.tobytes(), ys.tobytes(), struct.pack("<d", arc), reason, first_jitter
 
 
-def _both(walker, cell, p0, start_edge, arc_limit, cell_limit):
+def _both(walker, edge, p0, forward, arc_limit, cell_limit):
     """One walk by the kernel, then by the Python loop."""
-    args = (*cell, p0, start_edge, arc_limit, cell_limit)
+    args = (edge, p0, forward, arc_limit, cell_limit)
     compiled = walker.walk(*args)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_walk, "kernel", lambda: None)
@@ -51,16 +52,16 @@ def _both(walker, cell, p0, start_edge, arc_limit, cell_limit):
 
 def _walk_near(s, field, level, i, j, arc_limit, cell_limit):
     """Both walks from every seed within two cells of cell (i, j), by the
-    kernel and by the Python loop; yields each (compiled, python) pair."""
+    kernel and by the Python loop; yields each edge, p0, direction and
+    (compiled, python) pair."""
     h = field.h
     walker = _Walker(field, level)
     around = Rect((i - 2) * h, (j - 2) * h, (i + 3) * h, (j + 3) * h)
     for seed in find_seeds(s, level, around, h, field):
         edge = _locate_start(walker, seed)
-        start_edge, fwd, bwd, p0 = _start(walker, edge, walker.crossing(edge))
-        for cell in (fwd, bwd):
-            yield cell, p0, start_edge, _both(walker, cell, p0, start_edge,
-                                              arc_limit, cell_limit)
+        p0 = walker.crossing(edge)
+        for forward in (True, False):
+            yield edge, p0, forward, _both(walker, edge, p0, forward, arc_limit, cell_limit)
 
 
 class TestCompiledWalk:
@@ -85,7 +86,7 @@ class TestCompiledWalk:
             saddles = saddle_cells(field, -2 * cells, -2 * cells, 4 * cells)
             if saddles:
                 level, i, j = saddles[0]
-        for cell, p0, start_edge, (compiled, python) in _walk_near(
+        for edge, p0, forward, (compiled, python) in _walk_near(
             s, field, level, i, j, 30 * TWO_PI, 4000
         ):
             assert _bits(compiled) == _bits(python)
@@ -95,7 +96,7 @@ class TestCompiledWalk:
                                      np.concatenate(([p0[1]], ys)))
             arc_limit = float(arcs[int(cut * (len(arcs) - 1))])
             walker = _Walker(field, level)
-            compiled, python = _both(walker, cell, p0, start_edge, arc_limit, cell_limit)
+            compiled, python = _both(walker, edge, p0, forward, arc_limit, cell_limit)
             assert _bits(compiled) == _bits(python)
 
     def test_saddle_cells_resolve_alike(self, monkeypatch):
@@ -114,6 +115,25 @@ class TestCompiledWalk:
                                                      10 * TWO_PI, 10**6):
                 assert _bits(compiled) == _bits(python)
         assert met["compiled"] and met["compiled"] == met["python"]
+
+    def test_saddle_centre_nudge_is_recorded_alike(self):
+        # At the level of a saddle cell's centre value the centre's residual
+        # is zero, so resolving the saddle nudges it.
+        s = hexagonal_pair(0.3, (0.4, 1.1))
+        h = s.shortest_period() / 16
+        field = ChunkedField(s, h)
+        cells = nudged = 0
+        for _, i, j in saddle_cells(field, -32, -32, 64)[:20]:
+            level = float(eval_superposition(s, np.array(((i + 0.5) * h, (j + 0.5) * h))))
+            above = [field.corner(i + di, j + dj) > level
+                     for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            if not above[0] == above[2] != above[1] == above[3]:
+                continue
+            cells += 1
+            for *_, (compiled, python) in _walk_near(s, field, level, i, j, 10 * TWO_PI, 10**6):
+                assert _bits(compiled) == _bits(python)
+                nudged += compiled[4] is not None
+        assert cells and nudged
 
 
 @pytest.fixture
