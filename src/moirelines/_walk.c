@@ -9,10 +9,14 @@
 
    walk_cells returns to Python whenever the walk needs something that is
    not in the chunk buffer or the vertex buffers, with the walk's state
-   saved in *s, so that calling it again continues the walk. */
+   saved in *s, so that calling it again continues the walk.
+
+   The same library formats the floats of the bulk text outputs: format_g
+   at the end of this file. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* CHUNK, the chunk size in cells, comes from _walk.py as -DCHUNK=... */
 #define STRIDE (CHUNK + 1)
@@ -172,4 +176,207 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
     s->py = py;
     s->arc = arc;
     return stop;
+}
+
+
+/* %.Pg text of doubles (1 <= P <= 17), byte for byte what Python's
+   format(x, '.Pg') writes.
+
+   A finite x = m * 2^q times 10^s = 5^s * 2^s is an exact fraction whose
+   numerator and denominator fit in unsigned __int128 for 2^-53 <= |x| <
+   2^159 (about 1.1e-16 to 7.3e47) at P = 17, and 2^-83 <= |x| < 2^172 at
+   P = 8.  Its integer part is the P-digit significand, rounded half-even
+   on the exact remainder; the layout then follows the 'g' rules.  Zeros
+   are written here too.  Every other value (NaN, infinity, subnormals and
+   magnitudes outside the range) is left to the caller, so that Python's
+   format stays the one reference and nothing depends on the platform's
+   printf.  unsigned __int128 needs GCC or Clang on a 64-bit target;
+   where the library cannot be built, walks and formatting run in Python. */
+
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u,
+    9765625u, 48828125u, 244140625u, 1220703125u, 6103515625u, 30517578125u,
+    152587890625u, 762939453125u, 3814697265625u, 19073486328125u,
+    95367431640625u, 476837158203125u, 2384185791015625u, 11920928955078125u,
+    59604644775390625u, 298023223876953125u, 1490116119384765625u,
+    7450580596923828125u
+};
+
+static const uint64_t POW10[18] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u, 10000000000u, 100000000000u, 1000000000000u, 10000000000000u,
+    100000000000000u, 1000000000000000u, 10000000000000000u,
+    100000000000000000u
+};
+
+/* 5^k for 0 <= k <= 54. */
+static u128 pow5(int k)
+{
+    return k <= 27 ? (u128)POW5[k] : (u128)POW5[27] * POW5[k - 27];
+}
+
+static int bit_length(u128 v)
+{
+    uint64_t hi = (uint64_t)(v >> 64), lo = (uint64_t)v;
+    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+}
+
+/* floor(m * 2^q * 10^s) into *d, and into *frac where the rest lies: 0 at
+   zero, 1 below one half, 2 at one half, 3 above it.  Returns 0 when the
+   fraction does not fit. */
+static int scale(uint64_t m, int q, int s, uint64_t *d, int *frac)
+{
+    int a = q + s;
+    u128 num = m, den = 1, quot, rest;
+    if (s > 32 || s < -54)
+        return 0;
+    if (s >= 0)
+        num *= pow5(s);
+    else
+        den = pow5(-s);
+    if (a > 0) {
+        if (bit_length(num) + a > 128)
+            return 0;
+        num <<= a;
+    } else if (a < 0) {
+        /* den <= 2^127, so twice the rest below it cannot wrap. */
+        if (bit_length(den) - a > 127)
+            return 0;
+        den <<= -a;
+    }
+    if (s >= 0) {
+        /* den is a power of two. */
+        quot = num >> (a < 0 ? -a : 0);
+        rest = num & (den - 1);
+    } else {
+        quot = num / den;
+        rest = num - quot * den;
+    }
+    if (quot >> 64)
+        return 0;
+    *d = (uint64_t)quot;
+    *frac = rest == 0 ? 0 : 2 * rest < den ? 1 : 2 * rest == den ? 2 : 3;
+    return 1;
+}
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The count lowest decimal digits of v, ending at end. */
+static void put_uint(char *end, uint32_t v, int count)
+{
+    for (; count >= 2; count -= 2, v /= 100) {
+        end -= 2;
+        memcpy(end, PAIRS + 2 * (v % 100), 2);
+    }
+    if (count)
+        end[-1] = (char)('0' + v % 10);
+}
+
+/* Append the %.Pg text of the double with bit pattern bits at o; NULL when
+   the value is outside the integer path. */
+static char *put_g(char *o, uint64_t bits, int p)
+{
+    int biased = (int)(bits >> 52 & 0x7ff), b = biased - 1023;
+    uint64_t m = bits & ((UINT64_C(1) << 52) - 1), d;
+    int e, frac, k;
+    char digits[32];  /* the P digits, then room for the 17-byte copies */
+
+    if (bits >> 63)
+        *o++ = '-';
+    if (biased == 0 && m == 0) {
+        *o++ = '0';
+        return o;
+    }
+    if (biased == 0 || biased == 0x7ff)
+        return NULL;
+    m |= UINT64_C(1) << 52;
+    /* 2^b <= |x| < 2^(b+1), so 10^e <= |x| < 10^(e+1) for e = floor(b log10 2)
+       or the next one; the shift is floor(b * 78913 / 2^18), which equals
+       floor(b log10 2) for |b| <= 1100. */
+    e = b >= 0 ? (b * 78913) >> 18 : -((262143 - b * 78913) >> 18);
+    if (!scale(m, biased - 1075, p - 1 - e, &d, &frac))
+        return NULL;
+    if (d >= POW10[p]) {
+        /* One digit too many: drop it into the rest. */
+        int r = (int)(d % 10);
+        d /= 10;
+        e++;
+        frac = r > 5 || (r == 5 && frac) ? 3 : r == 5 ? 2 : r || frac ? 1 : 0;
+    }
+    d += frac == 3 || (frac == 2 && (d & 1));
+    if (d == POW10[p]) {
+        d = POW10[p - 1];
+        e++;
+    }
+    if (p > 8) {
+        put_uint(digits + p, (uint32_t)(d % 100000000), 8);
+        put_uint(digits + p - 8, (uint32_t)(d / 100000000), p - 8);
+    } else {
+        put_uint(digits + p, (uint32_t)d, p);
+    }
+    for (k = p; digits[k - 1] == '0'; k--)
+        ;
+
+    /* Whole 17-byte copies of the digits, then o moves on by the text's
+       length; out has room for the bytes written past it (see format_g). */
+    if (e < -4 || e >= p) {
+        o[0] = digits[0];
+        o[1] = '.';
+        memcpy(o + 2, digits + 1, 17);
+        o += k > 1 ? k + 1 : 1;
+        *o++ = 'e';
+        *o++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *o++ = (char)('0' + e / 100);
+        *o++ = (char)('0' + e / 10 % 10);
+        *o++ = (char)('0' + e % 10);
+    } else if (e < 0) {
+        memcpy(o, "0.000", 5);
+        memcpy(o + 1 - e, digits, 17);
+        o += 1 - e + k;
+    } else {
+        memcpy(o, digits, 17);
+        if (k > e + 1) {
+            o[e + 1] = '.';
+            memcpy(o + e + 2, digits + e + 1, 17);
+            o += k + 1;
+        } else {
+            o += e + 1;
+        }
+    }
+    return o;
+}
+
+/* Write x[k], x[k + 1], ... into out as %.Pg text, value i followed by the
+   string seps[i % period], and the number of bytes written into *written.
+   Returns the index of the first value outside the integer path, or n
+   when all are written.  A value's text is at most 24 bytes long, but
+   put_g may write up to 35 bytes from where it starts, so out must hold
+   35 bytes per value plus its separator. */
+int64_t format_g(const double *x, int64_t n, int64_t k, int p,
+                 const char *const *seps, int64_t period, char *out, int64_t *written)
+{
+    char *o = out, *next;
+    int64_t j = k % period;
+    for (; k < n; k++) {
+        uint64_t bits;
+        memcpy(&bits, x + k, sizeof bits);
+        next = put_g(o, bits, p);
+        if (next == NULL)
+            break;
+        o = next;
+        for (const char *c = seps[j]; *c; c++)
+            *o++ = *c;
+        if (++j == period)
+            j = 0;
+    }
+    *written = o - out;
+    return k;
 }

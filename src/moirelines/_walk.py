@@ -3,13 +3,14 @@
 This module holds the walk's exit tables and the walk itself twice: as a
 compiled C kernel (_walk.c) and as a Python loop that gives the same
 vertices, arc and stop bit for bit.  tracer._Walker.walk runs the kernel
-where it can be built and the Python loop otherwise.
+where it can be built and the Python loop otherwise.  The same library
+holds format_g, which output.format_array uses to write floats.
 
-The kernel is compiled on first use, never at import, with the system C
-compiler, and cached as a shared library under $XDG_CACHE_HOME/moirelines
-(~/.cache/moirelines when that is unset).  The file name carries the
-SHA-256 of the source and the flags, so an edited source is rebuilt.  Any
-failure to build or load it leaves kernel() returning None.
+The library is compiled on first use, never at import, with the system C
+compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
+when that is unset).  The file name carries the SHA-256 of the source and
+the flags, so an edited source is rebuilt.  Any failure to build or load
+it leaves kernel() returning None.
 """
 
 from __future__ import annotations
@@ -137,16 +138,21 @@ def _build() -> Path:
 
 @functools.cache
 def kernel():
-    """walk_cells from the compiled library, or None when it cannot be
-    built or loaded here."""
+    """The compiled library, with walk_cells and format_g typed, or None
+    when it cannot be built or loaded here."""
     try:
-        fn = ctypes.CDLL(str(_build())).walk_cells
+        lib = ctypes.CDLL(str(_build()))
+        walk, fmt = lib.walk_cells, lib.format_g
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    fn.argtypes = [ctypes.c_void_p, ctypes.POINTER(State), ctypes.c_void_p,
-                   ctypes.c_void_p, _i64]
-    fn.restype = ctypes.c_int
-    return fn
+    walk.argtypes = [ctypes.c_void_p, ctypes.POINTER(State), ctypes.c_void_p,
+                     ctypes.c_void_p, _i64]
+    walk.restype = ctypes.c_int
+    fmt.argtypes = [ctypes.c_void_p, _i64, _i64, ctypes.c_int,
+                    ctypes.POINTER(ctypes.c_char_p), _i64, ctypes.c_void_p,
+                    ctypes.POINTER(_i64)]
+    fmt.restype = _i64
+    return lib
 
 
 # The exit table as the kernel reads it, and the walk's stop reasons.

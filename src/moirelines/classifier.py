@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .geometry import EuclideanTransform, Lattice2, Rect, reciprocal_basis, rot90
+from .geometry import EuclideanTransform, Lattice2, Rect, fields_equal, reciprocal_basis, rot90
 from .potential import (
     Combiner,
     PeriodicPotential,
@@ -119,6 +119,8 @@ class DirectionFit:
 
     direction: np.ndarray
     residual: float
+
+    __eq__ = fields_equal
 
 
 def fit_direction(line: LevelLine) -> DirectionFit:
@@ -259,6 +261,8 @@ class Regular:
     strip_width: float
     residual: float
     widths_by_length: tuple[tuple[float, float], ...]
+
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)
@@ -473,6 +477,8 @@ class FamilyVerdict:
     verdict: str  # regular | chaotic | undetermined | no-open-lines | error
     commensurate: bool
     error: str | None = None
+
+    __eq__ = fields_equal
 
 
 def classify_family(

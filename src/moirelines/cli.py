@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .geometry import Rect
 from .output import (
     FLOAT_SPEC,
     fmt_float,
+    format_array,
     lines_to_svg,
     run_manifest,
     stable_json,
@@ -134,17 +134,6 @@ def _load(args):
 _EVAL_BLOCK = 4096
 
 
-def _eval_labels(points: list[list[float]], xs: np.ndarray, ys: np.ndarray):
-    """The "x,y" text of every eval row: the points, then the grid, x fastest."""
-    for x, y in points:
-        yield f"{fmt_float(x)},{fmt_float(y)}"
-    fx = [fmt_float(x) for x in xs.tolist()]
-    for y in ys.tolist():
-        fy = fmt_float(y)
-        for x in fx:
-            yield f"{x},{fy}"
-
-
 def cmd_eval(args) -> int:
     if not args.point and not args.grid:
         raise CliError("eval needs --point x,y (repeatable) and/or --grid nx,ny")
@@ -160,8 +149,6 @@ def cmd_eval(args) -> int:
         ys = np.linspace(w.y0, w.y1, int(counts[1]))
     head = np.array(points, dtype=float).reshape(-1, 2)
     total = len(head) + len(xs) * len(ys)
-    labels = _eval_labels(points, xs, ys)
-    row = f"{{}},{{:{FLOAT_SPEC}}}\n".format
     sys.stdout.write("x,y,f\n")
     for start in range(0, total, _EVAL_BLOCK):
         # Row r is point r, then grid node r - len(head) with x fastest.
@@ -177,16 +164,16 @@ def cmd_eval(args) -> int:
         # same per-row BLAS call a single point gets, so the values equal
         # one-point evaluations bit for bit.  A flat (N,2) batch goes through
         # a matrix-matrix product and rounds differently in the last bit.
-        vals = eval_superposition(s, block[:, None, :])[:, 0].tolist()
-        sys.stdout.write("".join(map(row, islice(labels, len(vals)), vals)))
+        vals = eval_superposition(s, block[:, None, :])[:, 0]
+        rows = np.column_stack([block, vals])
+        sys.stdout.write(format_array(rows, FLOAT_SPEC, (",", ",", "\n")))
     return EXIT_OK
 
 
 def _polylines_csv(lines) -> str:
     # gnuplot-style: one x,y table per line, blocks separated by a blank row.
-    row = f"{{:{FLOAT_SPEC}}},{{:{FLOAT_SPEC}}}".format
-    blocks = ("\n".join(map(row, *ln.points.T.tolist())) for ln in lines)
-    return "x,y\n" + "\n\n".join(blocks) + "\n"
+    blocks = (format_array(ln.points, FLOAT_SPEC, (",", "\n")) for ln in lines)
+    return "x,y\n" + "\n".join(blocks)
 
 
 def _lines_json(lines) -> str:

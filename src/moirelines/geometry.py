@@ -12,7 +12,7 @@ potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,26 @@ def as_vec2(p) -> np.ndarray:
     return v
 
 
+def fields_equal(a, b):
+    """== of a dataclass that holds arrays: the same class and equal
+    compared fields, with arrays, also inside tuples, compared by
+    np.array_equal.  The generated == would truth-test an array."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(_values_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
+
+
+def _values_equal(x, y) -> bool:
+    if x is y:
+        return True
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return bool(np.array_equal(x, y))
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_values_equal, x, y))
+    return bool(x == y)
+
+
 def rot90(v: np.ndarray) -> np.ndarray:
     """Rotate a plane vector by +90 degrees (counterclockwise)."""
     return np.array([-v[1], v[0]])
@@ -48,6 +68,8 @@ class Lattice2:
 
     e1: np.ndarray
     e2: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         e1 = as_vec2(self.e1)
@@ -103,6 +125,8 @@ class EuclideanTransform:
 
     alpha: float
     shift: np.ndarray = field(default_factory=lambda: np.zeros(2))
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         a = float(self.alpha)

@@ -24,6 +24,7 @@ from .geometry import (
     EuclideanTransform,
     Lattice2,
     apply_transform,
+    fields_equal,
     reciprocal_basis,
 )
 
@@ -133,6 +134,8 @@ class TableLookup:
     v_grid: np.ndarray
     u_grid: np.ndarray
     values: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         vg = np.asarray(self.v_grid, dtype=float)

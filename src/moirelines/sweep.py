@@ -155,7 +155,7 @@ def shared_pool(workers: int):
     if workers < 2 or _POOL.get() is not None:
         yield
         return
-    # Forked workers inherit the walk kernel instead of each loading it.
+    # Forked workers inherit the compiled library instead of each loading it.
     _walk.kernel()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         token = _POOL.set(pool)

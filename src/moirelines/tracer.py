@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _walk
 from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS, arc_lengths
-from .geometry import Rect, apply_transform, as_vec2
+from .geometry import Rect, apply_transform, as_vec2, fields_equal
 from .potential import SuperpositionPotential, eval_periodic, eval_superposition
 
 # Residuals below JITTER_REL * value_scale are pushed to +JITTER_REL * scale.
@@ -179,6 +179,8 @@ class LevelLine:
     seed: np.ndarray
     jitter_scale: float = 0.0
     record: TraceRecord | None = dataclasses.field(default=None, repr=False, compare=False)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -488,10 +490,10 @@ class _Walker:
         i, j, entry = cells[0] if forward == above else cells[1]
         args = (i, j, entry, float(p0[0]), float(p0[1]), (*cells[0], *cells[1]),
                 arc_limit, cell_limit)
-        fn = _walk.kernel()
-        if fn is None:
+        lib = _walk.kernel()
+        if lib is None:
             return _walk.walk_python(self, *args)
-        return _walk.walk_compiled(fn, self, *args)
+        return _walk.walk_compiled(lib.walk_cells, self, *args)
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:

@@ -34,7 +34,8 @@ def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0):
 
 @pytest.fixture
 def python_walker(monkeypatch):
-    """Walk with the Python loop, as where the kernel cannot be built."""
+    """Set the whole compiled library aside, as where it cannot be built:
+    walks run the Python loop and output.format_array formats in Python."""
     monkeypatch.setattr(_walk, "kernel", lambda: None)
 
 
