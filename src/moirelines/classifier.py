@@ -16,8 +16,9 @@ growing with trace length.
 The decision rule is operational and fixed: follow the same line for twice
 and four times the arc length and compare strip widths.  Saturation within
 TAU_SAT is regular, growth by K_GROW or more is chaotic, anything in between
-is reported honestly as undetermined.  Each line is walked once, at
-CLASSIFY_DEPTH times the budget; the shorter traces are cut out of it.
+is reported honestly as undetermined.  Each line is traced at
+CLASSIFY_DEPTH times the budget first, and at one and two budgets only when
+that trace stays open.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .tracer import (
     TraceBudget,
     _SHARE_FIRST_LAYER,
     _field,
-    cut_trace,
     energy_interval,
     find_seeds,
     trace_level_line,
@@ -321,10 +321,10 @@ def _classify_seed(
     level: float,
     budget: TraceBudget,
 ) -> tuple[LevelLine, Classification | None]:
-    """Walk one seed once, at CLASSIFY_DEPTH times the budget, and classify it.
+    """Trace one seed at CLASSIFY_DEPTH times the budget, and classify it.
 
-    A closed walk is returned with None.  Otherwise the traces at one and
-    two budgets are cut out of it and the three strip widths compared:
+    A closed trace is returned with None.  Otherwise the seed is traced
+    again at one and two budgets and the three strip widths compared:
     saturation (within TAU_SAT) is regular, growth (by K_GROW or more)
     chaotic.  Returns the trace at the budget and its classification.  A
     regular line's quadruple is searched over |m_i| <= DEFAULT_QUAD_BOUND
@@ -337,7 +337,7 @@ def _classify_seed(
     if long_line.is_closed:
         return long_line, None
     lines = [
-        cut_trace(long_line, b) or trace_level_line(s, seed, level, b, field=field)
+        trace_level_line(s, seed, level, b, field=field)
         for b in (budget, budget.scaled(CLASSIFY_DEPTH / 2))
     ] + [long_line]
 
@@ -408,11 +408,11 @@ def classify_first_open(
     """Classify the first genuinely open line among the first MAX_SEEDS seeds.
 
     Loops with perimeter above the arc budget masquerade as open at one
-    budget.  So each seed is walked once, at the CLASSIFY_DEPTH times the
-    budget that classification follows it for, and skipped when that walk
-    closes.  Returns the first open line and its classification; when every
-    seed closes, the first seed's loop and Closed; None when the window
-    holds no seed.
+    budget.  So each seed is first traced at the CLASSIFY_DEPTH times the
+    budget that classification follows it for, and skipped when that trace
+    closes.  Returns the first open line, traced at the budget, and its
+    classification; when every seed closes, the first seed's loop and
+    Closed; None when the window holds no seed.
     """
     field = _field(s, budget.cell_size, field)
     first_loop = None

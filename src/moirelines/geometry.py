@@ -174,6 +174,8 @@ class Rect:
     def __post_init__(self):
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"empty rectangle: {self}")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
+            raise ValueError(f"rectangle bounds must be finite: {self}")
 
     def contains(self, p) -> bool:
         x, y = p

@@ -24,7 +24,6 @@ even when that window degenerates to a single level.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import numbers
@@ -35,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from . import _walk
-from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS, arc_lengths
+from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS
 from .geometry import Rect, apply_transform, as_vec2, fields_equal
 from .potential import SuperpositionPotential, eval_periodic, eval_superposition
 
@@ -150,25 +149,6 @@ class TraceBudget:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """How the two walks of a trace ran, so that traces of the same line
-    under smaller budgets can be cut out of it (see cut_trace).
-
-    start is the index of the start crossing in the points.  forward is the
-    forward walk's stop reason ("closed", "budget" or "cells"); the backward
-    walk runs only when the forward one did not close.  The *_jitter fields
-    give the 1-based cell of each walk's first nudged residual (None if
-    none); start_jitter says whether locating the start nudged one.
-    """
-
-    start: int
-    forward: str
-    forward_jitter: int | None
-    backward_jitter: int | None
-    start_jitter: bool
-
-
-@dataclass(frozen=True)
 class LevelLine:
     """One traced polyline at a fixed level."""
 
@@ -178,7 +158,6 @@ class LevelLine:
     arc_length: float
     seed: np.ndarray
     jitter_scale: float = 0.0
-    record: TraceRecord | None = dataclasses.field(default=None, repr=False, compare=False)
 
     __eq__ = fields_equal
 
@@ -556,7 +535,8 @@ def trace_level_line(
     p0 = p0x, p0y = walker.crossing(edge)
     start_jitter = walker.jitter_hits > 0
     fx, fy, farc, freason, fjitter = _walk_forward(walker, edge, p0, budget)
-    if freason == "closed":
+    closed = freason == "closed"
+    if closed:
         bx = by = np.empty(0)
         arc, bjitter = farc, None
     else:
@@ -570,98 +550,10 @@ def trace_level_line(
         level=level,
         points=np.column_stack((np.concatenate((bx[::-1], [p0x], fx)),
                                 np.concatenate((by[::-1], [p0y], fy)))),
-        status=_status(freason),
+        status=LineStatus.CLOSED if closed else LineStatus.OPEN_BUDGET_EXHAUSTED,
         arc_length=arc,
         seed=seed,
         jitter_scale=walker.delta if jittered else 0.0,
-        record=TraceRecord(
-            start=len(bx),
-            forward=freason,
-            forward_jitter=fjitter,
-            backward_jitter=bjitter,
-            start_jitter=start_jitter,
-        ),
-    )
-
-
-def _status(forward: str) -> LineStatus:
-    """Line status from the stop reason of its forward walk."""
-    return LineStatus.CLOSED if forward == "closed" else LineStatus.OPEN_BUDGET_EXHAUSTED
-
-
-def _cut_walk(x, y, closed, arc_limit, cell_limit):
-    """Where a walk with other limits stops along the vertices (x, y) of a
-    walk that closed there if `closed`; x[0], y[0] is the start crossing.
-
-    Returns (vertices, arc, reason), or None if it would run past the end.
-    """
-    n = len(x) - 1
-    arcs = arc_lengths(x, y)
-    budget_at = int(np.searchsorted(arcs, arc_limit)) + 1  # n + 1: never
-    if closed and budget_at >= n:
-        # Closing ends a walk on its last vertex and is tested before the arc.
-        stop, why = n, "closed"
-    elif budget_at <= n:
-        stop, why = budget_at, "budget"
-    else:
-        stop, why = n + 1, None
-    if cell_limit < stop:
-        stop, why = max(cell_limit, 0), "cells"
-    if why is None:
-        return None
-    return stop, float(arcs[stop - 1]) if stop else 0.0, why
-
-
-def cut_trace(line: LevelLine, budget: TraceBudget) -> LevelLine | None:
-    """The line trace_level_line returns for the same seed and level under a
-    smaller budget, cut out of this longer trace of it.
-
-    Walks are deterministic, so the shorter trace walks a prefix of each of
-    the longer one's walks and stops where the same rules, applied to the
-    same running arc and cell counts, stop it.  Returns None when the longer
-    trace ends before that point or carries no walk record.  The cut line
-    carries none.
-    """
-    rec = line.record
-    if rec is None:
-        return None
-    pts = line.points
-    s = rec.start
-    fwd = _cut_walk(pts[s:, 0], pts[s:, 1], rec.forward == "closed",
-                    budget.max_arc_length / 2, budget.max_cells)
-    if fwd is None:
-        return None
-    nf, farc, freason = fwd
-    nb, arc = 0, farc
-    if freason != "closed":
-        if rec.forward == "closed":  # the longer trace has no backward walk
-            return None
-        back = pts[s::-1]
-        # The status follows the forward walk alone.  Cut the backward walk as
-        # if it never closed: where it did, that stops it on the budget at the
-        # same vertex, or returns None.
-        bwd = _cut_walk(back[:, 0], back[:, 1], False,
-                        budget.max_arc_length - farc, budget.max_cells - nf)
-        if bwd is None:
-            return None
-        nb, barc, _ = bwd
-        arc = farc + barc
-
-    def nudged(first_jitter, cells):
-        return first_jitter is not None and first_jitter <= cells
-
-    jittered = (
-        rec.start_jitter
-        or nudged(rec.forward_jitter, nf)
-        or nudged(rec.backward_jitter, nb)
-    )
-    return LevelLine(
-        level=line.level,
-        points=pts[s - nb : s + nf + 1],
-        status=_status(freason),
-        arc_length=arc,
-        seed=line.seed,
-        jitter_scale=line.jitter_scale if jittered else 0.0,
     )
 
 

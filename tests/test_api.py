@@ -24,7 +24,6 @@ SETTABLE = [
     ("FamilyVerdict", "error"),
     ("FourierTerm", "phase"),
     ("LevelLine", "jitter_scale"),
-    ("LevelLine", "record"),
     ("StabilityZone", "verified"),
     ("StabilityZone", "verify_alpha"),
     ("SuperpositionPotential", "combiner"),
@@ -102,7 +101,7 @@ def settable_values():
 
 def test_settable_values_are_pinned():
     assert settable_values() == SETTABLE
-    assert len(SETTABLE) == 44
+    assert len(SETTABLE) == 43
 
 
 def test_import_loads_numpy_only(tmp_path):

@@ -145,6 +145,13 @@ class TestVectorsAndRect:
         assert not r.contains((2.1, 0.0))
         with pytest.raises(ValueError):
             Rect(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="empty rectangle"):
+            Rect(0.0, math.nan, 1.0, 1.0)
+        # An infinite bound is not empty, but no grid of cells covers it.
+        for bounds in ((0.0, 0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0, 1.0),
+                       (0.0, -math.inf, 1.0, math.inf)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                Rect(*bounds)
 
     def test_rect_centered(self):
         r = Rect.centered((1.0, 2.0), 4.0)

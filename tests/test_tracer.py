@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirelines import tracer
+from moirelines import _walk, tracer
 from moirelines.classifier import (
     classify_family,
     classify_first_open,
@@ -37,7 +37,6 @@ from moirelines.tracer import (
     _seed_edges,
     _Walker,
     bisect,
-    cut_trace,
     energy_interval,
     find_seeds,
     signed_area,
@@ -110,9 +109,10 @@ class TestBudget:
             TraceBudget(h, arc, 2**61).scaled(4.0)
         # The largest cap is no cap on this line: it stops on the arc budget.
         seed = find_seeds(s, 0.05, Rect.centered((0.0, 0.0), 4.0 * TWO_PI), h)[0]
-        widest = trace_level_line(s, seed, 0.05, TraceBudget(h, arc, 2**63 - 1))
-        assert widest.record.forward == "budget"
-        assert_same_trace(widest, trace_level_line(s, seed, 0.05, base))
+        widest = TraceBudget(h, arc, 2**63 - 1)
+        assert forward_walk(ChunkedField(s, h), seed, 0.05, widest)[3] == "budget"
+        assert_same_trace(trace_level_line(s, seed, 0.05, widest),
+                          trace_level_line(s, seed, 0.05, base))
 
     def test_for_potential_refuses_a_cell_cap_over_the_ceiling(self, two_cos):
         # h = 0.5 and L = 2**21 give CLASSIFY_DEPTH * 8 * L / h = 2**27 exactly.
@@ -315,6 +315,18 @@ def assert_same_trace(a, b):
     assert (a.arc_length, a.status, a.jitter_scale) == (b.arc_length, b.status, b.jitter_scale)
 
 
+def forward_walk(field, seed, level, budget):
+    """The forward walk trace_level_line starts with, from the same start:
+    (p0, xs, ys, reason, first_jitter, start_jitter), where start_jitter
+    says whether locating the start nudged a residual."""
+    walker = _Walker(field, level)
+    edge = _locate_start(walker, np.asarray(seed, dtype=float))
+    p0 = walker.crossing(edge)
+    start_jitter = walker.jitter_hits > 0
+    xs, ys, _, reason, first_jitter = tracer._walk_forward(walker, edge, p0, budget)
+    return p0, xs, ys, reason, first_jitter, start_jitter
+
+
 class TestTraceInvariants:
     """Properties of every trace on random two_layer_sum families."""
 
@@ -345,9 +357,11 @@ class TestTraceInvariants:
         for seed in seeds[:3]:
             # Tracing raises RuntimeError on an inconsistent sign pattern.
             line = trace_level_line(s, seed, level, budget, field=field)
-            # A walk stops only on closing, the arc budget or the cell cap.
-            assert line.record.forward in ("closed", "budget", "cells")
-            assert (line.status is LineStatus.CLOSED) == (line.record.forward == "closed")
+            # A walk stops only on closing, the arc budget or the cell cap,
+            # and the forward walk's stop sets the status.
+            _, xs, _, reason, _, _ = forward_walk(field, seed, level, budget)
+            assert reason in ("closed", "budget", "cells")
+            assert (line.status is LineStatus.CLOSED) == (reason == "closed")
             pts = line.points
             assert np.abs(eval_superposition(s, pts) - level).max() <= f_tol
             u, w = pts[:, 0] / h, pts[:, 1] / h
@@ -370,7 +384,8 @@ class TestTraceInvariants:
                     cross = d[:, 0] * (c[:, 1] - a[:, 1]) - d[:, 1] * (c[:, 0] - a[:, 0])
                     assert np.all(sign * cross > 0)
             if line.is_closed:
-                assert line.record.start == 0
+                # A loop is its forward walk alone, from the start crossing.
+                assert len(pts) == len(xs) + 1
                 assert pts[-1].tobytes() == pts[0].tobytes()
 
 
@@ -407,9 +422,10 @@ class TestSeedEdges:
             assert np.array(walker.crossing(edge)).tobytes() == np.array((x, y)).tobytes()
 
 
-class TestTraceOnce:
-    """Shorter traces cut out of a longer one equal the traces they replace
-    bit for bit."""
+class TestTraceWalks:
+    """Where the walks of a trace stop and which nudges mark it, read from
+    the walks themselves: _walk_forward returns the forward walk's
+    vertices, stop reason and first nudged cell."""
 
     def setup_method(self):
         self.s = single_harmonic_sum(delta=0.3, alpha=0.7)
@@ -421,95 +437,67 @@ class TestTraceOnce:
         return find_seeds(self.s, level, self.window, self.base.cell_size,
                           self.field)[:count]
 
-    def test_cut_trace_equals_direct_trace(self):
-        h, arc = self.base.cell_size, self.base.max_arc_length
-        longs = (self.base.scaled(4.0), TraceBudget(h, 4 * arc, 60))
-        shorts = (
-            self.base,
-            self.base.scaled(2.0),
-            TraceBudget(h, arc, 30),
-            TraceBudget(h, arc, 1),
-            TraceBudget(h, 3.0, 10**6),
-            TraceBudget(h, 8 * arc, 10**6),
-        )
-        # The last level sits on a grid value, so the residual nudge fires.
-        levels = (0.05, 0.9, float(self.field.corner(5, 3)))
-        outcomes = {"cut": 0, "none": 0, "jitter": 0}
-        for level in levels:
-            for seed in self.seeds(level):
-                for long_budget in longs:
-                    long = trace_level_line(self.s, seed, level, long_budget, field=self.field)
-                    for b in shorts:
-                        cut = cut_trace(long, b)
-                        if cut is None:
-                            outcomes["none"] += 1
-                            continue
-                        direct = trace_level_line(self.s, seed, level, b, field=self.field)
-                        assert_same_trace(cut, direct)
-                        outcomes["cut"] += 1
-                        outcomes["jitter"] += cut.jitter_scale > 0
-        assert min(outcomes.values()) > 0, outcomes
-
-    def forward_arcs(self, line):
-        fwd = line.points[line.record.start:]
-        return np.cumsum(np.hypot(*np.diff(fwd, axis=0).T))
-
     def test_arc_limit_on_a_vertex_stops_there(self):
         # The walk must compare the exact running arc with the limit: set
         # the forward limit to the running arc at vertex k, stop at k.
         # Cheaper sums that differ from it in the last bit get this wrong.
         for seed in self.seeds(0.05, count=2):
-            long = trace_level_line(self.s, seed, 0.05, self.base.scaled(4.0),
-                                    field=self.field)
-            arcs = self.forward_arcs(long)
+            p0, xs, ys, reason, _, _ = forward_walk(self.field, seed, 0.05,
+                                                    self.base.scaled(4.0))
+            assert reason == "budget"
+            arcs = _walk.arc_lengths(np.concatenate(([p0[0]], xs)),
+                                     np.concatenate(([p0[1]], ys)))
             for k in range(1, min(len(arcs), 200)):
                 b = TraceBudget(self.base.cell_size, 2 * float(arcs[k - 1]), 10**6)
+                _, fx, fy, reason, _, _ = forward_walk(self.field, seed, 0.05, b)
+                assert reason == "budget" and len(fx) == k
+                assert fx.tobytes() == xs[:k].tobytes() and fy.tobytes() == ys[:k].tobytes()
+                # The trace ends on that forward walk.
                 direct = trace_level_line(self.s, seed, 0.05, b, field=self.field)
-                assert len(direct.points) - direct.record.start - 1 == k
-                assert_same_trace(cut_trace(long, b), direct)
+                assert direct.points[-k:].tobytes() == np.column_stack((fx, fy)).tobytes()
 
     def test_closing_or_leaving_beats_the_arc_limit_on_the_last_vertex(self):
         # Closing is tested before the arc: a loop whose forward arc limit
         # equals its full perimeter still closes.
         closed = 0
         for seed in self.seeds(0.9, count=3):
-            long = trace_level_line(self.s, seed, 0.9, self.base.scaled(4.0),
+            loop = trace_level_line(self.s, seed, 0.9, self.base.scaled(4.0),
                                     field=self.field)
-            if long.record.forward != "closed":
+            if not loop.is_closed:
                 continue
-            b = TraceBudget(self.base.cell_size, 2 * float(self.forward_arcs(long)[-1]),
-                            10**6)
-            direct = trace_level_line(self.s, seed, 0.9, b, field=self.field)
-            assert direct.record.forward == "closed"
-            assert_same_trace(cut_trace(long, b), direct)
+            b = TraceBudget(self.base.cell_size, 2 * loop.arc_length, 10**6)
+            assert forward_walk(self.field, seed, 0.9, b)[3] == "closed"
+            assert_same_trace(trace_level_line(self.s, seed, 0.9, b, field=self.field), loop)
             closed += 1
         assert closed > 0
 
-    def test_cut_trace_keeps_only_the_nudges_inside_the_cut(self):
+    def test_only_a_trace_that_reaches_a_nudge_reports_it(self):
         # Restart 30 vertices before and after a nudged grid value on the
-        # line: only the longer trace reaches it, forward or backward.
+        # line: a short trace stops before it, a longer one reaches it,
+        # forward or backward.
         level = float(self.field.corner(5, 3))
         short = TraceBudget(self.base.cell_size, 3.0, 10**6)
         nudged = {"forward": 0, "backward": 0}
         for seed in self.seeds(level):
             near = trace_level_line(self.s, seed, level, self.base, field=self.field)
-            if near.is_closed or near.record.forward_jitter is None:
+            _, xs, _, _, first_jitter, _ = forward_walk(self.field, seed, level, self.base)
+            if near.is_closed or first_jitter is None:
                 continue
-            at = near.record.start + near.record.forward_jitter
+            at = len(near.points) - len(xs) - 1 + first_jitter
             for k in (at - 30, at + 30):
                 vertex = near.points[k]
+                assert trace_level_line(self.s, vertex, level, short,
+                                        field=self.field).jitter_scale == 0
                 long = trace_level_line(self.s, vertex, level, self.base, field=self.field)
-                cut = cut_trace(long, short)
-                direct = trace_level_line(self.s, vertex, level, short, field=self.field)
-                assert_same_trace(cut, direct)
-                assert cut.jitter_scale == 0
-                nudged["forward"] += long.record.forward_jitter is not None
-                nudged["backward"] += long.record.backward_jitter is not None
+                assert long.jitter_scale > 0
+                forward = forward_walk(self.field, vertex, level, self.base)[4] is not None
+                nudged["forward" if forward else "backward"] += 1
         assert min(nudged.values()) > 0, nudged
 
-    def test_a_nudge_met_locating_the_start_counts_in_every_cut(self):
+    def test_a_nudge_met_locating_the_start_marks_the_trace(self):
         # One-cell traces from seeds next to a nudged grid value: for some,
-        # only locating the start read it, so only that marks the cut.
+        # only locating the start read it, and that alone marks the line.
+        # The forward walk takes the one cell, leaving the backward walk none.
         h = self.base.cell_size
         one_cell = TraceBudget(h, self.base.max_arc_length, 1)
         start_only = 0
@@ -517,22 +505,13 @@ class TestTraceOnce:
             level = float(self.field.corner(ci, cj))
             around = Rect((ci - 1.5) * h, (cj - 1.5) * h, (ci + 1.5) * h, (cj + 1.5) * h)
             for seed in find_seeds(self.s, level, around, h, self.field):
-                long = trace_level_line(self.s, seed, level, self.base.scaled(4.0),
-                                        field=self.field)
-                cut = cut_trace(long, one_cell)
-                if cut is None:  # a loop: no backward walk to cut from
-                    assert long.is_closed
-                    continue
-                direct = trace_level_line(self.s, seed, level, one_cell, field=self.field)
-                assert_same_trace(cut, direct)
-                r = direct.record
-                start_only += (r.start_jitter and r.forward_jitter is None
-                               and r.backward_jitter is None)
+                walk = forward_walk(self.field, seed, level, one_cell)
+                _, xs, _, reason, first_jitter, start_jitter = walk
+                assert reason == "cells" and len(xs) == 1
+                line = trace_level_line(self.s, seed, level, one_cell, field=self.field)
+                assert (line.jitter_scale > 0) == (start_jitter or first_jitter is not None)
+                start_only += start_jitter and first_jitter is None
         assert start_only > 0
-
-    def test_cut_trace_needs_a_walk_record(self, make_polyline):
-        line = make_polyline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert cut_trace(line, self.base) is None
 
     def test_locating_a_loop_vertex_gives_it_back(self):
         # A trace restarted from a vertex of another starts on that vertex.
@@ -584,7 +563,7 @@ class TestIntervalProbe:
         states, lines = self.assert_states_match(family, budget, levels)
         assert states["below"] and states["above"], states
         assert bool(states["open"]) == opens, states
-        assert "closed" in {line.record.forward for line in lines}
+        assert any(line.is_closed for line in lines)
         assert any(line.jitter_scale > 0 for line in lines if line.level == nudged)
 
     def test_states_match_full_traces_under_a_cell_cap(self):
@@ -595,7 +574,10 @@ class TestIntervalProbe:
         capped = TraceBudget(base.cell_size, base.max_arc_length, 10)
         levels = np.linspace(-1.5, 1.5, 13).tolist()
         states, lines = self.assert_states_match(s, capped, levels)
-        assert {line.record.forward for line in lines} == {"closed", "cells"}
+        field = ChunkedField(s, capped.cell_size)
+        deep = capped.scaled(CLASSIFY_DEPTH)
+        assert {forward_walk(field, line.seed, line.level, deep)[3]
+                for line in lines} == {"closed", "cells"}
         assert states["open"] and states["below"] and states["above"], states
 
     @settings(max_examples=25, deadline=None)
