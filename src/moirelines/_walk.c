@@ -11,8 +11,9 @@
    not in the chunk buffer or the vertex buffers, with the walk's state
    saved in *s, so that calling it again continues the walk.
 
-   The same library formats the floats of the bulk text outputs: format_g
-   at the end of this file. */
+   The same library finds the seed edges of a block of residuals
+   (seed_edges) and formats the floats of the bulk text outputs (format_g
+   at the end of this file). */
 
 #include <math.h>
 #include <stdint.h>
@@ -176,6 +177,100 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
     s->py = py;
     s->arc = arc;
     return stop;
+}
+
+
+/* The seed edges of a block of residuals: the scan of
+   tracer._seed_edges_numpy, seed for seed and bit for bit.
+
+   g holds f - level at corners (i0 + a, j0 + b) for a < ni, b < nj, row a
+   after row, and is only read.  Each value is nudged on read as the walk
+   nudges it.  The grid edge from corner (a, b) to (a + 1, b) (orient 0,
+   horizontal) has the id 2 * (b * ni + a), the one to (a, b + 1) (orient
+   1, vertical) the next, so ids run in (gj, gi, horizontal first) order.
+   parent, of 2 * ni * nj entries, is scratch: -1 for an edge that is not
+   crossed, else its union-find parent.  Any two crossed sides of a cell
+   are joined, and a tree's root is its smallest id, so the roots are the
+   components' first edges, and they come out in id order.
+
+   Seed k < room goes to xy[2k], xy[2k + 1] and edges[3k .. 3k + 2] =
+   (orient, gi, gj).  Returns the number of seeds, at most cap. */
+
+static double nudged(double g, double delta)
+{
+    return fabs(g) < delta ? delta : g;
+}
+
+static int32_t root(int32_t *parent, int32_t e)
+{
+    while (parent[e] != e) {
+        parent[e] = parent[parent[e]];
+        e = parent[e];
+    }
+    return e;
+}
+
+static void join(int32_t *parent, int32_t a, int32_t b)
+{
+    a = root(parent, a);
+    b = root(parent, b);
+    if (a < b)
+        parent[b] = a;
+    else if (b < a)
+        parent[a] = b;
+}
+
+int64_t seed_edges(const double *g, int64_t ni, int64_t nj, int64_t i0, int64_t j0,
+                   double h, double delta, int64_t cap, int32_t *parent,
+                   double *xy, int64_t *edges, int64_t room)
+{
+    int64_t a, b, count = 0;
+
+    for (b = 0; b < nj; b++)
+        for (a = 0; a < ni; a++) {
+            int32_t id = (int32_t)(2 * (b * ni + a));
+            int above = nudged(g[a * nj + b], delta) > 0;
+            parent[id] = a + 1 < ni && above != (nudged(g[(a + 1) * nj + b], delta) > 0)
+                ? id : -1;
+            parent[id + 1] = b + 1 < nj && above != (nudged(g[a * nj + b + 1], delta) > 0)
+                ? id + 1 : -1;
+        }
+    for (b = 0; b + 1 < nj; b++)
+        for (a = 0; a + 1 < ni; a++) {
+            int32_t id = (int32_t)(2 * (b * ni + a)), first = -1;
+            /* bottom, right, top, left */
+            int32_t sides[4] = {id, id + 3, id + 2 * (int32_t)ni, id + 1};
+            for (int k = 0; k < 4; k++) {
+                if (parent[sides[k]] < 0)
+                    continue;
+                if (first < 0)
+                    first = sides[k];
+                else
+                    join(parent, first, sides[k]);
+            }
+        }
+    for (b = 0; b < nj; b++)
+        for (a = 0; a < ni; a++)
+            for (int orient = 0; orient < 2; orient++) {
+                int32_t id = (int32_t)(2 * (b * ni + a) + orient);
+                if (parent[id] != id)
+                    continue;
+                if (count == cap)
+                    return count;
+                if (count < room) {
+                    double g0 = nudged(g[a * nj + b], delta);
+                    double g1 = nudged(orient ? g[a * nj + b + 1] : g[(a + 1) * nj + b], delta);
+                    double t = g0 / (g0 - g1);
+                    double x = (double)(i0 + a), y = (double)(j0 + b);
+                    xy[2 * count] = orient ? x * h : (x + t) * h;
+                    xy[2 * count + 1] = orient ? (y + t) * h : y * h;
+                    edges[3 * count] = orient;
+                    edges[3 * count + 1] = i0 + a;
+                    edges[3 * count + 2] = j0 + b;
+                }
+                count++;
+            }
+    return count;
 }
 
 

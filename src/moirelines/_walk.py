@@ -4,7 +4,9 @@ This module holds the walk's exit tables and the walk itself twice: as a
 compiled C kernel (_walk.c) and as a Python loop that gives the same
 vertices, arc and stop bit for bit.  tracer._Walker.walk runs the kernel
 where it can be built and the Python loop otherwise.  The same library
-holds format_g, which output.format_array uses to write floats.
+holds the seed scan seed_edges, which tracer._seed_edges runs in place of
+its NumPy scan, and format_g, which output.format_array uses to write
+floats.
 
 The library is compiled on first use, never at import, with the system C
 compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
@@ -138,16 +140,19 @@ def _build() -> Path:
 
 @functools.cache
 def kernel():
-    """The compiled library, with walk_cells and format_g typed, or None
-    when it cannot be built or loaded here."""
+    """The compiled library, with walk_cells, seed_edges and format_g
+    typed, or None when it cannot be built or loaded here."""
     try:
         lib = ctypes.CDLL(str(_build()))
-        walk, fmt = lib.walk_cells, lib.format_g
+        walk, seeds, fmt = lib.walk_cells, lib.seed_edges, lib.format_g
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     walk.argtypes = [ctypes.c_void_p, ctypes.POINTER(State), ctypes.c_void_p,
                      ctypes.c_void_p, _i64]
     walk.restype = ctypes.c_int
+    seeds.argtypes = [ctypes.c_void_p, _i64, _i64, _i64, _i64, _f64, _f64, _i64,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, _i64]
+    seeds.restype = _i64
     fmt.argtypes = [ctypes.c_void_p, _i64, _i64, ctypes.c_int,
                     ctypes.POINTER(ctypes.c_char_p), _i64, ctypes.c_void_p,
                     ctypes.POINTER(_i64)]
@@ -193,6 +198,39 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
             st.count = 0
     xs, ys = np.concatenate(parts, axis=1)
     return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None
+
+
+# seed_edges numbers a block's grid edges in int32, two per corner.
+MAX_BLOCK_CORNERS = 2**30
+
+# Seeds an uncapped scan makes room for; a block with more is scanned again.
+SEED_ROOM = 1024
+
+
+def seed_edges_compiled(fn, g, i0, j0, h, delta, cap):
+    """tracer._seed_edges with the kernel fn, given the field's h and
+    delta: the first cap seeds as (x, y, edge), all when cap is None."""
+    ni, nj = g.shape
+    if ni * nj > MAX_BLOCK_CORNERS:
+        raise ValueError(f"a {ni} x {nj} block has more than {MAX_BLOCK_CORNERS} corners")
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    parent = np.empty(2 * ni * nj, dtype=np.int32)
+    limit = 2**63 - 1 if cap is None else cap
+    room = min(limit, SEED_ROOM)
+    while True:
+        xy = np.empty((room, 2))
+        edges = np.empty((room, 3), dtype=np.int64)
+        count = fn(_address(g), ni, nj, i0, j0, h, delta, limit, _address(parent),
+                   _address(xy), _address(edges), room)
+        if count <= room:
+            break
+        room = count
+    return [(x, y, tuple(edge)) for (x, y), edge
+            in zip(xy[:count].tolist(), edges[:count].tolist())]
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
 
 
 def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):

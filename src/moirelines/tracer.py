@@ -271,10 +271,19 @@ class ChunkedField:
 
     def window_block(self, window: Rect) -> tuple[int, int, np.ndarray]:
         """(i0, j0, values): the corners of every cell meeting the window,
-        from corner (i0, j0) on."""
-        i0, j0 = math.floor(window.x0 / self.h), math.floor(window.y0 / self.h)
-        i1, j1 = math.ceil(window.x1 / self.h), math.ceil(window.y1 / self.h)
-        return i0, j0, self.block(i0, j0, i1 - i0 + 1, j1 - j0 + 1)
+        from corner (i0, j0) on.  Raises ValueError, before any corner is
+        evaluated, when they number more than _walk.MAX_BLOCK_CORNERS or
+        lie beyond grid index 2**62."""
+        bounds = [c / self.h for c in (window.x0, window.y0, window.x1, window.y1)]
+        if max(map(abs, bounds)) < 2.0**62:
+            i0, j0 = math.floor(bounds[0]), math.floor(bounds[1])
+            ni, nj = math.ceil(bounds[2]) - i0 + 1, math.ceil(bounds[3]) - j0 + 1
+            if ni * nj <= _walk.MAX_BLOCK_CORNERS:
+                return i0, j0, self.block(i0, j0, ni, nj)
+        raise ValueError(
+            f"window {window} is too wide for cell size {self.h}: it needs more than "
+            f"{_walk.MAX_BLOCK_CORNERS} grid corners or grid indices beyond 2**62"
+        )
 
     @property
     def cells_evaluated(self) -> int:
@@ -349,12 +358,25 @@ def find_seeds(
     return [np.array((x, y)) for x, y, _ in _seed_edges(field, i0, j0, g)]
 
 
-def _seed_edges(field: ChunkedField, i0: int, j0: int, g: np.ndarray) -> list[tuple]:
+def _seed_edges(field: ChunkedField, i0: int, j0: int, g: np.ndarray,
+                cap: int | None = None) -> list[tuple]:
     """find_seeds' seeds as (x, y, edge), from the residuals g of f - level
-    at the corners from (i0, j0) on.  edge is the grid edge (orient, gi, gj)
-    the crossing (x, y) lies on; _Walker.crossing(edge) gives (x, y) back bit
-    for bit.
+    at the corners from (i0, j0) on; only the first cap of them when cap is
+    a count.  edge is the grid edge (orient, gi, gj) the crossing (x, y)
+    lies on; _Walker.crossing(edge) gives (x, y) back bit for bit.  g is
+    left as it is.
+
+    The compiled scan runs where the library can be built, else the NumPy
+    scan, with the same seeds bit for bit.
     """
+    lib = _walk.kernel()
+    if lib is None:
+        return _seed_edges_numpy(field, i0, j0, g)[:cap]
+    return _walk.seed_edges_compiled(lib.seed_edges, g, i0, j0, field.h, field.delta, cap)
+
+
+def _seed_edges_numpy(field: ChunkedField, i0: int, j0: int, g: np.ndarray) -> list[tuple]:
+    """_seed_edges, every seed, in NumPy."""
     g = np.where(np.abs(g) < field.delta, field.delta, g)
     pos = g > 0
 
@@ -615,13 +637,13 @@ class _IntervalProbe:
 
     def state(self, level: float) -> str:
         self.count += 1
-        seeds = _seed_edges(self.field, self.i0, self.j0, self.block - level)
+        seeds = _seed_edges(self.field, self.i0, self.j0, self.block - level, _PROBE_SEEDS)
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.field, level)
         best_arc = -1.0
         best_area = 0.0
-        for x0, y0, edge in seeds[:_PROBE_SEEDS]:
+        for x0, y0, edge in seeds:
             # The seed is its edge's crossing bit for bit: no need to
             # locate it.  A trace is closed exactly when its forward walk
             # closes, and any open one decides the state: the backward walk

@@ -1,4 +1,7 @@
 import math
+import re
+import shutil
+import struct
 from collections import Counter
 
 import numpy as np
@@ -155,6 +158,39 @@ class TestChunkedField:
         assert block.shape == (7, 5)
         assert block[3, 1] == pytest.approx(field.corner(-1, 3), abs=1e-15)
         assert field.cells_evaluated > 0
+
+    @pytest.mark.parametrize("window", [
+        Rect(-1e308, 0.0, 1e308, 1.0),  # x1 / h overflows
+        Rect(0.0, 0.0, 1e200, 1.0),
+        Rect(0.0, 0.0, 2**11 * TWO_PI, 2**11 * TWO_PI),  # (2**15 + 1)**2 corners
+        Rect(2.0**70, 0.0, 2.0**70 + 2**20, 1.0),  # grid indices beyond 2**62
+    ])
+    def test_window_too_wide_for_the_cell_size_is_refused(self, monkeypatch, window):
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        budget = TraceBudget.for_potential(s, length_periods=10.0)
+        h = budget.cell_size
+        assert h == TWO_PI / 16
+
+        def block(*args):
+            raise AssertionError(f"block {args[1:]} was allocated")
+
+        monkeypatch.setattr(ChunkedField, "block", block)
+        message = rf"window {re.escape(repr(window))} is too wide for cell size {h}"
+        with pytest.raises(ValueError, match=message):
+            find_seeds(s, 0.1, window, h)
+        with pytest.raises(ValueError, match=message):
+            energy_interval(s, window, budget, -1.0, 1.0, 1e-3)
+
+    def test_window_of_the_most_corners_is_taken(self, monkeypatch, two_cos):
+        h = TWO_PI / 16
+        asked = []
+        monkeypatch.setattr(ChunkedField, "block", lambda self, *args: asked.append(args))
+        side = (2**15 - 1) * h  # 2**15 corners a side
+        ChunkedField(two_cos, h).window_block(Rect(0.0, 0.0, side, side))
+        assert asked == [(0, 0, 2**15, 2**15)]
+        with pytest.raises(ValueError, match="too wide for cell size"):
+            ChunkedField(two_cos, h).window_block(Rect(0.0, 0.0, side + h, side))
+        assert len(asked) == 1
 
 
 class TestFindSeeds:
@@ -389,17 +425,38 @@ class TestTraceInvariants:
                 assert pts[-1].tobytes() == pts[0].tobytes()
 
 
+_SEED_CASES = given(seed=st.integers(0, 2**32 - 1),
+                    mode=st.sampled_from(["random", "grid value", "saddle"]),
+                    frac=st.floats(-0.9, 0.9), cells=st.sampled_from([8, 12, 16]))
+
+
+def _seed_bits(seeds):
+    return [(struct.pack("<dd", x, y), edge) for x, y, edge in seeds]
+
+
 class TestSeedEdges:
     """Interval probes start their walks from the edges _seed_edges returns
-    with the seeds, where trace_level_line locates each seed's edge anew."""
+    with the seeds, where trace_level_line locates each seed's edge anew.
+    The compiled scan gives the NumPy scan's seeds bit for bit."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           mode=st.sampled_from(["random", "grid value", "saddle"]),
-           frac=st.floats(-0.9, 0.9), cells=st.sampled_from([8, 12, 16]))
+    @_SEED_CASES
     def test_each_seed_is_the_crossing_of_the_edge_its_trace_starts_on(
         self, seed, mode, frac, cells
     ):
+        self.check_seeds(seed, mode, frac, cells)
+
+    @settings(max_examples=20, deadline=None)
+    @_SEED_CASES
+    def test_each_seed_is_the_crossing_of_the_edge_its_trace_starts_on_python_walker(
+        self, seed, mode, frac, cells
+    ):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_walk, "kernel", lambda: None)
+            self.check_seeds(seed, mode, frac, cells)
+
+    @staticmethod
+    def check_seeds(seed, mode, frac, cells):
         s = random_superposition(np.random.default_rng(seed))
         h = s.shortest_period() / cells
         field = ChunkedField(s, h)
@@ -420,6 +477,50 @@ class TestSeedEdges:
             located = _locate_start(walker, np.array((x, y)))
             assert located == edge
             assert np.array(walker.crossing(edge)).tobytes() == np.array((x, y)).tobytes()
+
+    @pytest.mark.skipif(shutil.which(_walk.CC) is None, reason="no C compiler to build the library")
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(),
+           shape=st.one_of(st.tuples(st.just(2), st.integers(1, 24)),
+                           st.tuples(st.integers(1, 24), st.just(2)),
+                           st.tuples(st.integers(1, 24), st.integers(1, 24))),
+           origin=st.tuples(*[st.sampled_from([0, 10**6, -10**6]).flatmap(
+               lambda c: st.integers(c - 40, c + 40))] * 2),
+           sign=st.sampled_from(["mixed", "above", "below"]),
+           cap=st.integers(0, 16))
+    def test_compiled_scan_gives_the_numpy_seeds(self, data, shape, origin, sign, cap):
+        field = ChunkedField(single_harmonic_sum(delta=0.3, alpha=0.7), TWO_PI / 16)
+        delta = field.delta
+        ties = [0.0, -0.0, delta, -delta, delta / 2, -delta / 2]
+        values = data.draw(st.lists(st.one_of(st.sampled_from(ties), st.floats(-1.0, 1.0)),
+                                    min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))
+        g = np.array(values).reshape(shape)
+        if sign == "above":  # every residual reads positive: nothing crosses
+            g = np.abs(g)
+        elif sign == "below":
+            g = -np.abs(g) - delta
+        before = g.tobytes()
+        i0, j0 = origin
+        compiled = _seed_edges(field, i0, j0, g)
+        assert _seed_bits(compiled) == _seed_bits(tracer._seed_edges_numpy(field, i0, j0, g))
+        assert all(type(v) is float for x, y, _ in compiled for v in (x, y))
+        assert all(type(v) is int for _, _, edge in compiled for v in edge)
+        if sign != "mixed":
+            assert compiled == []
+        assert _seed_bits(_seed_edges(field, i0, j0, g, cap)) == _seed_bits(compiled[:cap])
+        assert g.tobytes() == before
+
+    @pytest.mark.skipif(shutil.which(_walk.CC) is None, reason="no C compiler to build the library")
+    def test_a_block_with_more_seeds_than_the_room_is_scanned_whole(self):
+        # Every other corner of every other row lies above the level: each
+        # is a loop of its own.
+        field = ChunkedField(single_harmonic_sum(delta=0.3, alpha=0.7), TWO_PI / 16)
+        g = -np.ones((101, 101))
+        g[1::2, 1::2] = 1.0
+        seeds = _seed_edges(field, 0, 0, g)
+        assert len(seeds) == 50 * 50 > _walk.SEED_ROOM
+        assert _seed_bits(seeds) == _seed_bits(tracer._seed_edges_numpy(field, 0, 0, g))
 
 
 class TestTraceWalks:

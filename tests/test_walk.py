@@ -1,8 +1,9 @@
-"""The compiled walk kernel and its loader.
+"""The compiled walk kernel and seed scan, and their loader.
 
 Where a C compiler is present the kernel must give every walk exactly what
-the Python walk gives; where it cannot be built, tracing falls back to the
-Python walk with the same outputs.
+the Python walk gives, and every seed scan what the NumPy scan gives; where
+it cannot be built, tracing falls back to the Python walk and the NumPy
+scan with the same outputs.
 """
 
 import math
@@ -13,10 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirelines import _walk
+from moirelines import _walk, tracer
 from moirelines.geometry import Rect
 from moirelines.potential import eval_superposition
-from moirelines.tracer import ChunkedField, _locate_start, _Walker, find_seeds
+from moirelines.tracer import (
+    ChunkedField,
+    _locate_start,
+    _Walker,
+    energy_interval,
+    find_seeds,
+)
 
 from families import hexagonal_pair, saddle_cells, two_layer_sum
 import test_bitwise
@@ -160,6 +167,34 @@ def test_failing_compiler_falls_back_to_python(fresh_loader, monkeypatch, tmp_pa
     assert _walk.kernel() is None
     assert not any(fresh_loader.iterdir())
     test_bitwise.test_cli_trace_bitwise(tmp_path, capsys)
+
+
+def test_seed_scan_falls_back_to_numpy(monkeypatch):
+    # find_seeds and the interval probes scan in C where the library is
+    # built, and with the NumPy scan where it is not, to the same results.
+    s, budget, window = test_bitwise._setup()
+    numpy_scan = tracer._seed_edges_numpy
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return numpy_scan(*args)
+
+    monkeypatch.setattr(tracer, "_seed_edges_numpy", counted)
+
+    def results():
+        field = ChunkedField(s, budget.cell_size)
+        seeds = [find_seeds(s, level, window, budget.cell_size, field)
+                 for level in test_bitwise._levels(field).values()]
+        iv = energy_interval(s, window, budget, -1.0, 1.0, tol_eps=5e-3)
+        return [np.array(p).tobytes() for level in seeds for p in level], iv
+
+    compiled = results()
+    assert scans == [] and compiled[0] and compiled[1].found
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_walk, "kernel", lambda: None)
+        assert results() == compiled
+    assert len(scans) == 3 + compiled[1].n_probes
 
 
 def test_unwritable_cache_falls_back_to_python(fresh_loader, monkeypatch, tmp_path, capsys):
