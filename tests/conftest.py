@@ -35,7 +35,8 @@ def polyline(points, status=LineStatus.OPEN_BUDGET_EXHAUSTED, level=0.0):
 @pytest.fixture
 def python_walker(monkeypatch):
     """Set the whole compiled library aside, as where it cannot be built:
-    walks run the Python loop and output.format_array formats in Python."""
+    walks run the Python loop, seed scans run in NumPy and
+    output.format_array formats in Python."""
     monkeypatch.setattr(_walk, "kernel", lambda: None)
 
 

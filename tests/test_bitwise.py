@@ -20,8 +20,8 @@ points in blocks and the CSV and SVG writers formatted whole arrays.
 Every pin holds with and without the compiled library: each test runs
 once as it is, with the library's walk kernel and float formatter where it
 can be built, and once more, with the suffix ``_python_walker``, with the
-whole library set aside, so that the walks run in Python and the CLI eval
-and trace pins hold the Python formatter's text
+whole library set aside, so that the walks run in Python, the seed scans
+in NumPy, and the CLI eval and trace pins hold the Python formatter's text
 (tests/test_format.py::test_python_walker_formats_in_python shows that it
 takes that path).
 """
