@@ -155,17 +155,22 @@ def strip_width(line: LevelLine, direction) -> float:
 
 
 @lru_cache(maxsize=None)
-def _candidate_block(bound: int) -> np.ndarray:
-    """Rows (0, m2, m3, m4) for every |m2|, |m3|, |m4| <= bound, as floats.
+def _shell(k: int) -> np.ndarray:
+    """Rows (m1, m2, m3, m4) with max |m_i| = k and m1 >= 0, as floats.
 
-    Built on first use, once per process and bound, and read-only: callers
-    fill the m1 column of a copy.  Float rows multiply the basis exactly as
-    the integer rows would.
+    Built on first use, once per process and k, and read-only.  Float rows
+    multiply the basis exactly as the integer rows would.
     """
-    r = np.arange(-bound, bound + 1, dtype=float)
-    block = np.stack(np.meshgrid([0.0], r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    block.setflags(write=False)
-    return block
+    r = np.arange(-k, k + 1, dtype=float)
+    cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+    face = cube[np.abs(cube).max(axis=1) == k]
+    # m1 = 0..k-1 beside each face row, then m1 = k beside the whole cube.
+    rows = np.vstack([
+        np.column_stack([np.repeat(r[k:-1], len(face)), np.tile(face, (k, 1))]),
+        np.column_stack([np.full(len(cube), float(k)), cube]),
+    ])
+    rows.setflags(write=False)
+    return rows
 
 
 def recover_quadruple(
@@ -202,24 +207,23 @@ def recover_quadruple(
     basis = quadruple_basis(lat_v, lat_u_plane)
     g_floor = 1e-12 * float(np.max(np.linalg.norm(basis, axis=1)))
 
-    # Candidates m1 = 0..bound, one block of (2b+1)**3 rows per m1.  A row
-    # with m1 < 0 is the negation of a kept row: its G is the exact negation
-    # too, so it passes the same tests and normalizes to the same quadruple.
-    # Each block row's products equal the full table's bit for bit; a
-    # one-row product may round differently, and no block is ever one row.
-    block = _candidate_block(bound).copy()
-    hits = []
-    for m1 in range(bound + 1):
-        block[:, 0] = m1
-        g = block @ basis
+    # Shells of max norm k = 1..bound, with m1 >= 0.  A row with m1 < 0 is
+    # the negation of a kept row: its G is the exact negation too, so it
+    # passes the same tests and normalizes to the same quadruple.  The
+    # winner minimizes the max norm first, so the first shell holding an
+    # irreducible hit holds it, and the rest of the cascade picks it there.
+    # Each shell row's products equal those of the full table bit for bit;
+    # a one-row product may round differently, and no shell is ever one row.
+    for k in range(1, bound + 1):
+        shell = _shell(k)
+        g = shell @ basis
         near = np.abs(g @ l) < tol
         g = g[near]
-        hits.append(block[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor])
-    m = np.concatenate(hits).astype(np.int64)
-    if len(m) == 0:
-        return None
-    m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]
-    if len(m) == 0:
+        m = shell[near][np.einsum("ij,ij->i", g, g) > g_floor * g_floor].astype(np.int64)
+        m = m[np.gcd.reduce(np.abs(m), axis=1) == 1]
+        if len(m):
+            break
+    else:
         return None
     first = np.argmax(m != 0, axis=1)
     lead = m[np.arange(len(m)), first]
@@ -229,7 +233,7 @@ def recover_quadruple(
         (
             m[:, 3], m[:, 2], m[:, 1], m[:, 0],
             a[:, 0], a[:, 1], a[:, 2], a[:, 3],
-            a.sum(axis=1), a.max(axis=1),
+            a.sum(axis=1),
         )
     )
     return Quadruple(*(int(v) for v in m[order[0]]))

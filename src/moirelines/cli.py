@@ -30,9 +30,9 @@ from .output import (
     FLOAT_SPEC,
     fmt_float,
     format_array,
-    lines_to_svg,
     run_manifest,
     stable_json,
+    svg_pieces,
     write_text,
 )
 from .potential import eval_superposition
@@ -108,15 +108,35 @@ def _budget_from(args, s) -> TraceBudget:
     return TraceBudget.for_potential(s, cell_size=args.cell_h, max_arc_length=args.budget_l)
 
 
+class _Pieces:
+    """An artifact's text as str pieces.  Like a str it has a len(), so the
+    size of a written artifact can be read off it: the characters handed
+    out so far, which is all of them once the artifact is written."""
+
+    def __init__(self, pieces):
+        self._pieces = pieces
+        self._len = 0
+
+    def __iter__(self):
+        for piece in self._pieces:
+            self._len += len(piece)
+            yield piece
+
+    def __len__(self):
+        return self._len
+
+
 def _emit(out: str, formats, files: dict, config_bytes: bytes, params: dict):
     """Write each file whose extension is in formats, then manifest.json,
     into the directory out.  files maps a name to a function building its
-    text, so only the files written are built."""
+    text, a str or an iterable of pieces, so only the files written are
+    built and a file need never be held whole."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, build in files.items():
         if name.rpartition(".")[2] in formats:
-            write_text(out_dir / name, build())
+            text = build()
+            write_text(out_dir / name, text if isinstance(text, str) else _Pieces(text))
     manifest = run_manifest(__version__, config_bytes, params)
     write_text(out_dir / "manifest.json", stable_json(manifest, indent=2))
 
@@ -170,10 +190,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _polylines_csv(lines) -> str:
+def _polylines_csv(lines):
     # gnuplot-style: one x,y table per line, blocks separated by a blank row.
-    blocks = (format_array(ln.points, FLOAT_SPEC, (",", "\n")) for ln in lines)
-    return "x,y\n" + "\n".join(blocks)
+    yield "x,y\n"
+    for k, ln in enumerate(lines):
+        if k:
+            yield "\n"
+        yield format_array(ln.points, FLOAT_SPEC, (",", "\n"))
 
 
 def _lines_json(lines) -> str:
@@ -205,10 +228,11 @@ def cmd_trace(args) -> int:
     lines = [
         trace_level_line(s, seed, args.level, budget, field=field) for seed in seeds
     ]
+    del field  # writing the lines needs none of its chunks
     formats = sorted(set(args.format or ("csv", "svg")))
     files = {
         "lines.csv": lambda: _polylines_csv(lines),
-        "lines.svg": lambda: lines_to_svg(lines),
+        "lines.svg": lambda: svg_pieces(lines),
         "lines.json": lambda: _lines_json(lines),
     }
     _emit(args.out, formats, files, data, {

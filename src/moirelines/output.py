@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 
 import numpy as np
@@ -114,9 +115,21 @@ def stable_json(obj, indent: int = 0) -> str:
     return render(obj, 0) + "\n"
 
 
-def write_text(path, text: str):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
+def write_text(path, text):
+    """Write text, a str or an iterable of str pieces, to path as ASCII.
+
+    The pieces go into a temporary file beside path, which replaces path
+    only after the last one, so an error leaves path as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.writelines((text,) if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +158,16 @@ def lines_to_svg(lines) -> str:
     so the geometry stays machine-readable.  Coordinates are presentational
     (8 significant digits); the attributes use full precision.
     """
+    return "".join(svg_pieces(lines))
+
+
+def svg_pieces(lines):
+    """lines_to_svg's text piece by piece: the header, one path per line
+    and the closing tag."""
     if not lines:
         raise ValueError("no lines to render")
-    all_pts = np.vstack([ln.points for ln in lines])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
+    lo = np.min([ln.points.min(axis=0) for ln in lines], axis=0)
+    hi = np.max([ln.points.max(axis=0) for ln in lines], axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.04 * float(span.max())  # margin, as a fraction of the span
     lo = lo - pad
@@ -163,22 +181,21 @@ def lines_to_svg(lines) -> str:
         # Whole columns: the same IEEE operations as on each vertex alone.
         return ((p[:, 0] - lo[0]) * scale, (hi[1] - p[:, 1]) * scale)
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+    )
     for ln in lines:
         closed = ln.status.value == "closed"
         d = _path_data(ln.points, mapper, closed)
         color = color_for_key(f"level:{fmt_float(ln.level)}")
-        parts.append(
+        yield (
             f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.2" '
             f'data-level="{fmt_float(ln.level)}" data-status="{ln.status.value}" '
-            f'data-arc-length="{fmt_float(ln.arc_length)}"/>'
+            f'data-arc-length="{fmt_float(ln.arc_length)}"/>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ number of worker processes.
 
 from __future__ import annotations
 
+import importlib
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -155,8 +156,10 @@ def shared_pool(workers: int):
     if workers < 2 or _POOL.get() is not None:
         yield
         return
-    # Forked workers inherit the compiled library instead of each loading it.
+    # Forked workers inherit the compiled library and numpy.random (which
+    # draws the shifts) instead of each loading them.
     _walk.kernel()
+    importlib.import_module("numpy.random")
     with ProcessPoolExecutor(max_workers=workers) as pool:
         token = _POOL.set(pool)
         try:

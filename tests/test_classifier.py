@@ -17,7 +17,7 @@ from moirelines.classifier import (
     Regular,
     Undetermined,
     ZeroAnnihilatorError,
-    _candidate_block,
+    _shell,
     _classify_seed,
     _diameter,
     classification_to_dict,
@@ -218,21 +218,25 @@ class TestQuadrupleRecovery:
                 want = oracles.full_table_quadruple(direction, lat_v, lat_u, bound, tol)
                 assert (got and got.as_tuple()) == want
 
-    def test_candidate_block_is_built_once_per_bound(self):
-        block = _candidate_block(3)
-        assert _candidate_block(3) is block
-        assert not block.flags.writeable
-        r = np.arange(-3, 4)
-        grid = np.stack(np.meshgrid([0], r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-        assert block.dtype == np.float64
-        assert np.array_equal(block, grid)
-        assert len(_candidate_block(2)) == 5**3
+    def test_shell_is_built_once_per_max_norm(self):
+        for k in (1, 2, 3):
+            shell = _shell(k)
+            assert _shell(k) is shell
+            assert not shell.flags.writeable
+            assert shell.dtype == np.float64
+            r = np.arange(-k, k + 1)
+            grid = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+            want = grid[(np.abs(grid).max(axis=1) == k) & (grid[:, 0] >= 0)]
+            assert sorted(map(tuple, shell.astype(int).tolist())) == sorted(
+                map(tuple, want.tolist()))
+            # No shell is one row, whose product could round differently.
+            assert len(shell) == len(want) > 1
 
     def test_search_at_default_bound_peaks_under_4_mb(self):
         # The full 25**4-row table peaked at 23.8 MB.
         lat, other = square_lattice(TWO_PI), square_lattice(3.0)
         d = direction_from_quadruple(Quadruple(1, 1, -1, 0), lat, other)
-        _candidate_block.cache_clear()
+        _shell.cache_clear()
         tracemalloc.start()
         try:
             q = recover_quadruple(d, lat, other)

@@ -11,7 +11,7 @@ import pytest
 
 from moirelines import cli, sweep
 from moirelines.cli import EXIT_EMPTY, build_parser, main
-from moirelines.output import fmt_float, manifests_equivalent
+from moirelines.output import FLOAT_SPEC, fmt_float, format_array, manifests_equivalent
 from moirelines.potential import eval_superposition
 from moirelines.config import parse_config
 
@@ -229,6 +229,34 @@ class TestTrace:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert manifests_equivalent(ma, mb)
+
+
+    def test_writing_memory_is_bounded_by_a_line(
+        self, cfg_twocos, tmp_path, monkeypatch, capsys, make_polyline
+    ):
+        # 24 open lines of 6,000 vertices, 5.6 MB of CSV.  Joining every
+        # line's text, then encoding it whole, peaked at about twice that.
+        rng = np.random.default_rng(24)
+        lines = [make_polyline(rng.normal(scale=50.0, size=(6000, 2)), level=0.5)
+                 for _ in range(24)]
+        largest = max(len(format_array(ln.points, FLOAT_SPEC, (",", "\n")))
+                      for ln in lines)
+        traced = iter(lines)
+        monkeypatch.setattr(cli, "find_seeds", lambda *args: [ln.seed for ln in lines])
+        monkeypatch.setattr(cli, "trace_level_line", lambda *args, **kwargs: next(traced))
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert main(["trace", "--config", cfg_twocos, "--level", "0.5",
+                         "--max-lines", "24", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.count("line ") == 24
+        total = (out / "lines.csv").stat().st_size
+        assert total > 20 * largest
+        assert (out / "lines.svg").read_text().count("<path") == 24
+        assert peak < 6 * largest + 2**20
 
 
 class TestClassify:

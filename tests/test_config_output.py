@@ -170,6 +170,11 @@ class TestStableJson:
         assert stable_json(obj) == stable_json(obj)
 
 
+def _broken_pieces():
+    yield "a,b\n"
+    raise RuntimeError("broken piece")
+
+
 class TestCsvAndFiles:
     def test_write_text_exact_bytes(self, tmp_path):
         p = tmp_path / "out.csv"
@@ -179,6 +184,37 @@ class TestCsvAndFiles:
     def test_write_text_rejects_non_ascii(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
             write_text(tmp_path / "bad.txt", "café\n")
+
+    def test_write_text_joins_pieces(self, tmp_path):
+        p = tmp_path / "out.csv"
+        write_text(p, iter(["a,b\n", "", "1,2\n"]))
+        assert p.read_bytes() == b"a,b\n1,2\n"
+
+    def test_write_text_writes_a_str_whole(self, tmp_path):
+        class Whole(str):
+            def __iter__(self):
+                raise AssertionError("a str was iterated")
+
+        write_text(tmp_path / "out.csv", Whole("a,b\n"))
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n"
+
+    def test_write_text_gives_a_plain_open_file_mode(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        write_text(tmp_path / "out.txt", "x\n")
+        assert (tmp_path / "out.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+    @pytest.mark.parametrize("text, error", [
+        (_broken_pieces, RuntimeError),
+        (lambda: "café\n", UnicodeEncodeError),
+    ], ids=["pieces", "non-ascii"])
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, text, error):
+        p = tmp_path / "out.csv"
+        p.write_bytes(b"x,y\n0,1\n")
+        with pytest.raises(error):
+            write_text(p, text())
+        assert p.read_bytes() == b"x,y\n0,1\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestColorAndSvg:

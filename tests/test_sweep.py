@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moirelines
 from moirelines.classifier import Chaotic, FamilyVerdict, Quadruple, Regular
 from moirelines.output import stable_json
 from moirelines.potential import two_cosine_potential
@@ -246,6 +251,24 @@ class TestDetectZonesSynthetic:
         zs = detect_zones(synthetic_result(), point_fn=point_fn)
         assert zs.zones[0].verified is True
         assert len(calls) > 2
+
+    def test_pool_workers_start_with_numpy_random(self):
+        # Every sample draws its shifts with numpy.random; a worker forked
+        # without it imports it on its first task.  A fresh interpreter, since
+        # this one has imported it long ago.
+        code = (
+            "import sys\n"
+            "from moirelines import sweep\n"
+            "def seen(job=None):\n"
+            "    return 'numpy.random' in sys.modules\n"
+            "assert not seen()\n"
+            "with sweep.shared_pool(2):\n"
+            "    print(sweep._map(seen, [(0,), (1,)], 2))\n"
+        )
+        src = str(Path(moirelines.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout == "[True, True]\n"
 
     def test_refine_tol_guard(self):
         with pytest.raises(ValueError):
