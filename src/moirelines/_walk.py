@@ -1,12 +1,12 @@
-"""The marching-squares walk of one level line across a chunked field.
+"""The compiled library _walk.c, and the twin of each of its routines.
 
-This module holds the walk's exit tables and the walk itself twice: as a
-compiled C kernel (_walk.c) and as a Python loop that gives the same
-vertices, arc and stop bit for bit.  tracer._Walker.walk runs the kernel
-where it can be built and the Python loop otherwise.  The same library
-holds the seed scan seed_edges, which tracer._seed_edges runs in place of
-its NumPy scan, and format_g, which output.format_array uses to write
-floats.
+walk runs the marching-squares walk of one level line across a chunked
+field, seed_edges the scan of a block of corner residuals for one crossing
+per piece of the level set, and format_floats writes floats as format's
+.Pg does.  Each runs its C routine (walk_cells, seed_edges, format_g) where
+the library loads, else its twin (walk_python, seed_edges_numpy,
+format_python), with the same results bit for bit.  No other module loads
+the library or calls into it.
 
 The library is compiled on first use, never at import, with the system C
 compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import tempfile
@@ -36,6 +37,8 @@ CHUNK = 32
 # the lower-left, 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); cell sides are
 # 0:bottom 1:right 2:top 3:left.  Per side: its two corners.
 SIDE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+# Grid edge (orient, gi, gj) runs from corner (gi, gj) to (gi + 1, gj) or (gi, gj + 1).
+HORIZONTAL, VERTICAL = 0, 1
 _SADDLE = -1
 _INCONSISTENT = -2
 
@@ -160,15 +163,26 @@ def kernel():
     return lib
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
 # The exit table as the kernel reads it, and the walk's stop reasons.
 _EXIT_BYTES = np.array(EXIT, dtype=np.int8)
-_EXIT_ADDRESS = _EXIT_BYTES.__array_interface__["data"][0]
+_EXIT_ADDRESS = _address(_EXIT_BYTES)
 _REASONS = {CELLS: "cells", BUDGET: "budget", CLOSED: "closed"}
 
 
+def walk(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
+    """tracer._Walker.walk from cell (i, j), entered through side entry,
+    given p0's coordinates and the cells and sides whose leaving closes it."""
+    args = (walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit)
+    lib = kernel()
+    return walk_python(*args) if lib is None else walk_compiled(lib.walk_cells, *args)
+
+
 def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
-    """_Walker.walk with the kernel fn, given p0's coordinates and the
-    cells and sides whose leaving closes the walk."""
+    """walk by the library's walk_cells, fn."""
     field = walker.field
     st = State(
         exits=_EXIT_ADDRESS, level=walker.level, delta=walker.delta, h=walker.h,
@@ -178,7 +192,7 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
     )
     st.ia, st.ja, st.ea, st.ib, st.jb, st.eb = closing
     buf = np.empty((2, CAPACITY))
-    x_at = buf.__array_interface__["data"][0]
+    x_at = _address(buf)
     y_at = x_at + buf.strides[0]
     chunk = field._chunk(st.oi // CHUNK, st.oj // CHUNK)[1]
     parts = []  # the buffer's vertices, copied each time it fills and at the end
@@ -200,41 +214,8 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
     return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None
 
 
-# seed_edges numbers a block's grid edges in int32, two per corner.
-MAX_BLOCK_CORNERS = 2**30
-
-# Seeds an uncapped scan makes room for; a block with more is scanned again.
-SEED_ROOM = 1024
-
-
-def seed_edges_compiled(fn, g, i0, j0, h, delta, cap):
-    """tracer._seed_edges with the kernel fn, given the field's h and
-    delta: the first cap seeds as (x, y, edge), all when cap is None."""
-    ni, nj = g.shape
-    if ni * nj > MAX_BLOCK_CORNERS:
-        raise ValueError(f"a {ni} x {nj} block has more than {MAX_BLOCK_CORNERS} corners")
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    parent = np.empty(2 * ni * nj, dtype=np.int32)
-    limit = 2**63 - 1 if cap is None else cap
-    room = min(limit, SEED_ROOM)
-    while True:
-        xy = np.empty((room, 2))
-        edges = np.empty((room, 3), dtype=np.int64)
-        count = fn(_address(g), ni, nj, i0, j0, h, delta, limit, _address(parent),
-                   _address(xy), _address(edges), room)
-        if count <= room:
-            break
-        room = count
-    return [(x, y, tuple(edge)) for (x, y), edge
-            in zip(xy[:count].tolist(), edges[:count].tolist())]
-
-
-def _address(a: np.ndarray) -> int:
-    return a.__array_interface__["data"][0]
-
-
 def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
-    """The walk of walk_compiled, in Python."""
+    """walk in Python."""
     # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
     level, delta, h = float(walker.level), float(walker.delta), float(walker.h)
     low = -delta
@@ -343,3 +324,152 @@ def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
     arc = float(arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
     xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
     return xs, ys, arc, reason, first_jitter
+
+
+# seed_edges numbers a block's grid edges in int32, two per corner.
+MAX_BLOCK_CORNERS = 2**30
+
+# Seeds an uncapped scan makes room for; a block with more is scanned again.
+SEED_ROOM = 1024
+
+
+def seed_edges(field, i0, j0, g, cap=None) -> list[tuple]:
+    """tracer.find_seeds' seeds as (x, y, edge), from the residuals g of
+    f - level at the field's grid corners from (i0, j0) on; only the first
+    cap of them when cap is a count.  edge is the grid edge (orient, gi, gj)
+    the crossing (x, y) lies on; tracer._Walker.crossing(edge) gives (x, y)
+    back bit for bit.  g is left as it is."""
+    lib = kernel()
+    return (seed_edges_numpy(field, i0, j0, g)[:cap] if lib is None
+            else seed_edges_compiled(lib.seed_edges, field, i0, j0, g, cap))
+
+
+def seed_edges_compiled(fn, field, i0, j0, g, cap):
+    """seed_edges by the library's seed_edges, fn."""
+    ni, nj = g.shape
+    if ni * nj > MAX_BLOCK_CORNERS:
+        raise ValueError(f"a {ni} x {nj} block has more than {MAX_BLOCK_CORNERS} corners")
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    parent = np.empty(2 * ni * nj, dtype=np.int32)
+    limit = 2**63 - 1 if cap is None else cap
+    room = min(limit, SEED_ROOM)
+    while True:
+        xy = np.empty((room, 2))
+        edges = np.empty((room, 3), dtype=np.int64)
+        count = fn(_address(g), ni, nj, i0, j0, field.h, field.delta, limit,
+                   _address(parent), _address(xy), _address(edges), room)
+        if count <= room:
+            break
+        room = count
+    return [(x, y, tuple(edge)) for (x, y), edge
+            in zip(xy[:count].tolist(), edges[:count].tolist())]
+
+
+def seed_edges_numpy(field, i0, j0, g) -> list[tuple]:
+    """seed_edges in NumPy, every seed."""
+    g = np.where(np.abs(g) < field.delta, field.delta, g)
+    pos = g > 0
+
+    # Crossed edges are numbered horizontal first, then vertical, each in
+    # row-major order of its lower-left corner; -1 marks an uncrossed edge.
+    h_cross = pos[:-1, :] != pos[1:, :]
+    v_cross = pos[:, :-1] != pos[:, 1:]
+    n_h = int(np.count_nonzero(h_cross))
+    n = n_h + int(np.count_nonzero(v_cross))
+    if n == 0:
+        return []
+    h_id = np.full(h_cross.shape, -1)
+    h_id[h_cross] = np.arange(n_h)
+    v_id = np.full(v_cross.shape, -1)
+    v_id[v_cross] = np.arange(n_h, n)
+
+    # Any two crossed edges of one cell are part of the same local crossing.
+    sides = (h_id[:, :-1], v_id[1:, :], h_id[:, 1:], v_id[:-1, :])
+    a, b = [], []
+    for p, q in itertools.combinations(sides, 2):
+        both = (p >= 0) & (q >= 0)
+        a.append(p[both])
+        b.append(q[both])
+    component = _components(n, np.concatenate(a), np.concatenate(b))
+
+    # Each component is represented by its first edge in (gj, gi, orient)
+    # order, and the seeds come out in that order too.
+    hi, hj = np.nonzero(h_cross)
+    vi, vj = np.nonzero(v_cross)
+    gi = i0 + np.concatenate((hi, vi))
+    gj = j0 + np.concatenate((hj, vj))
+    horizontal = np.arange(n) < n_h
+    order = np.lexsort((~horizontal, gi, gj))
+    _, first = np.unique(component[order], return_index=True)
+    pick = order[np.sort(first)]
+
+    g0 = np.concatenate((g[:-1, :][h_cross], g[:, :-1][v_cross]))[pick]
+    g1 = np.concatenate((g[1:, :][h_cross], g[:, 1:][v_cross]))[pick]
+    t = g0 / (g0 - g1)
+    gi, gj, horizontal = gi[pick], gj[pick], horizontal[pick]
+    h = field.h
+    xs = np.where(horizontal, (gi + t) * h, gi * h)
+    ys = np.where(horizontal, gj * h, (gj + t) * h)
+    edges = zip(np.where(horizontal, HORIZONTAL, VERTICAL).tolist(), gi.tolist(), gj.tolist())
+    return list(zip(xs.tolist(), ys.tolist(), edges))
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of n nodes joined by links a-b.
+
+    Roots hook onto the smallest root they are linked to, then every node
+    jumps to its root, until no link joins two trees.  Labels are the
+    smallest node of each component.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
+# Bytes format_g may write for one value, past its text included (35 in _walk.c).
+G_ROOM = 35
+
+
+def format_floats(values, precision: int, seps: tuple[str, ...]) -> str:
+    """format(float(x), f".{precision}g") of every value x in C order,
+    value k followed by seps[k % len(seps)]."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    lib = kernel()
+    return (format_python(flat.tolist(), f".{precision}g", seps) if lib is None
+            else format_compiled(lib.format_g, flat, precision, seps))
+
+
+def format_compiled(fn, flat, precision, seps) -> str:
+    """format_floats of the flat float64 array by the library's format_g,
+    fn, which hands back each value it cannot write exactly; Python's
+    format writes those."""
+    n, period = len(flat), len(seps)
+    buf = np.empty(n * (G_ROOM + max(map(len, seps))), dtype=np.uint8)
+    sep_ptrs = (ctypes.c_char_p * period)(*(s.encode("ascii") for s in seps))
+    written = _i64()
+    parts = []
+    k = 0
+    while True:
+        stop = fn(_address(flat), n, k, precision, sep_ptrs, period, _address(buf),
+                  ctypes.byref(written))
+        parts.append(str(buf[:written.value], "ascii"))
+        if stop == n:
+            return "".join(parts)
+        parts.append(format(float(flat[stop]), f".{precision}g") + seps[stop % period])
+        k = stop + 1
+
+
+def format_python(values: list[float], spec: str, seps: tuple[str, ...]) -> str:
+    """format_floats in Python, given the values as a list and the spec."""
+    fields = [f"{{:{spec}}}" + s.replace("{", "{{").replace("}", "}}") for s in seps]
+    rows, rest = divmod(len(values), len(seps))
+    return ("".join(fields) * rows + "".join(fields[:rest])).format(*values)

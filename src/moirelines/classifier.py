@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -154,23 +154,20 @@ def strip_width(line: LevelLine, direction) -> float:
     return float(t.max() - t.min())
 
 
-@lru_cache(maxsize=None)
 def _shell(k: int) -> np.ndarray:
     """Rows (m1, m2, m3, m4) with max |m_i| = k and m1 >= 0, as floats.
 
-    Built on first use, once per process and k, and read-only.  Float rows
-    multiply the basis exactly as the integer rows would.
+    Built anew on every call, so a search holds no shell after it returns.
+    Float rows multiply the basis exactly as the integer rows would.
     """
     r = np.arange(-k, k + 1, dtype=float)
     cube = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     face = cube[np.abs(cube).max(axis=1) == k]
     # m1 = 0..k-1 beside each face row, then m1 = k beside the whole cube.
-    rows = np.vstack([
+    return np.vstack([
         np.column_stack([np.repeat(r[k:-1], len(face)), np.tile(face, (k, 1))]),
         np.column_stack([np.full(len(cube), float(k)), cube]),
     ])
-    rows.setflags(write=False)
-    return rows
 
 
 def recover_quadruple(

@@ -355,6 +355,14 @@ def _budget_options(periods: float) -> argparse.ArgumentParser:
     return budget
 
 
+def _format_option(*choices: str) -> argparse.ArgumentParser:
+    """--format, limited to the formats the command writes."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", action="append", choices=choices,
+                     help="output formats (repeatable; each command has its own default set)")
+    return fmt
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moirelines",
@@ -368,13 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=".",
                      help="output directory (default: the current directory)")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format",
-        action="append",
-        choices=("csv", "json", "svg"),
-        help="output formats (repeatable; each command has its own default set)",
-    )
+    fmt = _format_option("csv", "json", "svg")
 
     window = f"(default: {SweepConfig.window_periods:g} longest periods around the origin)"
     budget = _budget_options(LENGTH_PERIODS)
@@ -422,12 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "at least 1, results do not depend on it (default: 1)")
     sweep_common.add_argument("--level", type=_finite, default=None,
                               help="fixed level (default: per-angle interval midpoint)")
-    sweep_parents = [config, out, fmt, sweep_common, _budget_options(SweepConfig.length_periods)]
+    sweep_parents = [sweep_common, _budget_options(SweepConfig.length_periods)]
 
-    p_sweep = sub.add_parser("sweep", parents=sweep_parents, help="classify an angle grid")
+    # sweep writes no SVG.
+    p_sweep = sub.add_parser("sweep", parents=[config, out, _format_option("csv", "json"),
+                                               *sweep_parents], help="classify an angle grid")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_zones = sub.add_parser("zones", parents=sweep_parents,
+    p_zones = sub.add_parser("zones", parents=[config, out, fmt, *sweep_parents],
                              help="sweep, then detect stability zones")
     p_zones.add_argument("--refine-tol", type=_finite, default=1e-3, dest="refine_tol",
                          help="zone-edge bisection stops at this angle width, "

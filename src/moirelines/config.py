@@ -23,9 +23,10 @@ means exactly the same thing everywhere.  The format is line oriented:
     # c1 = 1.0
     # c2 = 0.5
 
-``term`` may repeat; every other key may not.  Unknown sections or keys are
-errors, and every error message carries the offending line number.  Table
-combiners are API-only: a sampled table has no faithful flat-text form.
+``term`` may repeat; every other key may not.  Unknown sections or keys and
+numbers that are not finite are errors, and every error message carries the
+offending line number.  Table combiners are API-only: a sampled table has
+no faithful flat-text form.
 
 ``parse_config`` turns the text into a ``SuperpositionPotential``;
 ``load_config`` reads a file and also returns its bytes, which run
@@ -33,6 +34,8 @@ manifests hash.
 """
 
 from __future__ import annotations
+
+import math
 
 from .geometry import EuclideanTransform, Lattice2
 from .potential import (
@@ -106,15 +109,23 @@ def _parse_lines(text: str) -> list[tuple[int, str, str, list[str]]]:
     return entries
 
 
+def _number(lineno, name, token) -> float:
+    """The finite float a token spells, else ConfigError."""
+    try:
+        value = float(token)
+    except ValueError as err:
+        raise ConfigError(lineno, f"{name}: {err}") from None
+    if not math.isfinite(value):
+        raise ConfigError(lineno, f"{name}: {token!r} is not a finite number")
+    return value
+
+
 def _floats(lineno, section, key, tokens, count) -> list[float]:
     if len(tokens) != count:
         raise ConfigError(
             lineno, f"{section}.{key} needs {count} numbers, got {len(tokens)}"
         )
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as err:
-        raise ConfigError(lineno, f"{section}.{key}: {err}") from None
+    return [_number(lineno, f"{section}.{key}", t) for t in tokens]
 
 
 def _term(lineno, section, tokens) -> FourierTerm:
@@ -125,10 +136,10 @@ def _term(lineno, section, tokens) -> FourierTerm:
         )
     try:
         n1, n2 = int(tokens[0]), int(tokens[1])
-        amp = float(tokens[2])
-        phase = float(tokens[3]) if len(tokens) == 4 else 0.0
     except ValueError as err:
         raise ConfigError(lineno, f"{section}.term: {err}") from None
+    amp = _number(lineno, f"{section}.term", tokens[2])
+    phase = _number(lineno, f"{section}.term", tokens[3]) if len(tokens) == 4 else 0.0
     return FourierTerm(n1, n2, amp, phase)
 
 

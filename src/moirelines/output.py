@@ -11,7 +11,6 @@ with the same inputs reproduces the data files byte for byte.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -24,9 +23,6 @@ from . import _walk
 FLOAT_SPEC = ".17g"  # the format spec of every float written in full
 SVG_SPEC = ".8g"  # the format spec of SVG path coordinates
 
-# Bytes format_g may write for one value, past its text included.
-_G_ROOM = 35
-
 
 def fmt_float(x) -> str:
     """17 significant digits; exact round-trip for IEEE doubles."""
@@ -35,42 +31,12 @@ def fmt_float(x) -> str:
 
 def format_array(values, spec: str, seps: tuple[str, ...]) -> str:
     """format(float(x), spec) of every value in C order, value k followed
-    by seps[k % len(seps)]; spec is ".Pg" with 1 <= P <= 17.
-
-    The compiled library's format_g writes the text where it loads, and
-    hands back each value it cannot write exactly, which Python formats;
-    elsewhere Python formats every value.  Both give the same bytes.
-    """
+    by seps[k % len(seps)]; spec is ".Pg" with 1 <= P <= 17.  The bytes are
+    the same whether the compiled library writes them or Python does."""
     precision = int(spec[1:-1])
     if spec != f".{precision}g" or not 1 <= precision <= 17:
         raise ValueError(f"format spec must be .Pg with 1 <= P <= 17, got {spec!r}")
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    lib = _walk.kernel()
-    if lib is None:
-        return _format_python(flat.tolist(), spec, seps)
-    n, period = len(flat), len(seps)
-    at = flat.__array_interface__["data"][0]
-    buf = np.empty(n * (_G_ROOM + max(map(len, seps))), dtype=np.uint8)
-    out = buf.__array_interface__["data"][0]
-    sep_ptrs = (ctypes.c_char_p * period)(*(s.encode("ascii") for s in seps))
-    written = ctypes.c_int64()
-    parts = []
-    k = 0
-    while True:
-        stop = lib.format_g(at, n, k, precision, sep_ptrs, period, out,
-                            ctypes.byref(written))
-        parts.append(str(buf[:written.value], "ascii"))
-        if stop == n:
-            return "".join(parts)
-        parts.append(format(float(flat[stop]), spec) + seps[stop % period])
-        k = stop + 1
-
-
-def _format_python(values: list[float], spec: str, seps: tuple[str, ...]) -> str:
-    """format_array's text, formatted by Python value by value."""
-    fields = [f"{{:{spec}}}" + s.replace("{", "{{").replace("}", "}}") for s in seps]
-    rows, rest = divmod(len(values), len(seps))
-    return ("".join(fields) * rows + "".join(fields[:rest])).format(*values)
+    return _walk.format_floats(values, precision, seps)
 
 
 def stable_json(obj, indent: int = 0) -> str:

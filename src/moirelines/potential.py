@@ -100,10 +100,14 @@ class Sum:
 
 @dataclass(frozen=True)
 class WeightedSum:
-    """Q(v, u) = c1*v + c2*u."""
+    """Q(v, u) = c1*v + c2*u, with finite weights."""
 
     c1: float
     c2: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
+            raise ValueError(f"weights must be finite, got c1={self.c1}, c2={self.c2}")
 
     def apply(self, v, u):
         return self.c1 * v + self.c2 * u

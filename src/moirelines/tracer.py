@@ -24,7 +24,6 @@ even when that window degenerates to a single level.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from contextvars import ContextVar
@@ -34,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import _walk
-from ._walk import CHUNK, SADDLE_EXIT, SIDE_CORNERS
+from ._walk import CHUNK, HORIZONTAL, SADDLE_EXIT, SIDE_CORNERS, VERTICAL
 from .geometry import Rect, apply_transform, as_vec2, fields_equal
 from .potential import SuperpositionPotential, eval_periodic, eval_superposition
 
@@ -60,9 +59,6 @@ CLASSIFY_DEPTH = 4.0
 # That is about 1,300 times the scaled cap of `trace`'s default budget on
 # the README potential (102,657 cells).
 MAX_SCALED_CELLS = 2**27
-
-_HORIZONTAL = 0
-_VERTICAL = 1
 
 # Fields built while _SHARE_FIRST_LAYER is set, which classifier.classify_family
 # does, take the first layer's chunk values from _FIRST_LAYER_STORE: V depends
@@ -314,27 +310,6 @@ def _field(s: SuperpositionPotential, h: float, field: ChunkedField | None) -> C
     return field
 
 
-def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of n nodes joined by links a-b.
-
-    Roots hook onto the smallest root they are linked to, then every node
-    jumps to its root, until no link joins two trees.  Labels are the
-    smallest node of each component.
-    """
-    root = np.arange(n)
-    while True:
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        if not apart.any():
-            return root
-        np.minimum.at(root, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-
-
 def find_seeds(
     s: SuperpositionPotential,
     level: float,
@@ -355,78 +330,12 @@ def find_seeds(
         raise ValueError(f"level must be finite, got {level}")
     i0, j0, g = field.window_block(window)
     g -= level
-    return [np.array((x, y)) for x, y, _ in _seed_edges(field, i0, j0, g)]
-
-
-def _seed_edges(field: ChunkedField, i0: int, j0: int, g: np.ndarray,
-                cap: int | None = None) -> list[tuple]:
-    """find_seeds' seeds as (x, y, edge), from the residuals g of f - level
-    at the corners from (i0, j0) on; only the first cap of them when cap is
-    a count.  edge is the grid edge (orient, gi, gj) the crossing (x, y)
-    lies on; _Walker.crossing(edge) gives (x, y) back bit for bit.  g is
-    left as it is.
-
-    The compiled scan runs where the library can be built, else the NumPy
-    scan, with the same seeds bit for bit.
-    """
-    lib = _walk.kernel()
-    if lib is None:
-        return _seed_edges_numpy(field, i0, j0, g)[:cap]
-    return _walk.seed_edges_compiled(lib.seed_edges, g, i0, j0, field.h, field.delta, cap)
-
-
-def _seed_edges_numpy(field: ChunkedField, i0: int, j0: int, g: np.ndarray) -> list[tuple]:
-    """_seed_edges, every seed, in NumPy."""
-    g = np.where(np.abs(g) < field.delta, field.delta, g)
-    pos = g > 0
-
-    # Crossed edges are numbered horizontal first, then vertical, each in
-    # row-major order of its lower-left corner; -1 marks an uncrossed edge.
-    h_cross = pos[:-1, :] != pos[1:, :]
-    v_cross = pos[:, :-1] != pos[:, 1:]
-    n_h = int(np.count_nonzero(h_cross))
-    n = n_h + int(np.count_nonzero(v_cross))
-    if n == 0:
-        return []
-    h_id = np.full(h_cross.shape, -1)
-    h_id[h_cross] = np.arange(n_h)
-    v_id = np.full(v_cross.shape, -1)
-    v_id[v_cross] = np.arange(n_h, n)
-
-    # Any two crossed edges of one cell are part of the same local crossing.
-    sides = (h_id[:, :-1], v_id[1:, :], h_id[:, 1:], v_id[:-1, :])
-    a, b = [], []
-    for p, q in itertools.combinations(sides, 2):
-        both = (p >= 0) & (q >= 0)
-        a.append(p[both])
-        b.append(q[both])
-    component = _components(n, np.concatenate(a), np.concatenate(b))
-
-    # Each component is represented by its first edge in (gj, gi, orient)
-    # order, and the seeds come out in that order too.
-    hi, hj = np.nonzero(h_cross)
-    vi, vj = np.nonzero(v_cross)
-    gi = i0 + np.concatenate((hi, vi))
-    gj = j0 + np.concatenate((hj, vj))
-    horizontal = np.arange(n) < n_h
-    order = np.lexsort((~horizontal, gi, gj))
-    _, first = np.unique(component[order], return_index=True)
-    pick = order[np.sort(first)]
-
-    g0 = np.concatenate((g[:-1, :][h_cross], g[:, :-1][v_cross]))[pick]
-    g1 = np.concatenate((g[1:, :][h_cross], g[:, 1:][v_cross]))[pick]
-    t = g0 / (g0 - g1)
-    gi, gj, horizontal = gi[pick], gj[pick], horizontal[pick]
-    h = field.h
-    xs = np.where(horizontal, (gi + t) * h, gi * h)
-    ys = np.where(horizontal, gj * h, (gj + t) * h)
-    edges = zip(np.where(horizontal, _HORIZONTAL, _VERTICAL).tolist(), gi.tolist(), gj.tolist())
-    return list(zip(xs.tolist(), ys.tolist(), edges))
+    return [np.array((x, y)) for x, y, _ in _walk.seed_edges(field, i0, j0, g)]
 
 
 # Per cell side (numbered as in _walk): the grid edge it is, as (orient,
 # di, dj) relative to the cell; and the cell's corners as offsets.
-_SIDE_EDGE = ((_HORIZONTAL, 0, 0), (_VERTICAL, 1, 0), (_HORIZONTAL, 0, 1), (_VERTICAL, 0, 0))
+_SIDE_EDGE = ((HORIZONTAL, 0, 0), (VERTICAL, 1, 0), (HORIZONTAL, 0, 1), (VERTICAL, 0, 0))
 _CORNER_OFFSET = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
@@ -452,7 +361,7 @@ class _Walker:
     def crossing(self, edge: tuple[int, int, int]) -> tuple[float, float]:
         orient, gi, gj = edge
         g0 = self.residual(gi, gj)
-        if orient == _HORIZONTAL:
+        if orient == HORIZONTAL:
             t = g0 / (g0 - self.residual(gi + 1, gj))
             return (gi + t) * self.h, gj * self.h
         t = g0 / (g0 - self.residual(gi, gj + 1))
@@ -475,26 +384,19 @@ class _Walker:
         itself.  reason is one of "closed", "budget" or "cells";
         first_jitter is the 1-based index of the first cell whose residuals
         were nudged, or None.
-
-        The compiled kernel walks where it can be built, else the same walk
-        in Python, bit for bit.
         """
         # The edge's two cells as (i, j, side entered through): the walk
         # starts in one, and leaving either through that side closes it.
         orient, gi, gj = edge
-        if orient == _HORIZONTAL:
+        if orient == HORIZONTAL:
             cells = (gi, gj, 0), (gi, gj - 1, 2)
             above = self.residual(gi, gj) > 0
         else:
             cells = (gi, gj, 3), (gi - 1, gj, 1)
             above = self.residual(gi, gj + 1) > 0
         i, j, entry = cells[0] if forward == above else cells[1]
-        args = (i, j, entry, float(p0[0]), float(p0[1]), (*cells[0], *cells[1]),
-                arc_limit, cell_limit)
-        lib = _walk.kernel()
-        if lib is None:
-            return _walk.walk_python(self, *args)
-        return _walk.walk_compiled(lib.walk_cells, self, *args)
+        return _walk.walk(self, i, j, entry, float(p0[0]), float(p0[1]),
+                          (*cells[0], *cells[1]), arc_limit, cell_limit)
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
@@ -637,7 +539,7 @@ class _IntervalProbe:
 
     def state(self, level: float) -> str:
         self.count += 1
-        seeds = _seed_edges(self.field, self.i0, self.j0, self.block - level, _PROBE_SEEDS)
+        seeds = _walk.seed_edges(self.field, self.i0, self.j0, self.block - level, _PROBE_SEEDS)
         if not seeds:
             return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.field, level)

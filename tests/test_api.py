@@ -5,8 +5,8 @@ public method named in moirelines.__all__, or a defaulted init field of a
 dataclass named there.  Adding, removing or renaming one changes the list
 below, so every new knob shows up as a one-line diff.  The package's
 only runtime dependency is NumPy, which a fresh import also checks, no
-module imports a name it never uses, and no private module-level name goes
-unread.
+module imports a name it never uses, no private module-level name goes
+unread, and only _walk loads the compiled library.
 """
 
 import ast
@@ -208,3 +208,56 @@ def test_dead_private_name_check_sees_each_kind():
         "b": ast.parse("from .a import _SHARED\nimport a\na._LEFT\n_SHARED\n"),
     }
     assert _dead_private_names(modules) == ["a._Gone (line 8)", "a._lost (line 6)"]
+
+
+def _library_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """Where a module other than _walk imports ctypes, and where one other
+    than _walk and sweep (which builds the library before it forks) reads
+    the name kernel."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").partition(".")[0]]
+                if "kernel" in (alias.name for alias in node.names):
+                    names.append("kernel")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names = ["kernel"] if node.id == "kernel" else []
+            elif isinstance(node, ast.Attribute):
+                names = ["kernel"] if node.attr == "kernel" else []
+            else:
+                continue
+            if "ctypes" in names and module != "_walk":
+                found.append(f"{module} imports ctypes (line {node.lineno})")
+            if "kernel" in names and module not in ("_walk", "sweep"):
+                found.append(f"{module} reads kernel (line {node.lineno})")
+    return sorted(found)
+
+
+def test_only_walk_loads_the_compiled_library():
+    package = Path(moirelines.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    assert _library_reads(modules) == []
+
+
+def test_library_read_check_sees_each_kind():
+    modules = {
+        "a": ast.parse(
+            "import ctypes.util\n"
+            "from ctypes import c_int\n"
+            "from ._walk import kernel\n"
+            "_walk.kernel()\n"
+            "kernel = None\n"
+            "print(kernel)\n"
+        ),
+        "_walk": ast.parse("import ctypes\nkernel()\n"),
+        "sweep": ast.parse("import os\n_walk.kernel()\n"),
+        "b": ast.parse("import os, ctypes as c\nfrom . import output\n"),
+    }
+    assert _library_reads(modules) == [
+        "a imports ctypes (line 1)", "a imports ctypes (line 2)", "a reads kernel (line 3)",
+        "a reads kernel (line 4)", "a reads kernel (line 6)", "b imports ctypes (line 1)",
+    ]

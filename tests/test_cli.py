@@ -729,6 +729,20 @@ class TestErrors:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not list(tmp_path.iterdir())
 
+    def test_sweep_refuses_svg_before_any_angle_is_sampled(
+        self, cfg_threeq, tmp_path, capsys, monkeypatch
+    ):
+        # sweep writes no SVG, so --format svg would leave only manifest.json.
+        monkeypatch.setattr(sweep, "_sample_alpha", _no_sample)
+        out = tmp_path / "run"
+        code = main(["sweep", "--config", cfg_threeq, *TestSweepAndZones.ARGS,
+                     "--format", "svg", "--out", str(out)])
+        assert code == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert "argument --format: invalid choice: 'svg'" in err
+        assert not out.exists()
+
     def test_bad_window_spec(self, cfg_twocos, capsys):
         code = main(["trace", "--config", cfg_twocos, "--level", "0.5",
                      "--window", "1,2,3"])

@@ -97,6 +97,21 @@ class TestParseConfig:
         lineno = BASE_CONFIG.splitlines().index("alpha = 0.7") + 1
         assert f"line {lineno}:" in str(err.value)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("e1 = 6.283185307179586 0.0", "e1 = 1e400 0.0", "v.lattice.e1: '1e400'"),
+        ("alpha = 0.7", "alpha = nan", "transform.alpha: 'nan'"),
+        ("shift = 0.1 -0.2", "shift = inf 0", "transform.shift: 'inf'"),
+        ("term = 1 0 0.05 0.25", "term = 1 0 nan", "u.terms.term: 'nan'"),
+        ("term = 1 0 0.05 0.25", "term = 1 0 0.05 -inf", "u.terms.term: '-inf'"),
+        ("c1 = 2.0", "c1 = nan", "combiner.c1: 'nan'"),
+    ], ids=["lattice", "alpha", "shift", "term-amplitude", "term-phase", "weight"])
+    def test_non_finite_numbers_are_refused_with_their_line(self, old, new, message):
+        text = BASE_CONFIG + "[combiner]\nkind = weighted\nc1 = 2.0\nc2 = 0.5\n"
+        lineno = text.splitlines().index(old) + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace(old, new, 1))
+        assert str(err.value) == f"line {lineno}: {message} is not a finite number"
+
     def test_duplicate_key_rejected(self):
         bad = BASE_CONFIG + "[transform]\nalpha = 0.8\n"
         with pytest.raises(ConfigError) as err:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirelines import _walk, output
+from moirelines import _walk
 from moirelines.cli import main
 from moirelines.output import FLOAT_SPEC, SVG_SPEC, format_array
 
@@ -89,7 +89,7 @@ class TestFormatArray:
         assert _fallback(np.array(values), SVG_SPEC, seps) == text
 
     def test_kernel_formats_in_c(self, monkeypatch):
-        monkeypatch.setattr(output, "_format_python", None)
+        monkeypatch.setattr(_walk, "format_python", None)
         assert format_array(np.array([0.1, 2.0]), FLOAT_SPEC, (",",)) == "0.10000000000000001,2,"
 
 
@@ -101,8 +101,8 @@ def test_unsupported_spec_is_refused(spec):
 
 def test_python_walker_formats_in_python(python_walker, monkeypatch, tmp_path, capsys):
     calls = []
-    python = output._format_python
-    monkeypatch.setattr(output, "_format_python", lambda *a: calls.append(a) or python(*a))
+    python = _walk.format_python
+    monkeypatch.setattr(_walk, "format_python", lambda *a: calls.append(a) or python(*a))
     cfg = tmp_path / "pot.cfg"
     cfg.write_text("[v.lattice]\ne1 = 1 0\ne2 = 0 1\n[v.terms]\nterm = 1 0 1.0\n"
                    "[u.lattice]\ne1 = 1 0\ne2 = 0 1\n[u.terms]\nterm = 0 1 0.5\n"

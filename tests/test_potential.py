@@ -113,6 +113,11 @@ class TestCombiners:
         assert Sum().bound(2.0, 0.5) == pytest.approx(2.5)
         assert w.bound(2.0, 0.5) == pytest.approx(4.5)
 
+    @pytest.mark.parametrize("c1, c2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.5)])
+    def test_weighted_sum_refuses_non_finite_weights(self, c1, c2):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightedSum(c1, c2)
+
     def test_product(self):
         assert Product().apply(3.0, -0.5) == pytest.approx(-1.5)
         assert Product().bound(2.0, 0.5) == pytest.approx(1.0)

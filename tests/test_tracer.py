@@ -37,7 +37,6 @@ from moirelines.tracer import (
     TraceBudget,
     _IntervalProbe,
     _locate_start,
-    _seed_edges,
     _Walker,
     bisect,
     energy_interval,
@@ -435,7 +434,7 @@ def _seed_bits(seeds):
 
 
 class TestSeedEdges:
-    """Interval probes start their walks from the edges _seed_edges returns
+    """Interval probes start their walks from the edges _walk.seed_edges returns
     with the seeds, where trace_level_line locates each seed's edge anew.
     The compiled scan gives the NumPy scan's seeds bit for bit."""
 
@@ -469,7 +468,7 @@ class TestSeedEdges:
             if saddles:
                 level = saddles[0][0]
         i0, j0, g = field.window_block(window)
-        seeds = _seed_edges(field, i0, j0, g - level)
+        seeds = _walk.seed_edges(field, i0, j0, g - level)
         found = find_seeds(s, level, window, h, field)
         assert [np.array((x, y)).tobytes() for x, y, _ in seeds] == [p.tobytes() for p in found]
         walker = _Walker(field, level)
@@ -502,13 +501,13 @@ class TestSeedEdges:
             g = -np.abs(g) - delta
         before = g.tobytes()
         i0, j0 = origin
-        compiled = _seed_edges(field, i0, j0, g)
-        assert _seed_bits(compiled) == _seed_bits(tracer._seed_edges_numpy(field, i0, j0, g))
+        compiled = _walk.seed_edges(field, i0, j0, g)
+        assert _seed_bits(compiled) == _seed_bits(_walk.seed_edges_numpy(field, i0, j0, g))
         assert all(type(v) is float for x, y, _ in compiled for v in (x, y))
         assert all(type(v) is int for _, _, edge in compiled for v in edge)
         if sign != "mixed":
             assert compiled == []
-        assert _seed_bits(_seed_edges(field, i0, j0, g, cap)) == _seed_bits(compiled[:cap])
+        assert _seed_bits(_walk.seed_edges(field, i0, j0, g, cap)) == _seed_bits(compiled[:cap])
         assert g.tobytes() == before
 
     @pytest.mark.skipif(shutil.which(_walk.CC) is None, reason="no C compiler to build the library")
@@ -518,9 +517,9 @@ class TestSeedEdges:
         field = ChunkedField(single_harmonic_sum(delta=0.3, alpha=0.7), TWO_PI / 16)
         g = -np.ones((101, 101))
         g[1::2, 1::2] = 1.0
-        seeds = _seed_edges(field, 0, 0, g)
+        seeds = _walk.seed_edges(field, 0, 0, g)
         assert len(seeds) == 50 * 50 > _walk.SEED_ROOM
-        assert _seed_bits(seeds) == _seed_bits(tracer._seed_edges_numpy(field, 0, 0, g))
+        assert _seed_bits(seeds) == _seed_bits(_walk.seed_edges_numpy(field, 0, 0, g))
 
 
 class TestTraceWalks:

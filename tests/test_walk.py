@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirelines import _walk, tracer
+from moirelines import _walk
 from moirelines.geometry import Rect
 from moirelines.potential import eval_superposition
 from moirelines.tracer import (
@@ -173,14 +173,14 @@ def test_seed_scan_falls_back_to_numpy(monkeypatch):
     # find_seeds and the interval probes scan in C where the library is
     # built, and with the NumPy scan where it is not, to the same results.
     s, budget, window = test_bitwise._setup()
-    numpy_scan = tracer._seed_edges_numpy
+    numpy_scan = _walk.seed_edges_numpy
     scans = []
 
     def counted(*args):
         scans.append(args)
         return numpy_scan(*args)
 
-    monkeypatch.setattr(tracer, "_seed_edges_numpy", counted)
+    monkeypatch.setattr(_walk, "seed_edges_numpy", counted)
 
     def results():
         field = ChunkedField(s, budget.cell_size)
