@@ -1,4 +1,4 @@
-/* Marching-squares walk over the corner values of one chunk.
+/* Marching-squares walk over the corner values of a chunked field.
 
    This is the loop of _walk.walk_python, step for step: the same residual
    nudge, the same exit table, the same crossing arithmetic and the same
@@ -7,13 +7,15 @@
    -ffp-contract=off and without -ffast-math, or the vertices stop being
    bit-identical to the Python walk's.
 
-   walk_cells returns to Python whenever the walk needs something that is
-   not in the chunk buffer or the vertex buffers, with the walk's state
-   saved in *s, so that calling it again continues the walk.
+   walk_cells finds the chunks it crosses in the field's chunk table
+   (_walk.ChunkTable) and returns to Python whenever the walk needs
+   something that is not there or not in the vertex buffers, with the
+   walk's state saved in *s, so that calling it again continues the walk.
 
    The same library finds the seed edges of a block of residuals
-   (seed_edges) and formats the floats of the bulk text outputs (format_g
-   at the end of this file). */
+   (seed_edges), runs one interval probe level, its seed scan and its
+   forward walks (probe_level), and formats the floats of the bulk text
+   outputs (format_g at the end of this file). */
 
 #include <math.h>
 #include <stdint.h>
@@ -22,14 +24,22 @@
 /* CHUNK, the chunk size in cells, comes from _walk.py as -DCHUNK=... */
 #define STRIDE (CHUNK + 1)
 
-/* Why walk_cells returned.  Keep in step with the stop codes in _walk.py. */
+/* Why walk_cells or probe_level returned.  Keep in step with the stop
+   codes in _walk.py. */
 enum { LEAVE, SADDLE, FULL, CELLS, BUDGET, CLOSED };
+
+/* Multipliers of the chunk table's hash.  Keep in step with _walk.py. */
+#define HASH_I UINT64_C(0x9E3779B97F4A7C15)
+#define HASH_J UINT64_C(0xC2B2AE3D27D4EB4F)
 
 typedef struct {
     const int8_t *exits;    /* _walk.EXIT */
+    const int64_t *table;   /* chunk table: (ci, cj, address) per slot */
+    const double *v;        /* corner values of the current chunk */
     double level, delta, h, arc_limit;
     double p0x, p0y;        /* start crossing */
     double px, py, arc;     /* last vertex and running arc */
+    int64_t shift;          /* 64 - log2 of the table's slots */
     int64_t i, j;           /* current cell */
     int64_t oi, oj;         /* lower-left corner of the current chunk */
     int64_t ia, ja, ea, ib, jb, eb;  /* leaving (ia, ja) through side ea, or
@@ -41,6 +51,22 @@ typedef struct {
     int64_t out;            /* exit side Python chose for it, else -1 */
     int64_t count;          /* vertices in xs and ys */
 } walk_state;
+
+/* The corner values of chunk (ci, cj), or NULL when it is not filled.
+   Slots are probed linearly from the hash's top bits; an address of 0
+   marks an empty slot. */
+static const double *find_chunk(const walk_state *s, int64_t ci, int64_t cj)
+{
+    uint64_t mask = (UINT64_C(1) << (64 - s->shift)) - 1;
+    uint64_t k = ((uint64_t)ci * HASH_I + (uint64_t)cj * HASH_J) >> s->shift;
+    for (;; k = (k + 1) & mask) {
+        const int64_t *e = s->table + 3 * k;
+        if (e[2] == 0)
+            return NULL;
+        if (e[0] == ci && e[1] == cj)
+            return (const double *)(intptr_t)e[2];
+    }
+}
 
 /* Residual of one corner; residuals within delta of zero count as +delta. */
 static double residual(double v, const walk_state *s, int64_t bit, int64_t *code,
@@ -58,17 +84,19 @@ static double residual(double v, const walk_state *s, int64_t bit, int64_t *code
     return g;
 }
 
-/* Walk from cell (s->i, s->j) using the chunk whose corner values v holds,
-   appending vertices to xs and ys until one of the stop codes applies:
-   LEAVE     the cell lies outside the chunk; s->oi and s->oj name the
-             chunk it lies in;
+/* Walk from cell (s->i, s->j) using the chunk whose corner values s->v
+   holds, appending vertices to xs and ys (unless xs is NULL) until one of
+   the stop codes applies:
+   LEAVE     the cell lies in a chunk the table does not hold; s->oi and
+             s->oj name it: fill it, set s->v and call again;
    SADDLE    the cell's exit needs the potential at its centre: set s->out
              and call again (an inconsistent cell also returns this);
    FULL      cap vertices are buffered: take them, reset s->count;
    CELLS, BUDGET, CLOSED: the walk is over. */
-int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t cap)
+int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
 {
     const double h = s->h;
+    const double *v = s->v;
     int64_t i = s->i, j = s->j, n = s->n, count = s->count;
     int64_t first = s->first_jitter, code_base = s->code_base, out = s->out;
     double px = s->px, py = s->py, arc = s->arc;
@@ -88,8 +116,13 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
             if ((li | lj) & ~(int64_t)(CHUNK - 1)) {
                 s->oi = i - (i & (CHUNK - 1));
                 s->oj = j - (j & (CHUNK - 1));
-                stop = LEAVE;
-                break;
+                v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+                if (v == NULL) {
+                    stop = LEAVE;
+                    break;
+                }
+                li = i - s->oi;
+                lj = j - s->oj;
             }
             n++;
         }
@@ -113,8 +146,10 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
             qx = s->p0x;
             qy = s->p0y;
             arc += hypot(qx - px, qy - py);
-            xs[count] = qx;
-            ys[count] = qy;
+            if (xs) {
+                xs[count] = qx;
+                ys[count] = qy;
+            }
             count++;
             px = qx;
             py = qy;
@@ -155,8 +190,10 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
             break;
         }
         out = -1;
-        xs[count] = qx;
-        ys[count] = qy;
+        if (xs) {
+            xs[count] = qx;
+            ys[count] = qy;
+        }
         count++;
         arc += hypot(qx - px, qy - py);
         px = qx;
@@ -166,6 +203,7 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
             break;
         }
     }
+    s->v = v;
     s->i = i;
     s->j = j;
     s->n = n;
@@ -181,17 +219,18 @@ int walk_cells(const double *v, walk_state *s, double *xs, double *ys, int64_t c
 
 
 /* The seed edges of a block of residuals: the scan of
-   tracer._seed_edges_numpy, seed for seed and bit for bit.
+   _walk.seed_edges_numpy, seed for seed and bit for bit.
 
-   g holds f - level at corners (i0 + a, j0 + b) for a < ni, b < nj, row a
-   after row, and is only read.  Each value is nudged on read as the walk
-   nudges it.  The grid edge from corner (a, b) to (a + 1, b) (orient 0,
-   horizontal) has the id 2 * (b * ni + a), the one to (a, b + 1) (orient
-   1, vertical) the next, so ids run in (gj, gi, horizontal first) order.
-   parent, of 2 * ni * nj entries, is scratch: -1 for an edge that is not
-   crossed, else its union-find parent.  Any two crossed sides of a cell
-   are joined, and a tree's root is its smallest id, so the roots are the
-   components' first edges, and they come out in id order.
+   The residual of the corner (i0 + a, j0 + b), for a < ni and b < nj, is
+   f[a * nj + b] - level; f is only read.  Each residual is nudged on read
+   as the walk nudges it.  The grid edge from corner (a, b) to (a + 1, b)
+   (orient 0, horizontal) has the id 2 * (b * ni + a), the one to
+   (a, b + 1) (orient 1, vertical) the next, so ids run in (gj, gi,
+   horizontal first) order.  parent, of 2 * ni * nj entries, is scratch:
+   -1 for an edge that is not crossed, else its union-find parent.  Any two
+   crossed sides of a cell are joined, and a tree's root is its smallest
+   id, so the roots are the components' first edges, and they come out in
+   id order.
 
    Seed k < room goes to xy[2k], xy[2k + 1] and edges[3k .. 3k + 2] =
    (orient, gi, gj).  Returns the number of seeds, at most cap. */
@@ -220,20 +259,19 @@ static void join(int32_t *parent, int32_t a, int32_t b)
         parent[a] = b;
 }
 
-int64_t seed_edges(const double *g, int64_t ni, int64_t nj, int64_t i0, int64_t j0,
-                   double h, double delta, int64_t cap, int32_t *parent,
+int64_t seed_edges(const double *f, double level, int64_t ni, int64_t nj, int64_t i0,
+                   int64_t j0, double h, double delta, int64_t cap, int32_t *parent,
                    double *xy, int64_t *edges, int64_t room)
 {
     int64_t a, b, count = 0;
 
+#define G(a, b) nudged(f[(a) * nj + (b)] - level, delta)
     for (b = 0; b < nj; b++)
         for (a = 0; a < ni; a++) {
             int32_t id = (int32_t)(2 * (b * ni + a));
-            int above = nudged(g[a * nj + b], delta) > 0;
-            parent[id] = a + 1 < ni && above != (nudged(g[(a + 1) * nj + b], delta) > 0)
-                ? id : -1;
-            parent[id + 1] = b + 1 < nj && above != (nudged(g[a * nj + b + 1], delta) > 0)
-                ? id + 1 : -1;
+            int above = G(a, b) > 0;
+            parent[id] = a + 1 < ni && above != (G(a + 1, b) > 0) ? id : -1;
+            parent[id + 1] = b + 1 < nj && above != (G(a, b + 1) > 0) ? id + 1 : -1;
         }
     for (b = 0; b + 1 < nj; b++)
         for (a = 0; a + 1 < ni; a++) {
@@ -258,8 +296,8 @@ int64_t seed_edges(const double *g, int64_t ni, int64_t nj, int64_t i0, int64_t 
                 if (count == cap)
                     return count;
                 if (count < room) {
-                    double g0 = nudged(g[a * nj + b], delta);
-                    double g1 = nudged(orient ? g[a * nj + b + 1] : g[(a + 1) * nj + b], delta);
+                    double g0 = G(a, b);
+                    double g1 = orient ? G(a, b + 1) : G(a + 1, b);
                     double t = g0 / (g0 - g1);
                     double x = (double)(i0 + a), y = (double)(j0 + b);
                     xy[2 * count] = orient ? x * h : (x + t) * h;
@@ -270,7 +308,100 @@ int64_t seed_edges(const double *g, int64_t ni, int64_t nj, int64_t i0, int64_t 
                 }
                 count++;
             }
+#undef G
     return count;
+}
+
+
+/* One level of an interval probe: _walk.probe_python, outcome for outcome.
+
+   The first time it is called it scans the block for its first cap seeds
+   at w.level (seed_edges, into xy and edges), then walks forward from each
+   seed in turn as tracer._Walker.walk starts a walk, storing no vertices.
+   It returns
+   LEAVE, SADDLE  as walk_cells does, for the walk under way: fill the
+                  chunk or resolve the saddle in w and call again;
+   CELLS, BUDGET  that walk stopped open: the level carries an open line;
+   CLOSED         every walk closed; best is the seed of the longest one,
+                  the first of equal ones, or -1 when there are no seeds.
+   The caller sets seeds, next, walking, best and best_arc to -1, 0, 0, -1
+   and -1.0. */
+typedef struct {
+    walk_state w;
+    const double *f;        /* the window block's corner values */
+    int64_t ni, nj, i0, j0;
+    int32_t *parent;        /* seed_edges' scratch */
+    double *xy;             /* cap seed crossings */
+    int64_t *edges;         /* and their grid edges */
+    int64_t cap;
+    int64_t seeds;          /* seeds found, -1 before the scan */
+    int64_t next;           /* seed whose walk starts next */
+    int64_t walking;        /* 1 while seed next - 1 is walked */
+    int64_t best;
+    double best_arc;
+} probe_state;
+
+/* Start w's walk forward from seed k: in the cell beside its edge that
+   has f > level on the left, closing on either cell. */
+static void start_walk(probe_state *p, int64_t k)
+{
+    walk_state *s = &p->w;
+    int64_t orient = p->edges[3 * k], gi = p->edges[3 * k + 1], gj = p->edges[3 * k + 2];
+    /* Horizontal: cells (gi, gj) entered through its bottom and (gi, gj - 1)
+       through its top; vertical: (gi, gj) through its left and (gi - 1, gj)
+       through its right.  The end corner (gi, gj) or (gi, gj + 1) picks. */
+    double g = nudged(p->f[(gi - p->i0) * p->nj + gj - p->j0 + orient] - s->level, s->delta);
+    s->ia = gi;
+    s->ja = gj;
+    s->ea = orient ? 3 : 0;
+    s->ib = orient ? gi - 1 : gi;
+    s->jb = orient ? gj : gj - 1;
+    s->eb = orient ? 1 : 2;
+    if (g > 0) {
+        s->i = s->ia;
+        s->j = s->ja;
+        s->code_base = 16 * s->ea;
+    } else {
+        s->i = s->ib;
+        s->j = s->jb;
+        s->code_base = 16 * s->eb;
+    }
+    s->p0x = s->px = p->xy[2 * k];
+    s->p0y = s->py = p->xy[2 * k + 1];
+    s->arc = 0.0;
+    s->n = s->first_jitter = s->count = 0;
+    s->out = -1;
+    s->oi = s->i - (s->i & (CHUNK - 1));
+    s->oj = s->j - (s->j & (CHUNK - 1));
+    s->v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+}
+
+int probe_level(probe_state *p)
+{
+    walk_state *s = &p->w;
+    if (p->seeds < 0)
+        p->seeds = seed_edges(p->f, s->level, p->ni, p->nj, p->i0, p->j0, s->h, s->delta,
+                              p->cap, p->parent, p->xy, p->edges, p->cap);
+    for (;;) {
+        if (!p->walking) {
+            if (p->next == p->seeds)
+                return CLOSED;
+            start_walk(p, p->next++);
+            p->walking = 1;
+            if (s->v == NULL)
+                return LEAVE;
+        }
+        int stop = walk_cells(s, NULL, NULL, INT64_MAX);
+        if (stop == LEAVE || stop == SADDLE)
+            return stop;
+        p->walking = 0;
+        if (stop != CLOSED)
+            return stop;
+        if (s->arc > p->best_arc) {
+            p->best_arc = s->arc;
+            p->best = p->next - 1;
+        }
+    }
 }
 
 

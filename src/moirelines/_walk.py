@@ -2,11 +2,14 @@
 
 walk runs the marching-squares walk of one level line across a chunked
 field, seed_edges the scan of a block of corner residuals for one crossing
-per piece of the level set, and format_floats writes floats as format's
-.Pg does.  Each runs its C routine (walk_cells, seed_edges, format_g) where
-the library loads, else its twin (walk_python, seed_edges_numpy,
-format_python), with the same results bit for bit.  No other module loads
-the library or calls into it.
+per piece of the level set, probe the seed scan and forward walks of one
+interval probe level, and format_floats writes floats as format's .Pg
+does.  Each runs its C routine (walk_cells, seed_edges, probe_level,
+format_g) where the library loads, else its twin (walk_python,
+seed_edges_numpy, probe_python, format_python), with the same results bit
+for bit.  The compiled walks find filled chunks in the field's ChunkTable
+and return to Python only to fill a chunk or resolve a saddle cell.  No
+other module loads the library or calls into it.
 
 The library is compiled on first use, never at import, with the system C
 compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
@@ -94,7 +97,7 @@ CC = "cc"
 # No -ffast-math, no -march: the walk must round exactly as the Python one.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-DCHUNK={CHUNK}")
 
-# Stop codes of walk_cells, in the order of its enum.
+# Stop codes of walk_cells and probe_level, in the order of their enum.
 LEAVE, SADDLE, FULL, CELLS, BUDGET, CLOSED = range(6)
 
 # Vertices buffered per coordinate between returns to Python: 8 KB each.
@@ -107,13 +110,67 @@ class State(ctypes.Structure):
     """The walk_state struct of _walk.c, field for field."""
 
     _fields_ = [
-        ("exits", ctypes.c_void_p),
+        *((name, ctypes.c_void_p) for name in ("exits", "table", "v")),
         *((name, _f64) for name in (
             "level", "delta", "h", "arc_limit", "p0x", "p0y", "px", "py", "arc")),
         *((name, _i64) for name in (
-            "i", "j", "oi", "oj", "ia", "ja", "ea", "ib", "jb", "eb", "n", "cell_limit",
-            "first_jitter", "code_base", "code", "out", "count")),
+            "shift", "i", "j", "oi", "oj", "ia", "ja", "ea", "ib", "jb", "eb", "n",
+            "cell_limit", "first_jitter", "code_base", "code", "out", "count")),
     ]
+
+
+class ProbeState(ctypes.Structure):
+    """The probe_state struct of _walk.c, field for field."""
+
+    _fields_ = [
+        ("w", State),
+        ("f", ctypes.c_void_p),
+        *((name, _i64) for name in ("ni", "nj", "i0", "j0")),
+        *((name, ctypes.c_void_p) for name in ("parent", "xy", "edges")),
+        *((name, _i64) for name in ("cap", "seeds", "next", "walking", "best")),
+        ("best_arc", _f64),
+    ]
+
+
+# Multipliers of the chunk table's hash (HASH_I, HASH_J in _walk.c).
+_HASH_I, _HASH_J = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+_U64 = 2**64 - 1
+
+
+class ChunkTable:
+    """Open-addressed table from chunk (ci, cj) to the address of its
+    corner values, in the int64 array slots that walk_cells reads.
+
+    Slot k holds (ci, cj, address), or address 0 when it is empty.  A key
+    hashes to the top bits of ci * _HASH_I + cj * _HASH_J mod 2**64 and is
+    probed linearly from there; the table doubles before it is half full.
+    It holds addresses only: the owner keeps each buffer alive.
+    """
+
+    def __init__(self, bits: int = 6):
+        self.slots = np.zeros((1 << bits, 3), dtype=np.int64)
+        self.shift = 64 - bits
+        self.count = 0
+
+    def insert(self, ci: int, cj: int, values: np.ndarray) -> None:
+        """Add chunk (ci, cj), which the table does not hold yet, with its
+        corner values."""
+        if 2 * (self.count + 1) > len(self.slots):
+            entries = self.slots[self.slots[:, 2] != 0].tolist()
+            self.slots = np.zeros((2 * len(self.slots), 3), dtype=np.int64)
+            self.shift -= 1
+            self.count = 0
+            for entry in entries:
+                self._place(*entry)
+        self._place(ci, cj, _address(values))
+
+    def _place(self, ci: int, cj: int, address: int) -> None:
+        mask = len(self.slots) - 1
+        k = ((int(ci) * _HASH_I + int(cj) * _HASH_J) & _U64) >> self.shift
+        while self.slots[k, 2]:
+            k = (k + 1) & mask
+        self.slots[k] = ci, cj, address
+        self.count += 1
 
 
 def _build() -> Path:
@@ -143,19 +200,21 @@ def _build() -> Path:
 
 @functools.cache
 def kernel():
-    """The compiled library, with walk_cells, seed_edges and format_g
-    typed, or None when it cannot be built or loaded here."""
+    """The compiled library, with walk_cells, seed_edges, probe_level and
+    format_g typed, or None when it cannot be built or loaded here."""
     try:
         lib = ctypes.CDLL(str(_build()))
-        walk, seeds, fmt = lib.walk_cells, lib.seed_edges, lib.format_g
+        walk, seeds, probe_level, fmt = (
+            lib.walk_cells, lib.seed_edges, lib.probe_level, lib.format_g)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    walk.argtypes = [ctypes.c_void_p, ctypes.POINTER(State), ctypes.c_void_p,
-                     ctypes.c_void_p, _i64]
+    walk.argtypes = [ctypes.POINTER(State), ctypes.c_void_p, ctypes.c_void_p, _i64]
     walk.restype = ctypes.c_int
-    seeds.argtypes = [ctypes.c_void_p, _i64, _i64, _i64, _i64, _f64, _f64, _i64,
+    seeds.argtypes = [ctypes.c_void_p, _f64, _i64, _i64, _i64, _i64, _f64, _f64, _i64,
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, _i64]
     seeds.restype = _i64
+    probe_level.argtypes = [ctypes.POINTER(ProbeState)]
+    probe_level.restype = ctypes.c_int
     fmt.argtypes = [ctypes.c_void_p, _i64, _i64, ctypes.c_int,
                     ctypes.POINTER(ctypes.c_char_p), _i64, ctypes.c_void_p,
                     ctypes.POINTER(_i64)]
@@ -173,33 +232,59 @@ _EXIT_ADDRESS = _address(_EXIT_BYTES)
 _REASONS = {CELLS: "cells", BUDGET: "budget", CLOSED: "closed"}
 
 
-def walk(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
+def start(walker, edge, forward):
+    """The cell a walk from grid edge (orient, gi, gj) starts in, forward
+    (f > level on the left) or backward, as (i, j, entry, closing): the
+    edge's two cells are (i, j, side entered through), the walk starts in
+    the one the direction points into, and leaving either through that
+    side, closing = (*first cell, *second cell), closes the walk."""
+    orient, gi, gj = edge
+    if orient == HORIZONTAL:
+        cells = (gi, gj, 0), (gi, gj - 1, 2)
+        above = walker.residual(gi, gj) > 0
+    else:
+        cells = (gi, gj, 3), (gi - 1, gj, 1)
+        above = walker.residual(gi, gj + 1) > 0
+    i, j, entry = cells[0] if forward == above else cells[1]
+    return i, j, entry, (*cells[0], *cells[1])
+
+
+def walk(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
     """tracer._Walker.walk from cell (i, j), entered through side entry,
-    given p0's coordinates and the cells and sides whose leaving closes it."""
-    args = (walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit)
+    given the cells and sides whose leaving closes it and p0's coordinates."""
+    args = (walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit)
     lib = kernel()
     return walk_python(*args) if lib is None else walk_compiled(lib.walk_cells, *args)
 
 
-def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
+def _enter(st: State, field) -> None:
+    """Fill chunk (st.oi, st.oj) of field if it is missing, and point st at
+    it and at the field's chunk table, which the fill may have grown."""
+    st.v = _address(field._chunk(st.oi // CHUNK, st.oj // CHUNK))
+    st.table, st.shift = _address(field.table.slots), field.table.shift
+
+
+def _state(walker, arc_limit, cell_limit, **fields) -> State:
+    table = walker.field.table
+    return State(exits=_EXIT_ADDRESS, table=_address(table.slots), shift=table.shift,
+                 level=walker.level, delta=walker.delta, h=walker.h, arc_limit=arc_limit,
+                 cell_limit=int(cell_limit), out=-1, **fields)
+
+
+def walk_compiled(fn, walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
     """walk by the library's walk_cells, fn."""
-    field = walker.field
-    st = State(
-        exits=_EXIT_ADDRESS, level=walker.level, delta=walker.delta, h=walker.h,
-        arc_limit=arc_limit, p0x=p0x, p0y=p0y, px=p0x, py=p0y,
-        i=i, j=j, oi=i - i % CHUNK, oj=j - j % CHUNK,
-        cell_limit=int(cell_limit), code_base=16 * entry, out=-1,
-    )
+    st = _state(walker, arc_limit, cell_limit, p0x=p0x, p0y=p0y, px=p0x, py=p0y,
+                i=i, j=j, oi=i - i % CHUNK, oj=j - j % CHUNK, code_base=16 * entry)
     st.ia, st.ja, st.ea, st.ib, st.jb, st.eb = closing
+    _enter(st, walker.field)
     buf = np.empty((2, CAPACITY))
     x_at = _address(buf)
     y_at = x_at + buf.strides[0]
-    chunk = field._chunk(st.oi // CHUNK, st.oj // CHUNK)[1]
     parts = []  # the buffer's vertices, copied each time it fills and at the end
     while True:
-        stop = fn(chunk, st, x_at, y_at, CAPACITY)
+        stop = fn(st, x_at, y_at, CAPACITY)
         if stop == LEAVE:
-            chunk = field._chunk(st.oi // CHUNK, st.oj // CHUNK)[1]
+            _enter(st, walker.field)
         elif stop == SADDLE:
             hits = walker.jitter_hits
             st.out = walker.saddle_exit(st.code, st.i, st.j)
@@ -214,7 +299,7 @@ def walk_compiled(fn, walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_li
     return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None
 
 
-def walk_python(walker, i, j, entry, p0x, p0y, closing, arc_limit, cell_limit):
+def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
     """walk in Python."""
     # Plain floats: the same IEEE arithmetic as NumPy scalars, but faster.
     level, delta, h = float(walker.level), float(walker.delta), float(walker.h)
@@ -344,19 +429,26 @@ def seed_edges(field, i0, j0, g, cap=None) -> list[tuple]:
             else seed_edges_compiled(lib.seed_edges, field, i0, j0, g, cap))
 
 
-def seed_edges_compiled(fn, field, i0, j0, g, cap):
-    """seed_edges by the library's seed_edges, fn."""
+def _scan_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g as the C float64 array the library's seed scan reads, and the
+    scan's scratch; ValueError when g's edges do not fit its int32 ids."""
     ni, nj = g.shape
     if ni * nj > MAX_BLOCK_CORNERS:
         raise ValueError(f"a {ni} x {nj} block has more than {MAX_BLOCK_CORNERS} corners")
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    parent = np.empty(2 * ni * nj, dtype=np.int32)
+    return np.ascontiguousarray(g, dtype=np.float64), np.empty(2 * ni * nj, dtype=np.int32)
+
+
+def seed_edges_compiled(fn, field, i0, j0, g, cap):
+    """seed_edges by the library's seed_edges, fn."""
+    ni, nj = g.shape
+    g, parent = _scan_block(g)
     limit = 2**63 - 1 if cap is None else cap
     room = min(limit, SEED_ROOM)
     while True:
         xy = np.empty((room, 2))
         edges = np.empty((room, 3), dtype=np.int64)
-        count = fn(_address(g), ni, nj, i0, j0, field.h, field.delta, limit,
+        # g holds the residuals already: level 0.0.
+        count = fn(_address(g), 0.0, ni, nj, i0, j0, field.h, field.delta, limit,
                    _address(parent), _address(xy), _address(edges), room)
         if count <= room:
             break
@@ -433,6 +525,65 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if np.array_equal(up, root):
                 break
             root = up
+
+
+# Outcomes of probe other than the index of a seed.
+OPEN, NO_SEEDS = -1, -2
+
+
+def probe(walker, i0, j0, f, cap, arc_limit, cell_limit):
+    """The walks of one tracer._IntervalProbe level, walker's.  The first
+    cap seeds that seed_edges finds in the residuals f - walker.level, f
+    the grid corner values from (i0, j0) on, are walked forward from their
+    edges as tracer._Walker.walk walks, storing no vertices, until a walk
+    does not close.  Returns (OPEN, None) when arc_limit or cell_limit
+    stops a walk, (NO_SEEDS, None) when there are no seeds, and else
+    (k, seed k) for the longest closed walk, the first of equal ones, with
+    seed k as seed_edges gives it."""
+    args = (walker, i0, j0, f, cap, arc_limit, cell_limit)
+    lib = kernel()
+    return probe_python(*args) if lib is None else probe_compiled(lib.probe_level, *args)
+
+
+def probe_compiled(fn, walker, i0, j0, f, cap, arc_limit, cell_limit):
+    """probe by the library's probe_level, fn."""
+    ni, nj = f.shape
+    f, parent = _scan_block(f)
+    xy = np.empty((cap, 2))
+    edges = np.empty((cap, 3), dtype=np.int64)
+    st = ProbeState(w=_state(walker, arc_limit, cell_limit), f=_address(f), ni=ni, nj=nj,
+                    i0=i0, j0=j0, parent=_address(parent), xy=_address(xy),
+                    edges=_address(edges), cap=cap, seeds=-1, best=-1, best_arc=-1.0)
+    w = st.w  # shares st's memory
+    while True:
+        stop = fn(st)
+        if stop == LEAVE:
+            _enter(w, walker.field)
+        elif stop == SADDLE:
+            w.out = walker.saddle_exit(w.code, w.i, w.j)
+        else:
+            break
+    if stop != CLOSED:
+        return OPEN, None
+    k = st.best
+    if k < 0:
+        return NO_SEEDS, None
+    (x, y), edge = xy[k].tolist(), edges[k].tolist()
+    return k, (x, y, tuple(edge))
+
+
+def probe_python(walker, i0, j0, f, cap, arc_limit, cell_limit):
+    """probe by seed_edges_numpy and walk_python."""
+    seeds = seed_edges_numpy(walker.field, i0, j0, f - walker.level)[:cap]
+    best, best_arc = NO_SEEDS, -1.0
+    for k, (x0, y0, edge) in enumerate(seeds):
+        arc, reason = walk_python(walker, *start(walker, edge, True), x0, y0,
+                                  arc_limit, cell_limit)[2:4]
+        if reason != "closed":
+            return OPEN, None
+        if arc > best_arc:
+            best, best_arc = k, arc
+    return best, seeds[best] if seeds else None
 
 
 # Bytes format_g may write for one value, past its text included (35 in _walk.c).

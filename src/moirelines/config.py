@@ -35,6 +35,7 @@ manifests hash.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .geometry import EuclideanTransform, Lattice2
@@ -147,11 +148,11 @@ def parse_config(text: str) -> SuperpositionPotential:
     """The potential a definition text describes."""
     entries = _parse_lines(text)
     singles: dict[tuple[str, str], tuple[int, list[str]]] = {}
-    terms: dict[str, list[FourierTerm]] = {"v.terms": [], "u.terms": []}
+    terms: dict[str, list[tuple[int, FourierTerm]]] = {"v.terms": [], "u.terms": []}
 
     for lineno, section, key, tokens in entries:
         if key == "term":
-            terms[section].append(_term(lineno, section, tokens))
+            terms[section].append((lineno, _term(lineno, section, tokens)))
             continue
         if (section, key) in singles:
             raise ConfigError(
@@ -178,10 +179,21 @@ def parse_config(text: str) -> SuperpositionPotential:
             lineno = singles[(section, "e2")][0]
             raise ConfigError(lineno, f"{section}: {err}") from None
 
-    lat_v = lattice("v")
-    lat_u = lattice("u")
-    v = PeriodicPotential(lat_v, tuple(terms["v.terms"]))
-    u = PeriodicPotential(lat_u, tuple(terms["u.terms"]))
+    def layer(prefix: str) -> PeriodicPotential:
+        section = f"{prefix}.terms"
+        lat = lattice(prefix)
+        try:
+            return PeriodicPotential(lat, tuple(term for _, term in terms[section]))
+        except ValueError as err:
+            # The term that takes the running sum of |amplitude| past the
+            # float range.
+            sums = itertools.accumulate(abs(term.amplitude) for _, term in terms[section])
+            lineno = next((n for (n, _), total in zip(terms[section], sums)
+                           if not math.isfinite(total)), terms[section][-1][0])
+            raise ConfigError(lineno, f"{section}: {err}") from None
+
+    v = layer("v")
+    u = layer("u")
 
     (alpha,) = numbers("transform", "alpha", 1, [0.0])
     shift = numbers("transform", "shift", 2, [0.0, 0.0])

@@ -72,6 +72,10 @@ class PeriodicPotential:
         object.__setattr__(self, "_waves", waves)
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "_phases", phases)
+        with np.errstate(over="ignore"):
+            bound = self.amplitude_bound()
+        if not math.isfinite(bound):
+            raise ValueError("the absolute amplitudes sum beyond the float range")
 
     def amplitude_bound(self) -> float:
         """Upper bound on |value|: the l1 norm of the amplitudes."""

@@ -214,19 +214,20 @@ class ChunkedField:
         self.s = s
         self.h = float(h)
         self.delta = JITTER_REL * s.value_scale()
-        self._chunks: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        self._chunks: dict[tuple[int, int], np.ndarray] = {}
+        # The same chunks by address, for the compiled walks.
+        self.table = _walk.ChunkTable()
         v = s.v
         self._first_layer = (
             (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
             if _SHARE_FIRST_LAYER.get() else None
         )
 
-    def _chunk(self, ci: int, cj: int) -> tuple[np.ndarray, int]:
-        """Chunk (ci, cj)'s corner values and the address of their buffer,
-        which the compiled walk reads."""
+    def _chunk(self, ci: int, cj: int) -> np.ndarray:
+        """Chunk (ci, cj)'s corner values, (CHUNK + 1) x (CHUNK + 1)."""
         key = (ci, cj)
-        entry = self._chunks.get(key)
-        if entry is None:
+        vals = self._chunks.get(key)
+        if vals is None:
             pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
             pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
             pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
@@ -234,18 +235,18 @@ class ChunkedField:
                 vals = eval_superposition(self.s, pts)
             else:
                 vals = _superpose_stored(self.s, pts, (self._first_layer, ci, cj))
-            vals = np.ascontiguousarray(vals, dtype=np.float64)
-            entry = self._chunks[key] = vals, vals.__array_interface__["data"][0]
-        return entry
+            vals = self._chunks[key] = np.ascontiguousarray(vals, dtype=np.float64)
+            self.table.insert(ci, cj, vals)
+        return vals
 
     def view(self, ci: int, cj: int) -> memoryview:
         """Chunk (ci, cj) as a flat float view, row-major with CHUNK + 1
         columns; indexing it is much cheaper than indexing the array."""
-        return memoryview(self._chunk(ci, cj)[0]).cast("B").cast("d")
+        return memoryview(self._chunk(ci, cj)).cast("B").cast("d")
 
     def corner(self, gi: int, gj: int) -> float:
         ci, cj = gi // CHUNK, gj // CHUNK
-        return self._chunk(ci, cj)[0][gi - ci * CHUNK, gj - cj * CHUNK]
+        return self._chunk(ci, cj)[gi - ci * CHUNK, gj - cj * CHUNK]
 
     def block(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
         """Corner values for gi in [i0, i0+ni), gj in [j0, j0+nj)."""
@@ -254,7 +255,7 @@ class ChunkedField:
         cj0, cj1 = j0 // CHUNK, (j0 + nj - 1) // CHUNK
         for ci in range(ci0, ci1 + 1):
             for cj in range(cj0, cj1 + 1):
-                vals = self._chunk(ci, cj)[0]
+                vals = self._chunk(ci, cj)
                 gi_lo = max(i0, ci * CHUNK)
                 gi_hi = min(i0 + ni, ci * CHUNK + CHUNK + 1)
                 gj_lo = max(j0, cj * CHUNK)
@@ -385,18 +386,8 @@ class _Walker:
         first_jitter is the 1-based index of the first cell whose residuals
         were nudged, or None.
         """
-        # The edge's two cells as (i, j, side entered through): the walk
-        # starts in one, and leaving either through that side closes it.
-        orient, gi, gj = edge
-        if orient == HORIZONTAL:
-            cells = (gi, gj, 0), (gi, gj - 1, 2)
-            above = self.residual(gi, gj) > 0
-        else:
-            cells = (gi, gj, 3), (gi - 1, gj, 1)
-            above = self.residual(gi, gj + 1) > 0
-        i, j, entry = cells[0] if forward == above else cells[1]
-        return _walk.walk(self, i, j, entry, float(p0[0]), float(p0[1]),
-                          (*cells[0], *cells[1]), arc_limit, cell_limit)
+        return _walk.walk(self, *_walk.start(self, edge, forward), float(p0[0]),
+                          float(p0[1]), arc_limit, cell_limit)
 
 
 def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
@@ -433,9 +424,15 @@ def _locate_start(walker: _Walker, seed: np.ndarray) -> tuple[int, int, int]:
     )
 
 
+def _forward_limits(budget: TraceBudget) -> tuple[float, int]:
+    """A forward walk's arc and cell limits: half the arc budget and the
+    whole cell cap."""
+    return budget.max_arc_length / 2, budget.max_cells
+
+
 def _walk_forward(walker: _Walker, edge, p0, budget: TraceBudget):
-    """The forward walk from the crossing p0 on edge: half the arc budget."""
-    return walker.walk(edge, p0, True, budget.max_arc_length / 2, budget.max_cells)
+    """The forward walk from the crossing p0 on edge."""
+    return walker.walk(edge, p0, True, *_forward_limits(budget))
 
 
 def trace_level_line(
@@ -539,25 +536,24 @@ class _IntervalProbe:
 
     def state(self, level: float) -> str:
         self.count += 1
-        seeds = _walk.seed_edges(self.field, self.i0, self.j0, self.block - level, _PROBE_SEEDS)
-        if not seeds:
-            return _BELOW if level <= self.f_min else _ABOVE
         walker = _Walker(self.field, level)
-        best_arc = -1.0
-        best_area = 0.0
-        for x0, y0, edge in seeds:
-            # The seed is its edge's crossing bit for bit: no need to
-            # locate it.  A trace is closed exactly when its forward walk
-            # closes, and any open one decides the state: the backward walk
-            # of a trace_level_line could never change it.
-            xs, ys, arc, reason, _ = _walk_forward(walker, edge, (x0, y0), self.trace_budget)
-            if reason != "closed":
-                return _OPEN
-            if arc > best_arc:
-                best_arc = arc
-                best_area = signed_area(np.column_stack((np.concatenate(([x0], xs)),
-                                                         np.concatenate(([y0], ys)))))
-        return _ABOVE if best_area > 0 else _BELOW
+        # Each of the first _PROBE_SEEDS seeds is walked forward as
+        # _walk_forward walks it.  The seed is its edge's crossing bit for
+        # bit: no need to locate it.  A trace is closed exactly when its
+        # forward walk closes, and any open one decides the state: the
+        # backward walk of a trace_level_line could never change it.
+        k, seed = _walk.probe(walker, self.i0, self.j0, self.block, _PROBE_SEEDS,
+                              *_forward_limits(self.trace_budget))
+        if k == _walk.OPEN:
+            return _OPEN
+        if k == _walk.NO_SEEDS:
+            return _BELOW if level <= self.f_min else _ABOVE
+        # The longest loop, walked again for its vertices.
+        x0, y0, edge = seed
+        xs, ys, *_ = _walk_forward(walker, edge, (x0, y0), self.trace_budget)
+        area = signed_area(np.column_stack((np.concatenate(([x0], xs)),
+                                            np.concatenate(([y0], ys)))))
+        return _ABOVE if area > 0 else _BELOW
 
 
 def energy_interval(

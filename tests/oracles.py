@@ -16,6 +16,7 @@ from functools import reduce
 
 import numpy as np
 
+from moirelines import tracer
 from moirelines.classifier import quadruple_basis
 from moirelines.tracer import CLASSIFY_DEPTH, find_seeds, trace_level_line
 
@@ -251,11 +252,11 @@ def brute_diameter(points) -> float:
 
 def full_trace_probe(s, level, window, budget, field):
     """An interval probe's state computed the first way: a full
-    trace_level_line, both walks, of each of the first 12 seeds at the
-    CLASSIFY_DEPTH-fold budget.  Unlike the rest of this module it runs the
-    package's own seed finder and tracer: what it checks is the probe's
-    shortcuts (forward walks only, seeds and start edges from one window
-    block).
+    trace_level_line, both walks, of each of the first tracer._PROBE_SEEDS
+    seeds at the CLASSIFY_DEPTH-fold budget.  Unlike the rest of this
+    module it runs the package's own seed finder and tracer: what it checks
+    is the probe's shortcuts (forward walks only, seeds and start edges
+    from one window block).
 
     Returns (state, lines traced).  The state is "open" at the first open
     line; otherwise the longest loop decides, "above" if it runs
@@ -275,7 +276,7 @@ def full_trace_probe(s, level, window, budget, field):
     deep = budget.scaled(CLASSIFY_DEPTH)
     lines = []
     longest = None
-    for seed in seeds[:12]:
+    for seed in seeds[:tracer._PROBE_SEEDS]:
         line = trace_level_line(s, seed, level, deep, field=field)
         lines.append(line)
         if not line.is_closed:

@@ -602,6 +602,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "config:" in err and "line" in err
 
+    @pytest.mark.parametrize("args", [["eval", "--point", "0,0"],
+                                      ["trace", "--level", "0.1", "--out"]],
+                             ids=["eval", "trace"])
+    def test_amplitudes_whose_sum_overflows_fail_on_their_line(self, tmp_path, capsys, args):
+        text = TWO_COS_CFG.replace("term = 1 0 0.0", "term = 1 0 1e308\nterm = 0 1 1e308")
+        lineno = text.splitlines().index("term = 0 1 1e308") + 1
+        p = tmp_path / "huge.cfg"
+        p.write_text(text)
+        out = tmp_path / "run"
+        argv = [args[0], "--config", str(p), *args[1:]] + ([str(out)] if "--out" in args else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config: line {lineno}: u.terms: the absolute "
+                                "amplitudes sum beyond the float range\n")
+        assert not out.exists()
+
     def test_usage_error_is_exit_one(self, capsys):
         assert main(["trace", "--no-such-flag"]) == 1
         assert main(["no-such-command"]) == 1

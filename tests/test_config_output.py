@@ -112,6 +112,16 @@ class TestParseConfig:
             parse_config(text.replace(old, new, 1))
         assert str(err.value) == f"line {lineno}: {message} is not a finite number"
 
+    def test_amplitudes_whose_sum_overflows_are_refused_with_their_line(self):
+        text = BASE_CONFIG.replace("term = 1 0 1.0\nterm = 0 1 1.0",
+                                   "term = 1 0 1.0\nterm = 0 1 1e308\nterm = 1 1 -1e308\n"
+                                   "term = 2 0 1.0")
+        lineno = text.splitlines().index("term = 1 1 -1e308") + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (
+            f"line {lineno}: v.terms: the absolute amplitudes sum beyond the float range")
+
     def test_duplicate_key_rejected(self):
         bad = BASE_CONFIG + "[transform]\nalpha = 0.8\n"
         with pytest.raises(ConfigError) as err:

@@ -95,6 +95,14 @@ class TestPeriodicPotential:
         with pytest.raises(ValueError):
             FourierTerm(1, 0, 1.0, float("inf"))
 
+    def test_amplitudes_whose_sum_overflows_are_refused(self):
+        huge = (FourierTerm(1, 0, 1e308), FourierTerm(0, 1, -1e308))
+        with pytest.raises(ValueError, match="beyond the float range"):
+            PeriodicPotential(square_lattice(1.0), huge)
+        # The largest finite sum is still a layer.
+        top = PeriodicPotential(square_lattice(1.0), (FourierTerm(1, 0, 1.7e308),))
+        assert math.isfinite(top.amplitude_bound())
+
     def test_constant_term_and_empty_sum(self):
         lat = square_lattice(1.0)
         const = PeriodicPotential(lat, (FourierTerm(0, 0, 0.75, 0.0),))

@@ -896,7 +896,7 @@ class TestFirstLayerStore:
             field = ChunkedField(s, h)
         finally:
             tracer._SHARE_FIRST_LAYER.reset(token)
-        return [field._chunk(ci, cj)[0].tobytes() for ci, cj in chunks]
+        return [field._chunk(ci, cj).tobytes() for ci, cj in chunks]
 
     @pytest.mark.parametrize("combiner", [None, WeightedSum(0.5, 2.0), Product()],
                              ids=["Sum", "WeightedSum", "Product"])

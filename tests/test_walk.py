@@ -1,14 +1,17 @@
-"""The compiled walk kernel and seed scan, and their loader.
+"""The compiled walk kernel, seed scan and interval probe, and their loader.
 
 Where a C compiler is present the kernel must give every walk exactly what
-the Python walk gives, and every seed scan what the NumPy scan gives; where
-it cannot be built, tracing falls back to the Python walk and the NumPy
-scan with the same outputs.
+the Python walk gives, every seed scan what the NumPy scan gives and every
+probe level what the Python probe gives; where it cannot be built, tracing
+falls back to the Python walk and the NumPy scan with the same outputs.
 """
 
+import itertools
 import math
 import shutil
 import struct
+import subprocess
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,13 +22,22 @@ from moirelines.geometry import Rect
 from moirelines.potential import eval_superposition
 from moirelines.tracer import (
     ChunkedField,
+    TraceBudget,
+    _IntervalProbe,
     _locate_start,
     _Walker,
     energy_interval,
     find_seeds,
+    trace_level_line,
 )
 
-from families import hexagonal_pair, saddle_cells, two_layer_sum
+from families import (
+    hexagonal_pair,
+    random_superposition,
+    saddle_cells,
+    single_harmonic_sum,
+    two_layer_sum,
+)
 import test_bitwise
 
 TWO_PI = 2.0 * math.pi
@@ -37,6 +49,16 @@ needs_kernel = pytest.mark.skipif(shutil.which(_walk.CC) is None,
 def test_compile_flags_keep_ieee_rounding():
     assert "-ffp-contract=off" in _walk.FLAGS
     assert not any(f.startswith(("-ffast-math", "-Ofast", "-march")) for f in _walk.FLAGS)
+
+
+@needs_kernel
+def test_library_compiles_without_warnings(tmp_path):
+    built = subprocess.run(
+        [_walk.CC, *_walk.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "walk.so"),
+         str(_walk.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert built.returncode == 0, built.stderr
 
 
 def _bits(walk):
@@ -123,6 +145,88 @@ class TestCompiledWalk:
                 assert _bits(compiled) == _bits(python)
         assert met["compiled"] and met["compiled"] == met["python"]
 
+    def test_lookups_probe_past_other_chunks(self):
+        # Before any chunk is filled, each chunk the walks will cross gets a
+        # decoy in the table: a key far off with the same ci and the same
+        # home slot, whose corner values are all zero.  Each real chunk
+        # then sits past its decoy, and a lookup that returned the decoy
+        # would walk the zeros.
+        s = single_harmonic_sum(delta=0.3, alpha=0.7)
+        h = s.shortest_period() / 16
+        levels = (0.05, -0.05, 0.9)
+
+        def walks(field):
+            pairs = []
+            for level in levels:
+                walker = _Walker(field, level)
+                for seed in find_seeds(s, level, Rect.centered((0.0, 0.0), 3 * TWO_PI), h, field):
+                    edge = _locate_start(walker, seed)
+                    p0 = walker.crossing(edge)
+                    pairs += [_both(walker, edge, p0, forward, 40 * TWO_PI, 10**6)
+                              for forward in (True, False)]
+            return pairs
+
+        crossed = ChunkedField(s, h)
+        walks(crossed)
+        field = ChunkedField(s, h)
+        field.table = table = _walk.ChunkTable(bits=12)
+        zeros = np.zeros((_walk.CHUNK + 1, _walk.CHUNK + 1))
+
+        def home(ci, cj):
+            return ((ci * _walk._HASH_I + cj * _walk._HASH_J) & _walk._U64) >> table.shift
+
+        for ci, cj in crossed._chunks:
+            decoy = next(c for c in itertools.count(2**40) if home(ci, c) == home(ci, cj))
+            table.insert(ci, decoy, zeros)
+        assert len(crossed._chunks) > 50
+        for compiled, python in walks(field):
+            assert _bits(compiled) == _bits(python)
+        assert len(table.slots) == 4096 and table.count == 2 * len(crossed._chunks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(-0.9, 0.9),
+           grid_value=st.booleans(), cx=st.floats(-4.0, 4.0), cy=st.floats(-4.0, 4.0),
+           size=st.floats(0.05, 3.0), cells=st.sampled_from([8, 16]),
+           cap=st.sampled_from([1, 3, 12, 10**6]), periods=st.sampled_from([0.5, 4.0, 16.0]),
+           cell_limit=st.sampled_from([3, 200, 10**6]))
+    def test_kernel_probes_as_python(self, seed, frac, grid_value, cx, cy, size, cells, cap,
+                                     periods, cell_limit):
+        s = random_superposition(np.random.default_rng(seed))
+        period = s.longest_period()
+        field = ChunkedField(s, s.shortest_period() / cells)
+        i0, j0, block = field.window_block(Rect.centered((cx * period, cy * period),
+                                                         size * period))
+        level = frac * s.value_scale()
+        if grid_value:  # the residual nudge fires on that corner
+            level = float(block[len(block) // 2, 0])
+        compiled, python = _probe_both(_Walker(field, level), i0, j0, block, cap,
+                                       periods * period, cell_limit)
+        assert compiled == python
+
+    def test_probe_saddle_cells_resolve_alike(self, monkeypatch):
+        s = hexagonal_pair(0.3, (0.4, 1.1))
+        h = s.shortest_period() / 16
+        field = ChunkedField(s, h)
+        met = {"compiled": [], "python": []}
+        resolve = _Walker.saddle_exit
+        side = "compiled"
+
+        def counted(walker, index, i, j):
+            met[side].append((i, j))
+            return resolve(walker, index, i, j)
+
+        monkeypatch.setattr(_Walker, "saddle_exit", counted)
+        for level, i, j in saddle_cells(field, -32, -32, 64)[:8]:
+            i0, j0, block = field.window_block(Rect((i - 2) * h, (j - 2) * h,
+                                                    (i + 3) * h, (j + 3) * h))
+            walker = _Walker(field, level)
+            args = (walker, i0, j0, block, 12, 10 * TWO_PI, 10**6)
+            side = "compiled"
+            compiled = _walk.probe_compiled(_library().probe_level, *args)
+            side = "python"
+            assert _walk.probe_python(*args) == compiled
+        assert met["compiled"] and met["compiled"] == met["python"]
+
     def test_saddle_centre_nudge_is_recorded_alike(self):
         # At the level of a saddle cell's centre value the centre's residual
         # is zero, so resolving the saddle nudges it.
@@ -141,6 +245,72 @@ class TestCompiledWalk:
                 assert _bits(compiled) == _bits(python)
                 nudged += compiled[4] is not None
         assert cells and nudged
+
+
+def _library():
+    lib = _walk.kernel()
+    if lib is None:
+        pytest.skip("the compiled library does not load here")
+    return lib
+
+
+def _probe_both(walker, i0, j0, block, cap, arc_limit, cell_limit):
+    """One probe level by the library, then by the Python twin."""
+    args = (walker, i0, j0, block, cap, arc_limit, cell_limit)
+    return _walk.probe_compiled(_library().probe_level, *args), _walk.probe_python(*args)
+
+
+@pytest.fixture
+def library_calls(monkeypatch):
+    """Counts the calls into each routine of the compiled library."""
+    lib = _library()
+    calls = Counter()
+
+    class Counted:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+    counted_lib = Counted()
+    monkeypatch.setattr(_walk, "kernel", lambda: counted_lib)
+    return calls
+
+
+class TestRoundTrips:
+    """Over filled chunks the compiled walks and probes stay in the library:
+    they return to Python only to fill a chunk or resolve a saddle cell."""
+
+    S = single_harmonic_sum(delta=0.3, alpha=0.7)
+    BUDGET = TraceBudget.for_potential(S, length_periods=10.0)
+    WINDOW = Rect.centered((0.0, 0.0), 1.5 * TWO_PI)
+
+    @pytest.mark.parametrize("level, state, calls", [
+        (0.05, "open", {"probe_level": 1}),  # nothing to walk again
+        (0.9, "above", {"probe_level": 1, "walk_cells": 1}),  # the longest loop again
+        (-0.9, "below", {"probe_level": 1, "walk_cells": 1}),
+    ], ids=["open", "above", "below"])
+    def test_a_probe_over_filled_chunks_calls_once(self, library_calls, level, state, calls):
+        probe = _IntervalProbe(ChunkedField(self.S, self.BUDGET.cell_size), self.WINDOW,
+                               self.BUDGET)
+        assert probe.state(level) == state  # fills every chunk the level's walks cross
+        library_calls.clear()
+        assert probe.state(level) == state
+        assert dict(library_calls) == calls
+
+    @pytest.mark.parametrize("level, walks", [(0.05, 2), (0.9, 1)], ids=["open", "closed"])
+    def test_a_trace_over_filled_chunks_calls_once_per_walk(self, library_calls, level, walks):
+        field = ChunkedField(self.S, self.BUDGET.cell_size)
+        seed = find_seeds(self.S, level, self.WINDOW, self.BUDGET.cell_size, field)[0]
+        line = trace_level_line(self.S, seed, level, self.BUDGET, field)
+        assert line.is_closed == (walks == 1)
+        library_calls.clear()
+        assert trace_level_line(self.S, seed, level, self.BUDGET, field) == line
+        assert dict(library_calls) == {"walk_cells": walks}
 
 
 @pytest.fixture
