@@ -35,7 +35,7 @@ enum { LEAVE, SADDLE, FULL, CELLS, BUDGET, CLOSED };
 typedef struct {
     const int8_t *exits;    /* _walk.EXIT */
     const int64_t *table;   /* chunk table: (ci, cj, address) per slot */
-    const double *v;        /* corner values of the current chunk */
+    const double *v;        /* corner values of the current chunk, or NULL */
     double level, delta, h, arc_limit;
     double p0x, p0y;        /* start crossing */
     double px, py, arc;     /* last vertex and running arc */
@@ -84,11 +84,12 @@ static double residual(double v, const walk_state *s, int64_t bit, int64_t *code
     return g;
 }
 
-/* Walk from cell (s->i, s->j) using the chunk whose corner values s->v
-   holds, appending vertices to xs and ys (unless xs is NULL) until one of
-   the stop codes applies:
+/* Walk from cell (s->i, s->j), which lies in the chunk with lower-left
+   corner (s->oi, s->oj), appending vertices to xs and ys (unless xs is
+   NULL) until one of the stop codes applies.  s->v holds that chunk's
+   corner values, or NULL when they are to be looked up in the table.
    LEAVE     the cell lies in a chunk the table does not hold; s->oi and
-             s->oj name it: fill it, set s->v and call again;
+             s->oj name it: fill it and call again;
    SADDLE    the cell's exit needs the potential at its centre: set s->out
              and call again (an inconsistent cell also returns this);
    FULL      cap vertices are buffered: take them, reset s->count;
@@ -102,6 +103,11 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
     double px = s->px, py = s->py, arc = s->arc;
     int stop;
 
+    if (v == NULL) {
+        v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+        if (v == NULL)
+            return LEAVE;
+    }
     for (;;) {
         int64_t li = i - s->oi, lj = j - s->oj;
         if (out < 0) {
@@ -373,7 +379,7 @@ static void start_walk(probe_state *p, int64_t k)
     s->out = -1;
     s->oi = s->i - (s->i & (CHUNK - 1));
     s->oj = s->j - (s->j & (CHUNK - 1));
-    s->v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+    s->v = NULL;
 }
 
 int probe_level(probe_state *p)
@@ -388,8 +394,6 @@ int probe_level(probe_state *p)
                 return CLOSED;
             start_walk(p, p->next++);
             p->walking = 1;
-            if (s->v == NULL)
-                return LEAVE;
         }
         int stop = walk_cells(s, NULL, NULL, INT64_MAX);
         if (stop == LEAVE || stop == SADDLE)

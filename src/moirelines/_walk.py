@@ -139,7 +139,8 @@ _U64 = 2**64 - 1
 
 class ChunkTable:
     """Open-addressed table from chunk (ci, cj) to the address of its
-    corner values, in the int64 array slots that walk_cells reads.
+    corner values, in the int64 array slots, at address, that walk_cells
+    reads.
 
     Slot k holds (ci, cj, address), or address 0 when it is empty.  A key
     hashes to the top bits of ci * _HASH_I + cj * _HASH_J mod 2**64 and is
@@ -147,8 +148,9 @@ class ChunkTable:
     It holds addresses only: the owner keeps each buffer alive.
     """
 
-    def __init__(self, bits: int = 6):
+    def __init__(self, bits: int = 8):
         self.slots = np.zeros((1 << bits, 3), dtype=np.int64)
+        self.address = _address(self.slots)
         self.shift = 64 - bits
         self.count = 0
 
@@ -158,6 +160,7 @@ class ChunkTable:
         if 2 * (self.count + 1) > len(self.slots):
             entries = self.slots[self.slots[:, 2] != 0].tolist()
             self.slots = np.zeros((2 * len(self.slots), 3), dtype=np.int64)
+            self.address = _address(self.slots)
             self.shift -= 1
             self.count = 0
             for entry in entries:
@@ -259,14 +262,15 @@ def walk(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
 
 def _enter(st: State, field) -> None:
     """Fill chunk (st.oi, st.oj) of field if it is missing, and point st at
-    it and at the field's chunk table, which the fill may have grown."""
-    st.v = _address(field._chunk(st.oi // CHUNK, st.oj // CHUNK))
-    st.table, st.shift = _address(field.table.slots), field.table.shift
+    the field's chunk table, which the fill may have grown; walk_cells
+    looks the chunk up there."""
+    field._chunk(st.oi // CHUNK, st.oj // CHUNK)
+    st.table, st.shift = field.table.address, field.table.shift
 
 
 def _state(walker, arc_limit, cell_limit, **fields) -> State:
     table = walker.field.table
-    return State(exits=_EXIT_ADDRESS, table=_address(table.slots), shift=table.shift,
+    return State(exits=_EXIT_ADDRESS, table=table.address, shift=table.shift,
                  level=walker.level, delta=walker.delta, h=walker.h, arc_limit=arc_limit,
                  cell_limit=int(cell_limit), out=-1, **fields)
 
