@@ -216,7 +216,13 @@ def parse_config(text: str) -> SuperpositionPotential:
         lineno = singles[("combiner", "kind")][0]
         raise ConfigError(lineno, f"unknown combiner kind {kind!r}")
 
-    return SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
+    try:
+        return SuperpositionPotential(v, u, EuclideanTransform(alpha, shift), combiner)
+    except ValueError as err:
+        # Only the combined bound is left to fail.
+        got = singles.get(("combiner", "kind"))
+        lineno = terms["u.terms"][-1][0] if got is None else got[0]
+        raise ConfigError(lineno, f"combiner: {err}") from None
 
 
 def load_config(path) -> tuple[SuperpositionPotential, bytes]:

@@ -135,20 +135,24 @@ class EuclideanTransform:
         a = a % TWO_PI
         shift = as_vec2(self.shift)
         shift.setflags(write=False)
+        c, s = math.cos(a), math.sin(a)
+        rotation = np.array([[c, s], [-s, c]])
+        rotation.setflags(write=False)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "shift", shift)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        c = math.cos(self.alpha)
-        s = math.sin(self.alpha)
-        return np.array([[c, s], [-s, c]])
+        # Not a field: it follows from alpha, and every evaluation reads it.
+        object.__setattr__(self, "rotation", rotation)
 
 
 def apply_transform(t: EuclideanTransform, p) -> np.ndarray:
     """Image of a point (or an (..., 2) array of points) under the transform."""
-    pts = np.asarray(p, dtype=float)
-    return pts @ t.rotation.T + t.shift
+    q = np.asarray(p, dtype=float) @ t.rotation.T
+    # One component at a time: broadcasting the shift over a last axis of
+    # length 2 costs more than the product.
+    sx, sy = t.shift.tolist()
+    q.T[0] += sx
+    q.T[1] += sy
+    return q
 
 
 def embed(t: EuclideanTransform, p) -> np.ndarray:

@@ -86,7 +86,10 @@ def eval_periodic(pot: PeriodicPotential, p) -> np.ndarray | float:
     """Value of the layer at a point (2,) or an array of points (..., 2)."""
     pts = np.asarray(p, dtype=float)
     scalar = pts.ndim == 1
-    args = pts @ pot._waves.T + pot._phases
+    args = pts @ pot._waves.T
+    # Phase by phase, as apply_transform adds its shift.
+    for k, phase in enumerate(pot._phases.tolist()):
+        args.T[k] += phase
     vals = np.cos(args) @ pot._amps
     return float(vals) if scalar else vals
 
@@ -196,6 +199,11 @@ class SuperpositionPotential:
     u: PeriodicPotential
     transform: EuclideanTransform
     combiner: Combiner = field(default_factory=Sum)
+
+    def __post_init__(self):
+        if not math.isfinite(self.value_scale()):
+            raise ValueError(f"the {type(self.combiner).__name__} combiner's bound "
+                             "on |f| overflows the float range")
 
     def rotated_u_lattice(self) -> Lattice2:
         """Period lattice of the second layer as seen in plane coordinates.

@@ -204,9 +204,11 @@ class ChunkedField:
     probes over the same region share evaluations (values are level
     independent: the residual shift happens at read time).  It owns the
     grid: the potential s, the cell size h (BudgetError unless it is positive
-    and resolves s's shortest period) and the residual nudge delta.  A field
-    built inside classifier.classify_family takes V's share of every chunk
-    from the per-process first-layer store.
+    and resolves s's shortest period) and the residual nudge delta.  A chunk
+    is evaluated as one flat array of corners, bit for bit as the stacked
+    (CHUNK + 1, CHUNK + 1, 2) array where OpenBLAS has an FMA kernel.  A
+    field built inside classifier.classify_family takes V's share of every
+    chunk from the per-process first-layer store.
     """
 
     def __init__(self, s: SuperpositionPotential, h: float):
@@ -231,11 +233,14 @@ class ChunkedField:
             pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
             pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
             pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
+            # Flat, so that each product is one BLAS call, not one per row.
+            pts = pts.reshape(-1, 2)
             if self._first_layer is None:
                 vals = eval_superposition(self.s, pts)
             else:
                 vals = _superpose_stored(self.s, pts, (self._first_layer, ci, cj))
-            vals = self._chunks[key] = np.ascontiguousarray(vals, dtype=np.float64)
+            # A copy, not a view of the flat values: one array object per chunk.
+            vals = self._chunks[key] = np.array(vals.reshape(CHUNK + 1, -1), dtype=np.float64)
             self.table.insert(ci, cj, vals)
         return vals
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,20 @@ from moirelines.potential import SuperpositionPotential
 from moirelines.geometry import EuclideanTransform
 
 TWO_PI = 2.0 * math.pi
+
+
+def pytest_report_header(config):
+    """NumPy's BLAS, and OPENBLAS_CORETYPE when it is set: the bit-for-bit
+    pins hold only where the BLAS rounds like the machine that recorded
+    them, so a pin that fails on another CPU shows its likely cause here."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy before 1.26 has no "dicts" mode
+        name = "unknown"
+    line = f"numpy {np.__version__}, BLAS: {name}"
+    core = os.environ.get("OPENBLAS_CORETYPE")
+    return line if core is None else f"{line}, OPENBLAS_CORETYPE={core}"
 
 
 @pytest.fixture(scope="session")

@@ -619,6 +619,24 @@ class TestErrors:
                                 "amplitudes sum beyond the float range\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["eval", "--point", "0,0"],
+                                      ["trace", "--level", "0.1", "--out"]],
+                             ids=["eval", "trace"])
+    def test_combined_bound_that_overflows_fails_on_its_line(self, tmp_path, capsys, args):
+        text = TWO_COS_CFG.replace("term = 1 0 1.0\nterm = 0 1 1.0", "term = 1 0 1e308")
+        text = text.replace("term = 1 0 0.0", "term = 1 0 1e308")
+        lineno = len(text.splitlines())
+        p = tmp_path / "huge.cfg"
+        p.write_text(text)
+        out = tmp_path / "run"
+        argv = [args[0], "--config", str(p), *args[1:]] + ([str(out)] if "--out" in args else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config: line {lineno}: combiner: the Sum combiner's "
+                                "bound on |f| overflows the float range\n")
+        assert not out.exists()
+
     def test_usage_error_is_exit_one(self, capsys):
         assert main(["trace", "--no-such-flag"]) == 1
         assert main(["no-such-command"]) == 1

@@ -122,6 +122,22 @@ class TestParseConfig:
         assert str(err.value) == (
             f"line {lineno}: v.terms: the absolute amplitudes sum beyond the float range")
 
+    @pytest.mark.parametrize("combiner, line", [
+        ("", "term = 1 0 1e308 0.25"),
+        ("[combiner]\nkind = sum\n", "kind = sum"),
+        ("[combiner]\nkind = product\n", "kind = product"),
+    ], ids=["default-sum", "sum", "product"])
+    def test_combined_bound_that_overflows_is_refused_with_its_line(self, combiner, line):
+        text = BASE_CONFIG.replace("term = 1 0 1.0\nterm = 0 1 1.0", "term = 1 0 1e308")
+        text = text.replace("term = 1 0 0.05 0.25", "term = 1 0 1e308 0.25") + combiner
+        lineno = text.splitlines().index(line) + 1
+        name = "Product" if "product" in combiner else "Sum"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (
+            f"line {lineno}: combiner: the {name} combiner's bound on |f| "
+            "overflows the float range")
+
     def test_duplicate_key_rejected(self):
         bad = BASE_CONFIG + "[transform]\nalpha = 0.8\n"
         with pytest.raises(ConfigError) as err:

@@ -167,6 +167,20 @@ class TestCombiners:
 
 
 class TestSuperposition:
+    @pytest.mark.parametrize("combiner, amplitude", [
+        (Sum(), 1e308), (WeightedSum(2.0, 0.5), 1e308), (Product(), 1e200),
+        (TableLookup([-1.0, 1.0], [-1.0, 1.0], [[0.0, 1.0], [np.inf, 0.0]]), 1.0),
+    ], ids=["sum", "weighted", "product", "table"])
+    def test_combined_bound_that_overflows_is_refused(self, combiner, amplitude):
+        layer = PeriodicPotential(square_lattice(1.0), (FourierTerm(1, 0, amplitude),))
+        name = type(combiner).__name__
+        with pytest.raises(ValueError, match=f"the {name} combiner's bound on .f. overflows"):
+            SuperpositionPotential(layer, layer, EuclideanTransform(0.3), combiner)
+        # Each layer alone is finite, and so is their largest finite sum.
+        top = PeriodicPotential(square_lattice(1.0), (FourierTerm(1, 0, 8e307),))
+        assert math.isfinite(SuperpositionPotential(top, top, EuclideanTransform(0.3))
+                             .value_scale())
+
     def test_matches_layerwise_evaluation(self):
         rng = np.random.default_rng(301)
         for _ in range(40):

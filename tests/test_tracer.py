@@ -3,6 +3,7 @@ import re
 import shutil
 import struct
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from moirelines.potential import (
     FourierTerm,
     PeriodicPotential,
     Product,
+    Sum,
     SuperpositionPotential,
+    TableLookup,
     WeightedSum,
     eval_superposition,
 )
@@ -48,7 +51,9 @@ from moirelines.tracer import (
 import oracles
 from families import (
     hexagonal_pair,
+    random_lattice,
     random_superposition,
+    random_terms,
     saddle_cells,
     single_harmonic_sum,
     three_frequency_layers,
@@ -190,6 +195,56 @@ class TestChunkedField:
         with pytest.raises(ValueError, match="too wide for cell size"):
             ChunkedField(two_cos, h).window_block(Rect(0.0, 0.0, side + h, side))
         assert len(asked) == 1
+
+
+class TestChunkFill:
+    """A chunk fill evaluates its corners as one flat array.  Its values
+    must equal the evaluation of the same corners stacked as a
+    (CHUNK + 1, CHUNK + 1, 2) array bit for bit, with the first-layer store
+    on or off."""
+
+    @staticmethod
+    def family(rng, pick):
+        v = PeriodicPotential(random_lattice(rng), random_terms(rng, 6))
+        u = PeriodicPotential(random_lattice(rng), random_terms(rng, 6))
+        transform = EuclideanTransform(float(rng.uniform(0, TWO_PI)), rng.uniform(-50, 50, 2))
+        if pick == "Sum":
+            combiner = Sum()
+        elif pick == "WeightedSum":
+            combiner = WeightedSum(*rng.uniform(-2.0, 2.0, 2))
+        elif pick == "Product":
+            combiner = Product()
+        else:
+            # A table that covers both layers' bounds, with some margin.
+            bv = 1.01 * v.amplitude_bound()
+            bu = 1.01 * u.amplitude_bound()
+            combiner = TableLookup(np.linspace(-bv, bv, 9), np.linspace(-bu, bu, 7),
+                                   rng.uniform(-2.0, 2.0, (9, 7)))
+        return SuperpositionPotential(v, u, transform, combiner)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           combiner=st.sampled_from(["Sum", "WeightedSum", "Product", "TableLookup"]),
+           cells=st.floats(MIN_CELLS_PER_PERIOD, 40.0),
+           ci=st.integers(-2**12, 2**12), cj=st.integers(-2**12, 2**12),
+           shared=st.booleans())
+    def test_fill_equals_the_stacked_evaluation_bit_for_bit(self, seed, combiner, cells,
+                                                            ci, cj, shared):
+        s = self.family(np.random.default_rng(seed), combiner)
+        h = s.shortest_period() / cells
+        gi = (ci * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
+        gj = (cj * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
+        corners = np.stack(np.meshgrid(gi, gj, indexing="ij"), axis=-1)
+        assert corners.shape == (_walk.CHUNK + 1, _walk.CHUNK + 1, 2)
+        want = eval_superposition(s, corners).tobytes()
+        token = tracer._SHARE_FIRST_LAYER.set(shared)
+        try:
+            with mock.patch.object(tracer, "_FIRST_LAYER_STORE", {}):
+                # Under the store the second field reads V from the first.
+                for _ in range(1 + shared):
+                    assert ChunkedField(s, h)._chunk(ci, cj).tobytes() == want
+        finally:
+            tracer._SHARE_FIRST_LAYER.reset(token)
 
 
 class TestFindSeeds:
