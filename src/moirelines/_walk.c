@@ -14,8 +14,10 @@
 
    The same library finds the seed edges of a block of residuals
    (seed_edges), runs one interval probe level, its seed scan and its
-   forward walks (probe_level), and formats the floats of the bulk text
-   outputs (format_g at the end of this file). */
+   forward walks (probe_level), writes one layer's cosines at a chunk's
+   corners (layer_cos), with the roundings of OpenBLAS's FMA kernels, and
+   formats the floats of the bulk text outputs (format_g at the end of
+   this file). */
 
 #include <math.h>
 #include <stdint.h>
@@ -406,6 +408,71 @@ int probe_level(probe_state *p)
             p->best = p->next - 1;
         }
     }
+}
+
+
+/* One layer's cosines at the corners of a chunk: _walk.layer_cos_numpy,
+   bit for bit where OpenBLAS runs FMA kernels.
+
+   Corner (a, b) of chunk (ci, cj) is the point x = (ci * CHUNK + a) * h,
+   y = (cj * CHUNK + b) * h, moved first to R (x, y) + shift when moved is
+   set.  out[(a * STRIDE + b) * terms + t] is the cosine of term t's phase
+   there: row after row, as np.cos of pts @ waves.T plus the phases.  The
+   explicit fma() calls are the roundings of the BLAS products: dgemm
+   gives q_c = fma(y, R[c][1], x R[c][0]) and, for two or more terms,
+   fma(y, W[t][1], x W[t][0]); one term goes to gemv, which gives
+   fma(x, W[0][0], y W[0][1]).  Shift and phases are added after. */
+typedef struct {
+    const double *waves;    /* terms x 2, row-major */
+    const double *phases;   /* terms */
+    double *out;            /* STRIDE * STRIDE x terms, row-major */
+    int64_t terms, moved, ci, cj;
+    double h;
+    double rotation[4];     /* R, row-major */
+    double shift[2];
+} layer_fill;
+
+/* The fill itself, inlined into each of the two entry points below. */
+static inline __attribute__((always_inline)) void fill(const layer_fill *f)
+{
+    const double *w = f->waves, *r = f->rotation;
+    double *o = f->out;
+    for (int64_t a = 0; a < STRIDE; a++)
+        for (int64_t b = 0; b < STRIDE; b++) {
+            double x = (double)(f->ci * CHUNK + a) * f->h;
+            double y = (double)(f->cj * CHUNK + b) * f->h;
+            if (f->moved) {
+                double qx = fma(y, r[1], x * r[0]) + f->shift[0];
+                y = fma(y, r[3], x * r[2]) + f->shift[1];
+                x = qx;
+            }
+            if (f->terms == 1)
+                *o++ = cos(fma(x, w[0], y * w[1]) + f->phases[0]);
+            else
+                for (int64_t t = 0; t < f->terms; t++)
+                    *o++ = cos(fma(y, w[2 * t + 1], x * w[2 * t]) + f->phases[t]);
+        }
+}
+
+/* Without -march, fma() is a call into libm, which costs about as much as
+   the cosine.  On x86-64 CPUs that have the instruction, the same fill is
+   compiled to use it inline; the result is the same, fma() being exact. */
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("fma"))) static void fill_fma(const layer_fill *f)
+{
+    fill(f);
+}
+#endif
+
+void layer_cos(const layer_fill *f)
+{
+#if defined(__x86_64__) && defined(__GNUC__)
+    if (__builtin_cpu_supports("fma")) {
+        fill_fma(f);
+        return;
+    }
+#endif
+    fill(f);
 }
 
 

@@ -3,13 +3,15 @@
 walk runs the marching-squares walk of one level line across a chunked
 field, seed_edges the scan of a block of corner residuals for one crossing
 per piece of the level set, probe the seed scan and forward walks of one
-interval probe level, and format_floats writes floats as format's .Pg
-does.  Each runs its C routine (walk_cells, seed_edges, probe_level,
-format_g) where the library loads, else its twin (walk_python,
-seed_edges_numpy, probe_python, format_python), with the same results bit
-for bit.  The compiled walks find filled chunks in the field's ChunkTable
-and return to Python only to fill a chunk or resolve a saddle cell.  No
-other module loads the library or calls into it.
+interval probe level, layer_cos one layer's cosines at a chunk's corners,
+and format_floats writes floats as format's .Pg does.  Each runs its C
+routine (walk_cells, seed_edges, probe_level, layer_cos, format_g) where
+the library loads, else its twin (walk_python, seed_edges_numpy,
+probe_python, layer_cos_numpy, format_python), with the same results bit
+for bit; for layer_cos, where OpenBLAS runs FMA kernels.  The compiled
+walks find filled chunks in the field's ChunkTable and return to Python
+only to fill a chunk or resolve a saddle cell.  No other module loads the
+library or calls into it.
 
 The library is compiled on first use, never at import, with the system C
 compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
@@ -31,6 +33,9 @@ from math import hypot, inf
 from pathlib import Path
 
 import numpy as np
+
+from .geometry import apply_transform
+from .potential import phase_cosines
 
 # Corner values come in chunks of CHUNK x CHUNK cells (CHUNK + 1 corners a
 # side), keyed by integer chunk coordinates.
@@ -203,12 +208,13 @@ def _build() -> Path:
 
 @functools.cache
 def kernel():
-    """The compiled library, with walk_cells, seed_edges, probe_level and
-    format_g typed, or None when it cannot be built or loaded here."""
+    """The compiled library, with walk_cells, seed_edges, probe_level,
+    layer_cos and format_g typed, or None when it cannot be built or
+    loaded here."""
     try:
         lib = ctypes.CDLL(str(_build()))
-        walk, seeds, probe_level, fmt = (
-            lib.walk_cells, lib.seed_edges, lib.probe_level, lib.format_g)
+        walk, seeds, probe_level, fill, fmt = (
+            lib.walk_cells, lib.seed_edges, lib.probe_level, lib.layer_cos, lib.format_g)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     walk.argtypes = [ctypes.POINTER(State), ctypes.c_void_p, ctypes.c_void_p, _i64]
@@ -218,6 +224,8 @@ def kernel():
     seeds.restype = _i64
     probe_level.argtypes = [ctypes.POINTER(ProbeState)]
     probe_level.restype = ctypes.c_int
+    fill.argtypes = [ctypes.POINTER(LayerFill)]
+    fill.restype = None
     fmt.argtypes = [ctypes.c_void_p, _i64, _i64, ctypes.c_int,
                     ctypes.POINTER(ctypes.c_char_p), _i64, ctypes.c_void_p,
                     ctypes.POINTER(_i64)]
@@ -588,6 +596,58 @@ def probe_python(walker, i0, j0, f, cap, arc_limit, cell_limit):
         if arc > best_arc:
             best, best_arc = k, arc
     return best, seeds[best] if seeds else None
+
+
+class LayerFill(ctypes.Structure):
+    """The layer_fill struct of _walk.c, for the layer_cos of one layer at
+    cell size h, its corners moved by transform first unless that is None.
+    It keeps the arrays it points at, and values, which layer_cos_compiled
+    writes."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("waves", "phases", "out")),
+        *((name, _i64) for name in ("terms", "moved", "ci", "cj")),
+        ("h", _f64), ("rotation", _f64 * 4), ("shift", _f64 * 2),
+    ]
+
+    def __init__(self, layer, h, transform=None):
+        waves, phases = np.ascontiguousarray(layer._waves), np.ascontiguousarray(layer._phases)
+        self.values = np.empty(((CHUNK + 1) ** 2, len(phases)))
+        self.layer, self.transform, self._keep = layer, transform, (waves, phases)
+        super().__init__(_address(waves), _address(phases), _address(self.values),
+                         len(phases), transform is not None, h=h)
+        if transform is not None:
+            self.rotation[:] = transform.rotation.ravel().tolist()
+            self.shift[:] = transform.shift.tolist()
+
+
+def layer_cos(fill: LayerFill, ci: int, cj: int) -> np.ndarray:
+    """The cosine of each term's phase at the corners of chunk (ci, cj), a
+    ((CHUNK + 1)**2, terms) array with the corners in row-major order; @ the
+    layer's amplitudes it is potential.eval_periodic there.  The compiled
+    fill returns fill.values, which its next call overwrites."""
+    lib = kernel()
+    return (layer_cos_numpy(fill, ci, cj) if lib is None
+            else layer_cos_compiled(lib.layer_cos, fill, ci, cj))
+
+
+def layer_cos_compiled(fn, fill, ci, cj):
+    """layer_cos by the library's layer_cos, fn."""
+    fill.ci, fill.cj = ci, cj
+    fn(fill)
+    return fill.values
+
+
+def layer_cos_numpy(fill, ci, cj):
+    """layer_cos in NumPy."""
+    side = np.arange(CHUNK + 1)
+    pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
+    pts[..., 0] = ((ci * CHUNK + side) * fill.h)[:, None]
+    pts[..., 1] = (cj * CHUNK + side) * fill.h
+    pts = pts.reshape(-1, 2)
+    if fill.transform is not None:
+        pts = apply_transform(fill.transform, pts)
+    return phase_cosines(fill.layer, pts)
 
 
 # Bytes format_g may write for one value, past its text included (35 in _walk.c).

@@ -85,13 +85,18 @@ class PeriodicPotential:
 def eval_periodic(pot: PeriodicPotential, p) -> np.ndarray | float:
     """Value of the layer at a point (2,) or an array of points (..., 2)."""
     pts = np.asarray(p, dtype=float)
-    scalar = pts.ndim == 1
+    vals = phase_cosines(pot, pts) @ pot._amps
+    return float(vals) if pts.ndim == 1 else vals
+
+
+def phase_cosines(pot: PeriodicPotential, pts: np.ndarray) -> np.ndarray:
+    """cos of each term's phase at the points pts (..., 2), with the terms
+    on the last axis: eval_periodic before its amplitudes."""
     args = pts @ pot._waves.T
     # Phase by phase, as apply_transform adds its shift.
     for k, phase in enumerate(pot._phases.tolist()):
         args.T[k] += phase
-    vals = np.cos(args) @ pot._amps
-    return float(vals) if scalar else vals
+    return np.cos(args)
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,7 @@ class Product:
 @dataclass(frozen=True)
 class TableLookup:
     """Q sampled on a rectangular grid, evaluated by bilinear interpolation.
+    Grid nodes and values must be finite.
 
     Points outside the grid raise CombinerRangeError: extrapolating a table
     silently would fabricate values the caller never supplied.
@@ -154,6 +160,9 @@ class TableLookup:
         tab = np.asarray(self.values, dtype=float)
         if vg.ndim != 1 or ug.ndim != 1 or len(vg) < 2 or len(ug) < 2:
             raise ValueError("table grids must be 1-d with at least two nodes")
+        for name, a in (("v_grid", vg), ("u_grid", ug), ("values", tab)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"table {name} must be finite")
         if np.any(np.diff(vg) <= 0) or np.any(np.diff(ug) <= 0):
             raise ValueError("table grids must be strictly increasing")
         if tab.shape != (len(vg), len(ug)):

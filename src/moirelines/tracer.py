@@ -34,8 +34,8 @@ import numpy as np
 
 from . import _walk
 from ._walk import CHUNK, HORIZONTAL, SADDLE_EXIT, SIDE_CORNERS, VERTICAL
-from .geometry import Rect, apply_transform, as_vec2, fields_equal
-from .potential import SuperpositionPotential, eval_periodic, eval_superposition
+from .geometry import Rect, as_vec2, fields_equal
+from .potential import SuperpositionPotential, eval_superposition
 
 # Residuals below JITTER_REL * value_scale are pushed to +JITTER_REL * scale.
 JITTER_REL = 1e-9
@@ -205,10 +205,11 @@ class ChunkedField:
     independent: the residual shift happens at read time).  It owns the
     grid: the potential s, the cell size h (BudgetError unless it is positive
     and resolves s's shortest period) and the residual nudge delta.  A chunk
-    is evaluated as one flat array of corners, bit for bit as the stacked
-    (CHUNK + 1, CHUNK + 1, 2) array where OpenBLAS has an FMA kernel.  A
-    field built inside classifier.classify_family takes V's share of every
-    chunk from the per-process first-layer store.
+    is evaluated a layer at a time, as _walk.layer_cos of its corners times
+    the layer's amplitudes, then combined: bit for bit eval_superposition
+    of its stacked (CHUNK + 1, CHUNK + 1, 2) corners where OpenBLAS has an
+    FMA kernel.  A field built inside classifier.classify_family takes V's
+    share of every chunk from the per-process first-layer store.
     """
 
     def __init__(self, s: SuperpositionPotential, h: float):
@@ -224,23 +225,28 @@ class ChunkedField:
             (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
             if _SHARE_FIRST_LAYER.get() else None
         )
+        self._v_fill = _walk.LayerFill(v, self.h)
+        self._u_fill = _walk.LayerFill(s.u, self.h, s.transform)
 
     def _chunk(self, ci: int, cj: int) -> np.ndarray:
         """Chunk (ci, cj)'s corner values, (CHUNK + 1) x (CHUNK + 1)."""
         key = (ci, cj)
         vals = self._chunks.get(key)
         if vals is None:
-            pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
-            pts[..., 0] = ((ci * CHUNK + np.arange(CHUNK + 1)) * self.h)[:, None]
-            pts[..., 1] = (cj * CHUNK + np.arange(CHUNK + 1)) * self.h
-            # Flat, so that each product is one BLAS call, not one per row.
-            pts = pts.reshape(-1, 2)
-            if self._first_layer is None:
-                vals = eval_superposition(self.s, pts)
-            else:
-                vals = _superpose_stored(self.s, pts, (self._first_layer, ci, cj))
+            s = self.s
+            stored = None if self._first_layer is None else (self._first_layer, ci, cj)
+            v = _FIRST_LAYER_STORE.get(stored)
+            if v is None:
+                v = _walk.layer_cos(self._v_fill, ci, cj) @ s.v._amps
+                if stored is not None:
+                    if len(_FIRST_LAYER_STORE) >= _FIRST_LAYER_CAP:
+                        del _FIRST_LAYER_STORE[next(iter(_FIRST_LAYER_STORE))]
+                    _FIRST_LAYER_STORE[stored] = v
+                    v.setflags(write=False)
+            u = _walk.layer_cos(self._u_fill, ci, cj) @ s.u._amps
             # A copy, not a view of the flat values: one array object per chunk.
-            vals = self._chunks[key] = np.array(vals.reshape(CHUNK + 1, -1), dtype=np.float64)
+            vals = self._chunks[key] = np.array(
+                s.combiner.apply(v, u).reshape(CHUNK + 1, -1), dtype=np.float64)
             self.table.insert(ci, cj, vals)
         return vals
 
@@ -290,18 +296,6 @@ class ChunkedField:
     @property
     def cells_evaluated(self) -> int:
         return len(self._chunks) * (CHUNK + 1) ** 2
-
-
-def _superpose_stored(s: SuperpositionPotential, pts: np.ndarray, key: tuple) -> np.ndarray:
-    """eval_superposition(s, pts) bit for bit, with V's values taken from
-    the first-layer store under key, and put there when missing."""
-    v = _FIRST_LAYER_STORE.get(key)
-    if v is None:
-        if len(_FIRST_LAYER_STORE) >= _FIRST_LAYER_CAP:
-            del _FIRST_LAYER_STORE[next(iter(_FIRST_LAYER_STORE))]
-        v = _FIRST_LAYER_STORE[key] = eval_periodic(s.v, pts)
-        v.setflags(write=False)
-    return s.combiner.apply(v, eval_periodic(s.u, apply_transform(s.transform, pts)))
 
 
 def _field(s: SuperpositionPotential, h: float, field: ChunkedField | None) -> ChunkedField:

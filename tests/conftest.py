@@ -12,9 +12,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def pytest_report_header(config):
-    """NumPy's BLAS, and OPENBLAS_CORETYPE when it is set: the bit-for-bit
-    pins hold only where the BLAS rounds like the machine that recorded
-    them, so a pin that fails on another CPU shows its likely cause here."""
+    """NumPy's BLAS, OPENBLAS_CORETYPE when it is set, and whether the
+    compiled library loaded or its Python and NumPy twins run: the
+    bit-for-bit pins hold only where the BLAS rounds like the machine that
+    recorded them (and the compiled fill rounds as its FMA kernels do), so
+    a pin that fails on another CPU shows its likely cause here."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
@@ -22,7 +24,10 @@ def pytest_report_header(config):
         name = "unknown"
     line = f"numpy {np.__version__}, BLAS: {name}"
     core = os.environ.get("OPENBLAS_CORETYPE")
-    return line if core is None else f"{line}, OPENBLAS_CORETYPE={core}"
+    if core is not None:
+        line += f", OPENBLAS_CORETYPE={core}"
+    library = "loaded" if _walk.kernel() is not None else "not built, the twins run"
+    return [line, f"compiled library {_walk.SOURCE.name}: {library}"]
 
 
 @pytest.fixture(scope="session")

@@ -197,9 +197,17 @@ class TestChunkedField:
         assert len(asked) == 1
 
 
+_FILL_CASES = given(seed=st.integers(0, 2**32 - 1),
+                    combiner=st.sampled_from(["Sum", "WeightedSum", "Product", "TableLookup"]),
+                    cells=st.floats(MIN_CELLS_PER_PERIOD, 40.0),
+                    ci=st.integers(-2**12, 2**12), cj=st.integers(-2**12, 2**12),
+                    shared=st.booleans())
+
+
 class TestChunkFill:
-    """A chunk fill evaluates its corners as one flat array.  Its values
-    must equal the evaluation of the same corners stacked as a
+    """A chunk fill evaluates its corners one layer at a time, in C where
+    the library loads and with _walk.layer_cos_numpy where it does not.
+    Its values must equal the evaluation of the same corners stacked as a
     (CHUNK + 1, CHUNK + 1, 2) array bit for bit, with the first-layer store
     on or off."""
 
@@ -223,13 +231,20 @@ class TestChunkFill:
         return SuperpositionPotential(v, u, transform, combiner)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           combiner=st.sampled_from(["Sum", "WeightedSum", "Product", "TableLookup"]),
-           cells=st.floats(MIN_CELLS_PER_PERIOD, 40.0),
-           ci=st.integers(-2**12, 2**12), cj=st.integers(-2**12, 2**12),
-           shared=st.booleans())
+    @_FILL_CASES
     def test_fill_equals_the_stacked_evaluation_bit_for_bit(self, seed, combiner, cells,
                                                             ci, cj, shared):
+        self.check_fill(seed, combiner, cells, ci, cj, shared)
+
+    @settings(max_examples=20, deadline=None)
+    @_FILL_CASES
+    @pytest.mark.usefixtures("python_walker")
+    def test_fill_equals_the_stacked_evaluation_bit_for_bit_python_walker(
+        self, seed, combiner, cells, ci, cj, shared
+    ):
+        self.check_fill(seed, combiner, cells, ci, cj, shared)
+
+    def check_fill(self, seed, combiner, cells, ci, cj, shared):
         s = self.family(np.random.default_rng(seed), combiner)
         h = s.shortest_period() / cells
         gi = (ci * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h

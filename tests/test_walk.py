@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moirelines import _walk
+from moirelines import _walk, tracer
 from moirelines.geometry import Rect
 from moirelines.potential import eval_superposition
 from moirelines.tracer import (
@@ -283,7 +283,8 @@ def library_calls(monkeypatch):
 
 class TestRoundTrips:
     """Over filled chunks the compiled walks and probes stay in the library:
-    they return to Python only to fill a chunk or resolve a saddle cell."""
+    they return to Python only to fill a chunk or resolve a saddle cell.  A
+    fill calls it once for each layer it evaluates."""
 
     S = single_harmonic_sum(delta=0.3, alpha=0.7)
     BUDGET = TraceBudget.for_potential(S, length_periods=10.0)
@@ -301,6 +302,19 @@ class TestRoundTrips:
         library_calls.clear()
         assert probe.state(level) == state
         assert dict(library_calls) == calls
+
+    @pytest.mark.parametrize("shared, calls", [(False, 2), (True, 1)], ids=["fresh", "stored"])
+    def test_a_fill_calls_once_per_layer_it_evaluates(self, library_calls, monkeypatch,
+                                                      shared, calls):
+        monkeypatch.setattr(tracer, "_FIRST_LAYER_STORE", {})
+        token = tracer._SHARE_FIRST_LAYER.set(shared)
+        try:
+            ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0)  # fills the store
+            library_calls.clear()
+            ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0)
+        finally:
+            tracer._SHARE_FIRST_LAYER.reset(token)
+        assert dict(library_calls) == {"layer_cos": calls}
 
     @pytest.mark.parametrize("level, walks", [(0.05, 2), (0.9, 1)], ids=["open", "closed"])
     def test_a_trace_over_filled_chunks_calls_once_per_walk(self, library_calls, level, walks):
