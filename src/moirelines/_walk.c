@@ -454,9 +454,10 @@ static inline __attribute__((always_inline)) void fill(const layer_fill *f)
         }
 }
 
-/* Without -march, fma() is a call into libm, which costs about as much as
-   the cosine.  On x86-64 CPUs that have the instruction, the same fill is
-   compiled to use it inline; the result is the same, fma() being exact. */
+/* Without -march, fma() is a call into libm, and a moved one-term fill
+   takes about 15% longer than with the instruction.  On x86-64 CPUs that
+   have it, the same fill is compiled to use it inline; the result is the
+   same, fma() being exact. */
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target("fma"))) static void fill_fma(const layer_fill *f)
 {
