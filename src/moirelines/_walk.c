@@ -421,7 +421,8 @@ int probe_level(probe_state *p)
    explicit fma() calls are the roundings of the BLAS products: dgemm
    gives q_c = fma(y, R[c][1], x R[c][0]) and, for two or more terms,
    fma(y, W[t][1], x W[t][0]); one term goes to gemv, which gives
-   fma(x, W[0][0], y W[0][1]).  Shift and phases are added after. */
+   fma(x, W[0][0], y W[0][1]).  Shift and phases are added after.  Built
+   without -march, fma() is libm's, which is exact. */
 typedef struct {
     const double *waves;    /* terms x 2, row-major */
     const double *phases;   /* terms */
@@ -432,8 +433,7 @@ typedef struct {
     double shift[2];
 } layer_fill;
 
-/* The fill itself, inlined into each of the two entry points below. */
-static inline __attribute__((always_inline)) void fill(const layer_fill *f)
+void layer_cos(const layer_fill *f)
 {
     const double *w = f->waves, *r = f->rotation;
     double *o = f->out;
@@ -452,28 +452,6 @@ static inline __attribute__((always_inline)) void fill(const layer_fill *f)
                 for (int64_t t = 0; t < f->terms; t++)
                     *o++ = cos(fma(y, w[2 * t + 1], x * w[2 * t]) + f->phases[t]);
         }
-}
-
-/* Without -march, fma() is a call into libm, and a moved one-term fill
-   takes about 15% longer than with the instruction.  On x86-64 CPUs that
-   have it, the same fill is compiled to use it inline; the result is the
-   same, fma() being exact. */
-#if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target("fma"))) static void fill_fma(const layer_fill *f)
-{
-    fill(f);
-}
-#endif
-
-void layer_cos(const layer_fill *f)
-{
-#if defined(__x86_64__) && defined(__GNUC__)
-    if (__builtin_cpu_supports("fma")) {
-        fill_fma(f);
-        return;
-    }
-#endif
-    fill(f);
 }
 
 

@@ -70,6 +70,13 @@ _FIRST_LAYER_CAP = 1024
 _SHARE_FIRST_LAYER: ContextVar[bool] = ContextVar("_SHARE_FIRST_LAYER", default=False)
 _FIRST_LAYER_STORE: dict[tuple, np.ndarray] = {}
 
+# A field keeps its chunks' values in slabs of _SLAB chunks (139 KB), one
+# allocation each, so the short-lived blocks of fills and walks do not leave
+# holes between 8.7 KB chunk arrays in the heap.  Much larger slabs cost
+# memory too: the unused end of a field's last slab is touched once the
+# slab is freed and its space reused.
+_SLAB = 16
+
 
 class SeedNotOnLevelError(ValueError):
     """The seed's grid cell has no sign change of f - level."""
@@ -220,6 +227,7 @@ class ChunkedField:
         self._chunks: dict[tuple[int, int], np.ndarray] = {}
         # The same chunks by address, for the compiled walks.
         self.table = _walk.ChunkTable()
+        self._slab, self._slab_used = np.empty((0, CHUNK + 1, CHUNK + 1)), 0
         v = s.v
         self._first_layer = (
             (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
@@ -244,9 +252,11 @@ class ChunkedField:
                     _FIRST_LAYER_STORE[stored] = v
                     v.setflags(write=False)
             u = _walk.layer_cos(self._u_fill, ci, cj) @ s.u._amps
-            # A copy, not a view of the flat values: one array object per chunk.
-            vals = self._chunks[key] = np.array(
-                s.combiner.apply(v, u).reshape(CHUNK + 1, -1), dtype=np.float64)
+            if self._slab_used == len(self._slab):
+                self._slab, self._slab_used = np.empty((_SLAB, CHUNK + 1, CHUNK + 1)), 0
+            vals = self._chunks[key] = self._slab[self._slab_used]
+            self._slab_used += 1
+            vals[...] = s.combiner.apply(v, u).reshape(CHUNK + 1, -1)
             self.table.insert(ci, cj, vals)
         return vals
 

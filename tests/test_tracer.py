@@ -261,6 +261,17 @@ class TestChunkFill:
         finally:
             tracer._SHARE_FIRST_LAYER.reset(token)
 
+    def test_chunks_in_later_slabs_leave_earlier_ones_alone(self):
+        s = self.family(np.random.default_rng(7), "Sum")
+        h = s.shortest_period() / 16
+        field = ChunkedField(s, h)
+        keys = [(ci, cj) for ci in range(-3, 3) for cj in range(-3, 3)]
+        assert len(keys) > 2 * tracer._SLAB
+        for key in keys:
+            field._chunk(*key)
+        for key in keys:
+            assert field._chunk(*key).tobytes() == ChunkedField(s, h)._chunk(*key).tobytes()
+
 
 class TestFindSeeds:
     def test_no_seeds_above_range(self, two_cos, small_window, small_budget):
