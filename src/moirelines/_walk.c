@@ -8,16 +8,18 @@
    bit-identical to the Python walk's.
 
    walk_cells finds the chunks it crosses in the field's chunk table
-   (_walk.ChunkTable) and returns to Python whenever the walk needs
-   something that is not there or not in the vertex buffers, with the
-   walk's state saved in *s, so that calling it again continues the walk.
+   (_walk.ChunkTable) and fills the missing ones itself (fill_chunk).  It
+   returns to Python whenever the walk needs something it cannot get here:
+   room for a chunk, a fill without a compiled rule, a saddle's exit or
+   room for vertices.  The walk's state is saved in *s, so that calling it
+   again continues the walk.
 
    The same library finds the seed edges of a block of residuals
    (seed_edges), runs one interval probe level, its seed scan and its
-   forward walks (probe_level), writes one layer's cosines at a chunk's
-   corners (layer_cos), with the roundings of OpenBLAS's FMA kernels, and
-   formats the floats of the bulk text outputs (format_g at the end of
-   this file). */
+   forward walks (probe_level), fills a chunk's corner values, one layer's
+   cosines (layer_cos) and amplitude products at a time, with the
+   roundings of OpenBLAS's FMA kernels (fill_chunk), and formats the floats
+   of the bulk text outputs (format_g at the end of this file). */
 
 #include <math.h>
 #include <stdint.h>
@@ -25,6 +27,7 @@
 
 /* CHUNK, the chunk size in cells, comes from _walk.py as -DCHUNK=... */
 #define STRIDE (CHUNK + 1)
+#define CORNERS (STRIDE * STRIDE)
 
 /* Why walk_cells or probe_level returned.  Keep in step with the stop
    codes in _walk.py. */
@@ -34,14 +37,57 @@ enum { LEAVE, SADDLE, FULL, CELLS, BUDGET, CLOSED };
 #define HASH_I UINT64_C(0x9E3779B97F4A7C15)
 #define HASH_J UINT64_C(0xC2B2AE3D27D4EB4F)
 
+/* Open-addressed table from chunk (ci, cj) to the address of its corner
+   values: _walk.ChunkTable. */
+typedef struct {
+    int64_t *slots;         /* (ci, cj, address) per slot, address 0 if empty */
+    int64_t shift;          /* 64 - log2 of the slot count */
+    int64_t count;          /* chunks held */
+} chunk_table;
+
+static uint64_t home(const chunk_table *t, int64_t ci, int64_t cj)
+{
+    return ((uint64_t)ci * HASH_I + (uint64_t)cj * HASH_J) >> t->shift;
+}
+
+/* The slot of chunk (ci, cj), or the empty slot where it goes: slots are
+   probed linearly from the hash's top bits. */
+static int64_t *slot(const chunk_table *t, int64_t ci, int64_t cj)
+{
+    uint64_t mask = (UINT64_C(1) << (64 - t->shift)) - 1;
+    for (uint64_t k = home(t, ci, cj);; k = (k + 1) & mask) {
+        int64_t *e = t->slots + 3 * k;
+        if (e[2] == 0 || (e[0] == ci && e[1] == cj))
+            return e;
+    }
+}
+
+/* The corner values of chunk (ci, cj), or NULL when t does not hold it. */
+static double *find_chunk(const chunk_table *t, int64_t ci, int64_t cj)
+{
+    return (double *)(intptr_t)slot(t, ci, cj)[2];
+}
+
+/* Add chunk (ci, cj), which t does not hold, with its values at at. */
+static void add_chunk(chunk_table *t, int64_t ci, int64_t cj, const double *at)
+{
+    int64_t *e = slot(t, ci, cj);
+    e[0] = ci;
+    e[1] = cj;
+    e[2] = (int64_t)(intptr_t)at;
+    t->count++;
+}
+
+typedef struct chunk_field chunk_field;
+const double *fill_chunk(chunk_field *f, int64_t ci, int64_t cj);
+
 typedef struct {
     const int8_t *exits;    /* _walk.EXIT */
-    const int64_t *table;   /* chunk table: (ci, cj, address) per slot */
+    chunk_field *field;     /* the field's chunks, and how to fill them */
     const double *v;        /* corner values of the current chunk, or NULL */
     double level, delta, h, arc_limit;
     double p0x, p0y;        /* start crossing */
     double px, py, arc;     /* last vertex and running arc */
-    int64_t shift;          /* 64 - log2 of the table's slots */
     int64_t i, j;           /* current cell */
     int64_t oi, oj;         /* lower-left corner of the current chunk */
     int64_t ia, ja, ea, ib, jb, eb;  /* leaving (ia, ja) through side ea, or
@@ -53,22 +99,6 @@ typedef struct {
     int64_t out;            /* exit side Python chose for it, else -1 */
     int64_t count;          /* vertices in xs and ys */
 } walk_state;
-
-/* The corner values of chunk (ci, cj), or NULL when it is not filled.
-   Slots are probed linearly from the hash's top bits; an address of 0
-   marks an empty slot. */
-static const double *find_chunk(const walk_state *s, int64_t ci, int64_t cj)
-{
-    uint64_t mask = (UINT64_C(1) << (64 - s->shift)) - 1;
-    uint64_t k = ((uint64_t)ci * HASH_I + (uint64_t)cj * HASH_J) >> s->shift;
-    for (;; k = (k + 1) & mask) {
-        const int64_t *e = s->table + 3 * k;
-        if (e[2] == 0)
-            return NULL;
-        if (e[0] == ci && e[1] == cj)
-            return (const double *)(intptr_t)e[2];
-    }
-}
 
 /* Residual of one corner; residuals within delta of zero count as +delta. */
 static double residual(double v, const walk_state *s, int64_t bit, int64_t *code,
@@ -90,8 +120,8 @@ static double residual(double v, const walk_state *s, int64_t bit, int64_t *code
    corner (s->oi, s->oj), appending vertices to xs and ys (unless xs is
    NULL) until one of the stop codes applies.  s->v holds that chunk's
    corner values, or NULL when they are to be looked up in the table.
-   LEAVE     the cell lies in a chunk the table does not hold; s->oi and
-             s->oj name it: fill it and call again;
+   LEAVE     the cell lies in a chunk that fill_chunk cannot fill; s->oi
+             and s->oj name it: fill it and call again;
    SADDLE    the cell's exit needs the potential at its centre: set s->out
              and call again (an inconsistent cell also returns this);
    FULL      cap vertices are buffered: take them, reset s->count;
@@ -106,7 +136,7 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
     int stop;
 
     if (v == NULL) {
-        v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+        v = fill_chunk(s->field, s->oi / CHUNK, s->oj / CHUNK);
         if (v == NULL)
             return LEAVE;
     }
@@ -124,7 +154,7 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
             if ((li | lj) & ~(int64_t)(CHUNK - 1)) {
                 s->oi = i - (i & (CHUNK - 1));
                 s->oj = j - (j & (CHUNK - 1));
-                v = find_chunk(s, s->oi / CHUNK, s->oj / CHUNK);
+                v = fill_chunk(s->field, s->oi / CHUNK, s->oj / CHUNK);
                 if (v == NULL) {
                     stop = LEAVE;
                     break;
@@ -411,36 +441,39 @@ int probe_level(probe_state *p)
 }
 
 
-/* One layer's cosines at the corners of a chunk: _walk.layer_cos_numpy,
-   bit for bit where OpenBLAS runs FMA kernels.
+/* The corner values of a chunk: _walk.ChunkFill.fill_numpy, bit for bit
+   where OpenBLAS runs FMA kernels.
 
-   Corner (a, b) of chunk (ci, cj) is the point x = (ci * CHUNK + a) * h,
-   y = (cj * CHUNK + b) * h, moved first to R (x, y) + shift when moved is
-   set.  out[(a * STRIDE + b) * terms + t] is the cosine of term t's phase
-   there: row after row, as np.cos of pts @ waves.T plus the phases.  The
-   explicit fma() calls are the roundings of the BLAS products: dgemm
-   gives q_c = fma(y, R[c][1], x R[c][0]) and, for two or more terms,
-   fma(y, W[t][1], x W[t][0]); one term goes to gemv, which gives
-   fma(x, W[0][0], y W[0][1]).  Shift and phases are added after.  Built
-   without -march, fma() is libm's, which is exact. */
+   layer_cos writes one layer's cosines at the corners of chunk (ci, cj),
+   as potential.phase_cosines computes them.  Corner (a, b) is the point
+   x = (ci * CHUNK + a) * h, y = (cj * CHUNK + b) * h, moved first to
+   R (x, y) + shift when moved is set.  out[(a * STRIDE + b) * terms + t]
+   is the cosine of term t's phase there: row after row, as np.cos of
+   pts @ waves.T plus the phases.  The explicit fma() calls are the
+   roundings of the BLAS products: dgemm gives q_c = fma(y, R[c][1],
+   x R[c][0]) and, for two or more terms, fma(y, W[t][1], x W[t][0]); one
+   term goes to gemv, which gives fma(x, W[0][0], y W[0][1]).  Shift and
+   phases are added after.  Built without -march, fma() is libm's, which
+   is exact. */
 typedef struct {
     const double *waves;    /* terms x 2, row-major */
     const double *phases;   /* terms */
-    double *out;            /* STRIDE * STRIDE x terms, row-major */
-    int64_t terms, moved, ci, cj;
+    const double *amps;     /* terms */
+    double *out;            /* CORNERS x terms, row-major */
+    int64_t terms, moved;
     double h;
     double rotation[4];     /* R, row-major */
     double shift[2];
 } layer_fill;
 
-void layer_cos(const layer_fill *f)
+static void layer_cos(const layer_fill *f, int64_t ci, int64_t cj)
 {
     const double *w = f->waves, *r = f->rotation;
     double *o = f->out;
     for (int64_t a = 0; a < STRIDE; a++)
         for (int64_t b = 0; b < STRIDE; b++) {
-            double x = (double)(f->ci * CHUNK + a) * f->h;
-            double y = (double)(f->cj * CHUNK + b) * f->h;
+            double x = (double)(ci * CHUNK + a) * f->h;
+            double y = (double)(cj * CHUNK + b) * f->h;
             if (f->moved) {
                 double qx = fma(y, r[1], x * r[0]) + f->shift[0];
                 y = fma(y, r[3], x * r[2]) + f->shift[1];
@@ -452,6 +485,131 @@ void layer_cos(const layer_fill *f)
                 for (int64_t t = 0; t < f->terms; t++)
                     *o++ = cos(fma(y, w[2 * t + 1], x * w[2 * t]) + f->phases[t]);
         }
+}
+
+/* The layer's values at the corners, from its cosines f->out: NumPy's
+   (CORNERS, terms) @ amps, which is OpenBLAS's dgemv_t.  Its kernel takes
+   the corners four at a time and, for each, the terms in four lanes that
+   start at +0.0: lane k adds the products of terms k, k + 4, ..., below
+   m = terms & ~3, each by one fma, or, for the corner left over past the
+   last four, rounded and then added.  The lanes add up as
+   (l0 + l2) + (l1 + l3), and the last terms & 3 come after: one as
+   fma(c, a, s), two as s + fma(c0, a0, c1 a1), three as
+   s + fma(c2, a2, fma(c0, a0, c1 a1)).  As the lanes start at +0.0, no
+   sum reads -0.0, even where every product is -0.0.  Below four terms s
+   is +0.0, and fma(c, a, +0.0) is c a + 0.0. */
+static void layer_values(const layer_fill *f, double *values)
+{
+    const int64_t terms = f->terms, m = terms & ~3;
+    const double *a = f->amps;
+    for (int64_t k = 0; k < CORNERS; k++) {
+        const double *c = f->out + k * terms;
+        double s = 0.0;
+        if (m) {
+            double l[4] = {0.0, 0.0, 0.0, 0.0};
+            int fused = k < (CORNERS & ~3);
+            for (int64_t t = 0; t < m; t += 4)
+                for (int lane = 0; lane < 4; lane++)
+                    l[lane] = fused ? fma(c[t + lane], a[t + lane], l[lane])
+                                    : l[lane] + c[t + lane] * a[t + lane];
+            s = (l[0] + l[2]) + (l[1] + l[3]);
+        }
+        switch (terms & 3) {
+        case 1:
+            s = m ? fma(c[m], a[m], s) : c[m] * a[m] + 0.0;
+            break;
+        case 2:
+            s = s + fma(c[m], a[m], c[m + 1] * a[m + 1]);
+            break;
+        case 3:
+            s = s + fma(c[m + 2], a[m + 2], fma(c[m], a[m], c[m + 1] * a[m + 1]));
+            break;
+        }
+        values[k] = s;
+    }
+}
+
+/* The first layer's values of the chunks that sweep fields share
+   (_walk.ChunkStore): cap chunks at most, in a ring of value blocks; past
+   cap the oldest is dropped. */
+typedef struct {
+    chunk_table table;      /* never half full: it has 2 * cap slots or more */
+    double *values;         /* cap x CORNERS */
+    int64_t cap, stored;    /* chunks stored so far, dropped ones included */
+} chunk_store;
+
+/* Remove the chunk whose values are at from t, shifting back the entries
+   probed past it, so that linear probing needs no tombstones. */
+static void drop_chunk(chunk_table *t, const double *at)
+{
+    uint64_t mask = (UINT64_C(1) << (64 - t->shift)) - 1, k = 0;
+    while (t->slots[3 * k + 2] != (int64_t)(intptr_t)at)
+        k++;
+    for (uint64_t j = (k + 1) & mask; t->slots[3 * j + 2]; j = (j + 1) & mask)
+        if (((j - home(t, t->slots[3 * j], t->slots[3 * j + 1])) & mask) >= ((j - k) & mask)) {
+            memcpy(t->slots + 3 * k, t->slots + 3 * j, 3 * sizeof *t->slots);
+            k = j;
+        }
+    t->slots[3 * k + 2] = 0;
+    t->count--;
+}
+
+/* The combiners that have a compiled rule: v + u, c1 v + c2 u, v u. */
+enum { SUM, WEIGHTED_SUM, PRODUCT };
+
+/* A chunked field's chunks: _walk.ChunkFill. */
+struct chunk_field {
+    const layer_fill *v, *u;    /* U's corners are moved */
+    chunk_table *table;
+    double *slab;               /* room chunks' values, the first used taken */
+    chunk_store *store;         /* V's shared values, or NULL */
+    int64_t used, room;
+    int64_t combiner;           /* SUM, WEIGHTED_SUM, PRODUCT, or -1: none */
+    double c1, c2;
+};
+
+/* The corner values of chunk (ci, cj) of field f, filled into its slab and
+   added to its table unless the table holds them already.  V comes from
+   the store when it holds the chunk, else it is evaluated, and kept in the
+   store when the field has one; then U, and the combiner.  Returns NULL
+   when it cannot fill the chunk: the slab is full, one more chunk would
+   fill half the table, or the combiner has no compiled rule. */
+const double *fill_chunk(chunk_field *f, int64_t ci, int64_t cj)
+{
+    double *out = find_chunk(f->table, ci, cj), own[CORNERS];
+    const double *v;
+    chunk_store *st = f->store;
+    if (out != NULL || f->combiner < 0 || f->used == f->room ||
+        2 * (f->table->count + 1) > INT64_C(1) << (64 - f->table->shift))
+        return out;
+    v = st == NULL ? NULL : find_chunk(&st->table, ci, cj);
+    if (v == NULL) {
+        double *at = own;
+        if (st != NULL) {
+            at = st->values + st->stored % st->cap * CORNERS;
+            if (st->stored++ >= st->cap)
+                drop_chunk(&st->table, at);
+        }
+        layer_cos(f->v, ci, cj);
+        layer_values(f->v, at);
+        if (st != NULL)
+            add_chunk(&st->table, ci, cj, at);
+        v = at;
+    }
+    out = f->slab + f->used++ * CORNERS;
+    layer_cos(f->u, ci, cj);
+    layer_values(f->u, out);
+    if (f->combiner == SUM)
+        for (int64_t k = 0; k < CORNERS; k++)
+            out[k] = v[k] + out[k];
+    else if (f->combiner == PRODUCT)
+        for (int64_t k = 0; k < CORNERS; k++)
+            out[k] = v[k] * out[k];
+    else
+        for (int64_t k = 0; k < CORNERS; k++)
+            out[k] = f->c1 * v[k] + f->c2 * out[k];
+    add_chunk(f->table, ci, cj, out);
+    return out;
 }
 
 

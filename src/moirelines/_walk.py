@@ -3,15 +3,15 @@
 walk runs the marching-squares walk of one level line across a chunked
 field, seed_edges the scan of a block of corner residuals for one crossing
 per piece of the level set, probe the seed scan and forward walks of one
-interval probe level, layer_cos one layer's cosines at a chunk's corners,
-and format_floats writes floats as format's .Pg does.  Each runs its C
-routine (walk_cells, seed_edges, probe_level, layer_cos, format_g) where
-the library loads, else its twin (walk_python, seed_edges_numpy,
-probe_python, layer_cos_numpy, format_python), with the same results bit
-for bit; for layer_cos, where OpenBLAS runs FMA kernels.  The compiled
-walks find filled chunks in the field's ChunkTable and return to Python
-only to fill a chunk or resolve a saddle cell.  No other module loads the
-library or calls into it.
+interval probe level, ChunkFill.values fills a chunk's corner values, and
+format_floats writes floats as format's .Pg does.  Each runs its C routine
+(walk_cells, seed_edges, probe_level, fill_chunk, format_g) where the
+library loads, else its twin (walk_python, seed_edges_numpy, probe_python,
+ChunkFill.fill_numpy, format_python), with the same results bit for bit;
+for fills, where OpenBLAS runs FMA kernels, and a TableLookup combiner's
+are the twin's.  The compiled walks fill the chunks they enter: they return
+to Python only for room for a chunk, a twin fill or a saddle cell.  No
+other module loads the library or calls into it.
 
 The library is compiled on first use, never at import, with the system C
 compiler, and cached under $XDG_CACHE_HOME/moirelines (~/.cache/moirelines
@@ -34,8 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import apply_transform
-from .potential import phase_cosines
+from .potential import Product, Sum, WeightedSum, eval_superposition
 
 # Corner values come in chunks of CHUNK x CHUNK cells (CHUNK + 1 corners a
 # side), keyed by integer chunk coordinates.
@@ -115,11 +114,11 @@ class State(ctypes.Structure):
     """The walk_state struct of _walk.c, field for field."""
 
     _fields_ = [
-        *((name, ctypes.c_void_p) for name in ("exits", "table", "v")),
+        *((name, ctypes.c_void_p) for name in ("exits", "field", "v")),
         *((name, _f64) for name in (
             "level", "delta", "h", "arc_limit", "p0x", "p0y", "px", "py", "arc")),
         *((name, _i64) for name in (
-            "shift", "i", "j", "oi", "oj", "ia", "ja", "ea", "ib", "jb", "eb", "n",
+            "i", "j", "oi", "oj", "ia", "ja", "ea", "ib", "jb", "eb", "n",
             "cell_limit", "first_jitter", "code_base", "code", "out", "count")),
     ]
 
@@ -142,43 +141,40 @@ _HASH_I, _HASH_J = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
 _U64 = 2**64 - 1
 
 
-class ChunkTable:
-    """Open-addressed table from chunk (ci, cj) to the address of its
-    corner values, in the int64 array slots, at address, that walk_cells
-    reads.
-
+class ChunkTable(ctypes.Structure):
+    """The chunk_table struct of _walk.c: an open-addressed table from chunk
+    (ci, cj) to the address of its corner values, in the int64 array slots.
     Slot k holds (ci, cj, address), or address 0 when it is empty.  A key
     hashes to the top bits of ci * _HASH_I + cj * _HASH_J mod 2**64 and is
-    probed linearly from there; the table doubles before it is half full.
-    It holds addresses only: the owner keeps each buffer alive.
-    """
+    probed linearly from there.  It holds addresses only: the owner keeps
+    each buffer alive, and calls make_room before adding a chunk."""
+
+    _fields_ = [("address", ctypes.c_void_p), ("shift", _i64), ("count", _i64)]
 
     def __init__(self, bits: int = 8):
         self.slots = np.zeros((1 << bits, 3), dtype=np.int64)
-        self.address = _address(self.slots)
-        self.shift = 64 - bits
-        self.count = 0
+        super().__init__(_address(self.slots), 64 - bits, 0)
 
-    def insert(self, ci: int, cj: int, values: np.ndarray) -> None:
-        """Add chunk (ci, cj), which the table does not hold yet, with its
-        corner values."""
+    def insert(self, ci: int, cj: int, address: int) -> None:
+        """Add chunk (ci, cj), which the table does not hold, at address."""
+        self.slot(ci, cj)[:] = ci, cj, address
+        self.count += 1
+
+    def make_room(self) -> None:
+        """Double the table if one more chunk would fill half of it."""
         if 2 * (self.count + 1) > len(self.slots):
             entries = self.slots[self.slots[:, 2] != 0].tolist()
-            self.slots = np.zeros((2 * len(self.slots), 3), dtype=np.int64)
-            self.address = _address(self.slots)
-            self.shift -= 1
-            self.count = 0
+            self.__init__(65 - self.shift)
             for entry in entries:
-                self._place(*entry)
-        self._place(ci, cj, _address(values))
+                self.insert(*entry)
 
-    def _place(self, ci: int, cj: int, address: int) -> None:
-        mask = len(self.slots) - 1
+    def slot(self, ci: int, cj: int) -> np.ndarray:
+        """The slot of chunk (ci, cj), or the empty slot where it goes."""
+        slots, mask = self.slots, len(self.slots) - 1
         k = ((int(ci) * _HASH_I + int(cj) * _HASH_J) & _U64) >> self.shift
-        while self.slots[k, 2]:
+        while slots[k, 2] and (slots[k, 0] != ci or slots[k, 1] != cj):
             k = (k + 1) & mask
-        self.slots[k] = ci, cj, address
-        self.count += 1
+        return slots[k]
 
 
 def _build() -> Path:
@@ -209,12 +205,12 @@ def _build() -> Path:
 @functools.cache
 def kernel():
     """The compiled library, with walk_cells, seed_edges, probe_level,
-    layer_cos and format_g typed, or None when it cannot be built or
+    fill_chunk and format_g typed, or None when it cannot be built or
     loaded here."""
     try:
         lib = ctypes.CDLL(str(_build()))
         walk, seeds, probe_level, fill, fmt = (
-            lib.walk_cells, lib.seed_edges, lib.probe_level, lib.layer_cos, lib.format_g)
+            lib.walk_cells, lib.seed_edges, lib.probe_level, lib.fill_chunk, lib.format_g)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     walk.argtypes = [ctypes.POINTER(State), ctypes.c_void_p, ctypes.c_void_p, _i64]
@@ -224,8 +220,8 @@ def kernel():
     seeds.restype = _i64
     probe_level.argtypes = [ctypes.POINTER(ProbeState)]
     probe_level.restype = ctypes.c_int
-    fill.argtypes = [ctypes.POINTER(LayerFill)]
-    fill.restype = None
+    fill.argtypes = [ctypes.POINTER(ChunkFill), _i64, _i64]
+    fill.restype = ctypes.c_void_p
     fmt.argtypes = [ctypes.c_void_p, _i64, _i64, ctypes.c_int,
                     ctypes.POINTER(ctypes.c_char_p), _i64, ctypes.c_void_p,
                     ctypes.POINTER(_i64)]
@@ -269,16 +265,12 @@ def walk(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
 
 
 def _enter(st: State, field) -> None:
-    """Fill chunk (st.oi, st.oj) of field if it is missing, and point st at
-    the field's chunk table, which the fill may have grown; walk_cells
-    looks the chunk up there."""
+    """Fill chunk (st.oi, st.oj) of field, which walk_cells could not fill."""
     field._chunk(st.oi // CHUNK, st.oj // CHUNK)
-    st.table, st.shift = field.table.address, field.table.shift
 
 
 def _state(walker, arc_limit, cell_limit, **fields) -> State:
-    table = walker.field.table
-    return State(exits=_EXIT_ADDRESS, table=table.address, shift=table.shift,
+    return State(exits=_EXIT_ADDRESS, field=ctypes.addressof(walker.field._fill),
                  level=walker.level, delta=walker.delta, h=walker.h, arc_limit=arc_limit,
                  cell_limit=int(cell_limit), out=-1, **fields)
 
@@ -288,7 +280,6 @@ def walk_compiled(fn, walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_li
     st = _state(walker, arc_limit, cell_limit, p0x=p0x, p0y=p0y, px=p0x, py=p0y,
                 i=i, j=j, oi=i - i % CHUNK, oj=j - j % CHUNK, code_base=16 * entry)
     st.ia, st.ja, st.ea, st.ib, st.jb, st.eb = closing
-    _enter(st, walker.field)
     buf = np.empty((2, CAPACITY))
     x_at = _address(buf)
     y_at = x_at + buf.strides[0]
@@ -599,55 +590,98 @@ def probe_python(walker, i0, j0, f, cap, arc_limit, cell_limit):
 
 
 class LayerFill(ctypes.Structure):
-    """The layer_fill struct of _walk.c, for the layer_cos of one layer at
-    cell size h, its corners moved by transform first unless that is None.
-    It keeps the arrays it points at, and values, which layer_cos_compiled
-    writes."""
+    """The layer_fill struct of _walk.c: one layer at cell size h, its corners
+    moved by transform unless that is None, with the arrays it points at."""
 
     _fields_ = [
-        *((name, ctypes.c_void_p) for name in ("waves", "phases", "out")),
-        *((name, _i64) for name in ("terms", "moved", "ci", "cj")),
+        *((name, ctypes.c_void_p) for name in ("waves", "phases", "amps", "out")),
+        *((name, _i64) for name in ("terms", "moved")),
         ("h", _f64), ("rotation", _f64 * 4), ("shift", _f64 * 2),
     ]
 
     def __init__(self, layer, h, transform=None):
-        waves, phases = np.ascontiguousarray(layer._waves), np.ascontiguousarray(layer._phases)
-        self.values = np.empty(((CHUNK + 1) ** 2, len(phases)))
-        self.layer, self.transform, self._keep = layer, transform, (waves, phases)
-        super().__init__(_address(waves), _address(phases), _address(self.values),
-                         len(phases), transform is not None, h=h)
+        self._keep = [*map(np.ascontiguousarray, (layer._waves, layer._phases, layer._amps)),
+                      np.empty(((CHUNK + 1) ** 2, len(layer._phases)))]
+        super().__init__(*map(_address, self._keep), len(layer._phases),
+                         transform is not None, h=h)
         if transform is not None:
             self.rotation[:] = transform.rotation.ravel().tolist()
             self.shift[:] = transform.shift.tolist()
 
 
-def layer_cos(fill: LayerFill, ci: int, cj: int) -> np.ndarray:
-    """The cosine of each term's phase at the corners of chunk (ci, cj), a
-    ((CHUNK + 1)**2, terms) array with the corners in row-major order; @ the
-    layer's amplitudes it is potential.eval_periodic there.  The compiled
-    fill returns fill.values, which its next call overwrites."""
-    lib = kernel()
-    return (layer_cos_numpy(fill, ci, cj) if lib is None
-            else layer_cos_compiled(lib.layer_cos, fill, ci, cj))
+class ChunkStore(ChunkTable):
+    """The chunk_store struct of _walk.c: the first layer's values of up to
+    cap chunks, which compiled fills read and add to; past cap the oldest
+    is dropped.  Its 2 * cap slots or more keep it less than half full."""
+
+    _fields_ = [("values", ctypes.c_void_p), ("cap", _i64), ("stored", _i64)]
+
+    def __init__(self, cap: int):
+        super().__init__((2 * cap - 1).bit_length())
+        self._values = np.empty((cap, (CHUNK + 1) ** 2))
+        self.values, self.cap = _address(self._values), cap
 
 
-def layer_cos_compiled(fn, fill, ci, cj):
-    """layer_cos by the library's layer_cos, fn."""
-    fill.ci, fill.cj = ci, cj
-    fn(fill)
-    return fill.values
+# A field keeps its chunks' values in slabs of _SLAB chunks (139 KB), so the
+# short-lived blocks of fills and walks leave no holes between 8.7 KB chunk
+# arrays in the heap.  Much larger slabs cost memory too: the unused end of
+# a field's last slab is touched once it is freed and its space reused.
+_SLAB = 16
+_CHUNK_VALUES = _f64 * (CHUNK + 1) ** 2
 
 
-def layer_cos_numpy(fill, ci, cj):
-    """layer_cos in NumPy."""
-    side = np.arange(CHUNK + 1)
-    pts = np.empty((CHUNK + 1, CHUNK + 1, 2))
-    pts[..., 0] = ((ci * CHUNK + side) * fill.h)[:, None]
-    pts[..., 1] = (cj * CHUNK + side) * fill.h
-    pts = pts.reshape(-1, 2)
-    if fill.transform is not None:
-        pts = apply_transform(fill.transform, pts)
-    return phase_cosines(fill.layer, pts)
+class ChunkFill(ctypes.Structure):
+    """The chunk_field struct of _walk.c: a field's chunks, in the ChunkTable
+    chunks and in slabs, and what their fills read: the layers of s at cell
+    size h, the combiner's rule (-1: none) and the store, a ChunkStore."""
+
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in ("v", "u", "table", "slab", "store")),
+        *((name, _i64) for name in ("used", "room", "combiner")),
+        ("c1", _f64), ("c2", _f64),
+    ]
+
+    def __init__(self, s, h, store=None):
+        self.s, self.h, self.chunks, self.slabs, self._store = s, h, ChunkTable(), [], store
+        self.layers = LayerFill(s.v, h), LayerFill(s.u, h, s.transform)
+        super().__init__(*map(ctypes.addressof, (*self.layers, self.chunks)),
+                         store=store and ctypes.addressof(store),
+                         combiner={Sum: 0, WeightedSum: 1, Product: 2}.get(type(s.combiner), -1),
+                         c1=getattr(s.combiner, "c1", 0.0), c2=getattr(s.combiner, "c2", 0.0))
+
+    def values(self, ci: int, cj: int) -> np.ndarray:
+        """Chunk (ci, cj)'s corner values, (CHUNK + 1) x (CHUNK + 1): found
+        in the table, else filled by the library's fill_chunk where it
+        loads and the combiner has a compiled rule, else by fill_numpy."""
+        at = self.chunks.slot(ci, cj)[2]
+        if not at:
+            self.make_room()
+            lib = kernel()
+            at = (self.fill_numpy(ci, cj) if lib is None or self.combiner < 0
+                  else lib.fill_chunk(self, ci, cj))
+        chunk = _CHUNK_VALUES.from_address(int(at))
+        chunk.owner = self  # keeps the slabs alive as long as the array
+        return np.frombuffer(chunk).reshape(CHUNK + 1, -1)
+
+    def make_room(self) -> None:
+        """Room in the table and the slab for one more chunk."""
+        self.chunks.make_room()
+        if self.used == self.room:
+            self.slabs.append(np.empty((_SLAB, CHUNK + 1, CHUNK + 1)))
+            self.slab, self.used, self.room = _address(self.slabs[-1]), 0, _SLAB
+
+    def fill_numpy(self, ci: int, cj: int) -> int:
+        """fill_chunk in NumPy, without the store, after make_room: the
+        potential at the chunk's corners as one flat array in row-major
+        order.  Returns the values' address."""
+        side = np.arange(CHUNK + 1)
+        pts = np.meshgrid((ci * CHUNK + side) * self.h, (cj * CHUNK + side) * self.h, indexing="ij")
+        values = self.slabs[-1][self.used]
+        self.used += 1
+        values[...] = eval_superposition(self.s, np.stack(pts, -1).reshape(-1, 2)).reshape(
+            CHUNK + 1, -1)
+        self.chunks.insert(ci, cj, _address(values))
+        return _address(values)
 
 
 # Bytes format_g may write for one value, past its text included (35 in _walk.c).

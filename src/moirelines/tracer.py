@@ -63,19 +63,12 @@ MAX_SCALED_CELLS = 2**27
 # Fields built while _SHARE_FIRST_LAYER is set, which classifier.classify_family
 # does, take the first layer's chunk values from _FIRST_LAYER_STORE: V depends
 # on neither the twist angle nor the shift, so the fields of a sweep share its
-# chunks for the life of the process.  A key holds V's values, never its id
-# (pool workers unpickle a fresh layer for every task), h and the chunk.  Past
-# _FIRST_LAYER_CAP chunks (about 9 MB) the oldest one is dropped.
+# chunks for the life of the process.  It maps one key, V's values (never its
+# id: pool workers unpickle a fresh layer per task) and h, to a ChunkStore of
+# _FIRST_LAYER_CAP chunks (about 9 MB); a field of another key replaces it.
 _FIRST_LAYER_CAP = 1024
 _SHARE_FIRST_LAYER: ContextVar[bool] = ContextVar("_SHARE_FIRST_LAYER", default=False)
-_FIRST_LAYER_STORE: dict[tuple, np.ndarray] = {}
-
-# A field keeps its chunks' values in slabs of _SLAB chunks (139 KB), one
-# allocation each, so the short-lived blocks of fills and walks do not leave
-# holes between 8.7 KB chunk arrays in the heap.  Much larger slabs cost
-# memory too: the unused end of a field's last slab is touched once the
-# slab is freed and its space reused.
-_SLAB = 16
+_FIRST_LAYER_STORE: dict[tuple, _walk.ChunkStore] = {}
 
 
 class SeedNotOnLevelError(ValueError):
@@ -211,12 +204,11 @@ class ChunkedField:
     probes over the same region share evaluations (values are level
     independent: the residual shift happens at read time).  It owns the
     grid: the potential s, the cell size h (BudgetError unless it is positive
-    and resolves s's shortest period) and the residual nudge delta.  A chunk
-    is evaluated a layer at a time, as _walk.layer_cos of its corners times
-    the layer's amplitudes, then combined: bit for bit eval_superposition
-    of its stacked (CHUNK + 1, CHUNK + 1, 2) corners where OpenBLAS has an
-    FMA kernel.  A field built inside classifier.classify_family takes V's
-    share of every chunk from the per-process first-layer store.
+    and resolves s's shortest period) and the residual nudge delta.  A
+    _walk.ChunkFill fills and indexes its chunks, for it and the compiled
+    walks: bit for bit eval_superposition of a chunk's corners as one flat
+    array where OpenBLAS has an FMA kernel.  Inside
+    classifier.classify_family, compiled fills read V from the store.
     """
 
     def __init__(self, s: SuperpositionPotential, h: float):
@@ -224,41 +216,15 @@ class ChunkedField:
         self.s = s
         self.h = float(h)
         self.delta = JITTER_REL * s.value_scale()
-        self._chunks: dict[tuple[int, int], np.ndarray] = {}
-        # The same chunks by address, for the compiled walks.
-        self.table = _walk.ChunkTable()
-        self._slab, self._slab_used = np.empty((0, CHUNK + 1, CHUNK + 1)), 0
-        v = s.v
-        self._first_layer = (
-            (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
-            if _SHARE_FIRST_LAYER.get() else None
-        )
-        self._v_fill = _walk.LayerFill(v, self.h)
-        self._u_fill = _walk.LayerFill(s.u, self.h, s.transform)
-
-    def _chunk(self, ci: int, cj: int) -> np.ndarray:
-        """Chunk (ci, cj)'s corner values, (CHUNK + 1) x (CHUNK + 1)."""
-        key = (ci, cj)
-        vals = self._chunks.get(key)
-        if vals is None:
-            s = self.s
-            stored = None if self._first_layer is None else (self._first_layer, ci, cj)
-            v = _FIRST_LAYER_STORE.get(stored)
-            if v is None:
-                v = _walk.layer_cos(self._v_fill, ci, cj) @ s.v._amps
-                if stored is not None:
-                    if len(_FIRST_LAYER_STORE) >= _FIRST_LAYER_CAP:
-                        del _FIRST_LAYER_STORE[next(iter(_FIRST_LAYER_STORE))]
-                    _FIRST_LAYER_STORE[stored] = v
-                    v.setflags(write=False)
-            u = _walk.layer_cos(self._u_fill, ci, cj) @ s.u._amps
-            if self._slab_used == len(self._slab):
-                self._slab, self._slab_used = np.empty((_SLAB, CHUNK + 1, CHUNK + 1)), 0
-            vals = self._chunks[key] = self._slab[self._slab_used]
-            self._slab_used += 1
-            vals[...] = s.combiner.apply(v, u).reshape(CHUNK + 1, -1)
-            self.table.insert(ci, cj, vals)
-        return vals
+        v, store = s.v, None
+        if _SHARE_FIRST_LAYER.get():
+            key = (v._waves.tobytes(), v._amps.tobytes(), v._phases.tobytes(), self.h)
+            store = _FIRST_LAYER_STORE.get(key)
+            if store is None:
+                _FIRST_LAYER_STORE.clear()
+                store = _FIRST_LAYER_STORE[key] = _walk.ChunkStore(_FIRST_LAYER_CAP)
+        self._fill = _walk.ChunkFill(s, self.h, store)
+        self._chunk = self._fill.values  # (ci, cj) -> that chunk's corner values
 
     def view(self, ci: int, cj: int) -> memoryview:
         """Chunk (ci, cj) as a flat float view, row-major with CHUNK + 1
@@ -305,7 +271,7 @@ class ChunkedField:
 
     @property
     def cells_evaluated(self) -> int:
-        return len(self._chunks) * (CHUNK + 1) ** 2
+        return self._fill.chunks.count * (CHUNK + 1) ** 2
 
 
 def _field(s: SuperpositionPotential, h: float, field: ChunkedField | None) -> ChunkedField:

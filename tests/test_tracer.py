@@ -204,17 +204,28 @@ _FILL_CASES = given(seed=st.integers(0, 2**32 - 1),
                     shared=st.booleans())
 
 
+def _evaluated(s, h, ci, cj) -> bytes:
+    """eval_superposition of chunk (ci, cj)'s corners, as one flat array."""
+    gi = (ci * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
+    gj = (cj * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
+    corners = np.stack(np.meshgrid(gi, gj, indexing="ij"), axis=-1)
+    assert corners.shape == (_walk.CHUNK + 1, _walk.CHUNK + 1, 2)
+    return eval_superposition(s, corners.reshape(-1, 2)).tobytes()
+
+
 class TestChunkFill:
     """A chunk fill evaluates its corners one layer at a time, in C where
-    the library loads and with _walk.layer_cos_numpy where it does not.
-    Its values must equal the evaluation of the same corners stacked as a
-    (CHUNK + 1, CHUNK + 1, 2) array bit for bit, with the first-layer store
-    on or off."""
+    the library loads (_walk.c's fill_chunk) and with NumPy where it does
+    not (_walk.ChunkFill.fill_numpy).  Its values must equal the evaluation
+    of the same corners as one flat ((CHUNK + 1)**2, 2) array bit for bit,
+    with the first-layer store on or off.  Up to seven terms a layer, the
+    corners stacked as a (CHUNK + 1, CHUNK + 1, 2) array evaluate the same;
+    from eight on, gemv rounds the last of every 33 of them otherwise."""
 
     @staticmethod
     def family(rng, pick):
-        v = PeriodicPotential(random_lattice(rng), random_terms(rng, 6))
-        u = PeriodicPotential(random_lattice(rng), random_terms(rng, 6))
+        v = PeriodicPotential(random_lattice(rng), random_terms(rng, 9))
+        u = PeriodicPotential(random_lattice(rng), random_terms(rng, 9))
         transform = EuclideanTransform(float(rng.uniform(0, TWO_PI)), rng.uniform(-50, 50, 2))
         if pick == "Sum":
             combiner = Sum()
@@ -247,11 +258,7 @@ class TestChunkFill:
     def check_fill(self, seed, combiner, cells, ci, cj, shared):
         s = self.family(np.random.default_rng(seed), combiner)
         h = s.shortest_period() / cells
-        gi = (ci * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
-        gj = (cj * _walk.CHUNK + np.arange(_walk.CHUNK + 1)) * h
-        corners = np.stack(np.meshgrid(gi, gj, indexing="ij"), axis=-1)
-        assert corners.shape == (_walk.CHUNK + 1, _walk.CHUNK + 1, 2)
-        want = eval_superposition(s, corners).tobytes()
+        want = _evaluated(s, h, ci, cj)
         token = tracer._SHARE_FIRST_LAYER.set(shared)
         try:
             with mock.patch.object(tracer, "_FIRST_LAYER_STORE", {}):
@@ -266,11 +273,76 @@ class TestChunkFill:
         h = s.shortest_period() / 16
         field = ChunkedField(s, h)
         keys = [(ci, cj) for ci in range(-3, 3) for cj in range(-3, 3)]
-        assert len(keys) > 2 * tracer._SLAB
+        assert len(keys) > 2 * _walk._SLAB
         for key in keys:
             field._chunk(*key)
         for key in keys:
             assert field._chunk(*key).tobytes() == ChunkedField(s, h)._chunk(*key).tobytes()
+
+    @staticmethod
+    def layer(rng, zero):
+        """A random layer of up to 9 terms, about a third of them with
+        amplitude +0.0 or -0.0; or, if zero, one term 4 to 7 times over with
+        amplitude -0.0, whose products are all -0.0 wherever its cosine is
+        positive."""
+        terms = random_terms(rng, 9)
+        if zero:
+            terms = (FourierTerm(terms[0].n1, terms[0].n2, -0.0, terms[0].phase),) * int(
+                rng.integers(4, 8))
+        else:
+            terms = [FourierTerm(t.n1, t.n2, float(rng.choice([0.0, -0.0])), t.phase)
+                     if rng.random() < 0.3 else t for t in terms]
+        return PeriodicPotential(random_lattice(rng), terms)
+
+    @staticmethod
+    def walk_fills(s, h):
+        """The chunks a fresh field fills for interval probes and traces
+        around the origin, (ci, cj) -> values; in C, the walks fill all but
+        the probe window's."""
+        field = ChunkedField(s, h)
+        period, scale = s.longest_period(), s.value_scale()
+        window = Rect.centered((0.0, 0.0), period)
+        budget = TraceBudget(h, 10 * period, 10**5)
+        probe = _IntervalProbe(field, window, budget)
+        for level in (-0.3 * scale, 0.0, 0.3 * scale):
+            probe.state(level)
+            for seed in find_seeds(s, level, window, h, field)[:2]:
+                trace_level_line(s, seed, level, budget, field)
+        return {(ci, cj): field._chunk(ci, cj)
+                for ci, cj, at in field._fill.chunks.slots.tolist() if at}
+
+    @pytest.mark.parametrize("walker", ["compiled", "python"])
+    @pytest.mark.parametrize("combiner", [Sum(), WeightedSum(-0.5, -2.0), Product()],
+                             ids=["Sum", "WeightedSum", "Product"])
+    def test_zero_amplitudes_keep_their_sign_bits(self, monkeypatch, combiner, walker):
+        # gemv sums into +0.0, so a layer of four or more terms, all of them
+        # +-0.0, is +0.0 at every corner, even where every product is -0.0;
+        # the combiners then carry the zeros' signs into the values.
+        if walker == "python":
+            monkeypatch.setattr(_walk, "kernel", lambda: None)
+        rng = np.random.default_rng(5)
+        for zeros in ((True, False), (False, True), (True, True), (False, False)):
+            v, u = (self.layer(rng, zero) for zero in zeros)
+            transform = EuclideanTransform(float(rng.uniform(0, TWO_PI)), rng.uniform(-5, 5, 2))
+            s = SuperpositionPotential(v, u, transform, combiner)
+            h = s.shortest_period() / 16
+            chunks = ({key: ChunkedField(s, h)._chunk(*key) for key in ((0, 0), (-3, 5))}
+                      if any(zeros) else self.walk_fills(s, h))
+            assert len(chunks) > 1
+            for (ci, cj), values in chunks.items():
+                assert values.tobytes() == _evaluated(s, h, ci, cj)
+
+    @pytest.mark.parametrize("seed", range(10))  # 1 to 9 terms a layer
+    def test_chunks_filled_by_walks_equal_twin_fills(self, seed):
+        s = self.family(np.random.default_rng(seed), "Sum")
+        h = s.shortest_period() / 12
+        filled = self.walk_fills(s, h)
+        assert len(filled) > 4
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_walk, "kernel", lambda: None)
+            twin = ChunkedField(s, h)
+            for key, values in filled.items():
+                assert values.tobytes() == twin._chunk(*key).tobytes()
 
 
 class TestFindSeeds:
@@ -966,6 +1038,8 @@ class TestFirstLayerStore:
 
     @pytest.fixture(autouse=True)
     def store(self, monkeypatch):
+        if _walk.kernel() is None:
+            pytest.skip("only compiled fills use the store")
         store = {}
         monkeypatch.setattr(tracer, "_FIRST_LAYER_STORE", store)
         return store
@@ -990,7 +1064,7 @@ class TestFirstLayerStore:
                 stored = self.chunk_bytes(s, self.H, self.CHUNKS, True)
                 assert stored == self.chunk_bytes(s, self.H, self.CHUNKS, False)
         # Every angle and shift read the first one's V chunks.
-        assert len(store) == len(self.CHUNKS)
+        assert [held.count for held in store.values()] == [len(self.CHUNKS)]
 
     def test_a_layer_that_differs_in_one_amplitude_misses(self, store):
         terms = list(self.V.terms)
@@ -999,14 +1073,18 @@ class TestFirstLayerStore:
         chunks = self.CHUNKS[:1]
         s = SuperpositionPotential(self.V, self.U, EuclideanTransform(0.7))
         near = SuperpositionPotential(other, self.U, EuclideanTransform(0.7))
-        assert self.chunk_bytes(s, self.H, chunks, True) != self.chunk_bytes(near, self.H,
-                                                                             chunks, True)
+        first = self.chunk_bytes(s, self.H, chunks, True)
+        (held,) = store.values()
+        assert first != self.chunk_bytes(near, self.H, chunks, True)
         assert self.chunk_bytes(near, self.H, chunks, True) == self.chunk_bytes(
             near, self.H, chunks, False)
-        assert len(store) == 2
+        # The store holds one first layer: near's replaced s's.
+        (near_held,) = store.values()
+        assert near_held is not held and near_held.count == 1
         # So does one at another cell size.
-        self.chunk_bytes(s, self.H / 2, chunks, True)
-        assert len(store) == 3
+        assert self.chunk_bytes(s, self.H / 2, chunks, True) == self.chunk_bytes(
+            s, self.H / 2, chunks, False)
+        assert near_held not in store.values()
 
     def test_the_store_never_holds_more_than_its_cap(self, store, monkeypatch):
         monkeypatch.setattr(tracer, "_FIRST_LAYER_CAP", 3)
@@ -1015,15 +1093,16 @@ class TestFirstLayerStore:
         token = tracer._SHARE_FIRST_LAYER.set(True)
         try:
             field = ChunkedField(s, self.H)
+            (held,) = store.values()
             for ci, cj in chunks:
                 field._chunk(ci, cj)
-                assert len(store) <= 3
+                assert held.count <= 3
         finally:
             tracer._SHARE_FIRST_LAYER.reset(token)
-        assert len(store) == 3
+        assert held.count == 3
         assert self.chunk_bytes(s, self.H, chunks, True) == self.chunk_bytes(
             s, self.H, chunks, False)
-        assert len(store) == 3
+        assert held.count == 3 and list(store.values()) == [held]
 
     def test_only_classify_family_fills_the_store(self, store):
         s = single_harmonic_sum(delta=0.3, alpha=0.7)

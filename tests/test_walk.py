@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from moirelines import _walk, tracer
 from moirelines.geometry import Rect
-from moirelines.potential import eval_superposition
+from moirelines.potential import SuperpositionPotential, TableLookup, eval_superposition
 from moirelines.tracer import (
     ChunkedField,
     TraceBudget,
@@ -168,20 +168,24 @@ class TestCompiledWalk:
 
         crossed = ChunkedField(s, h)
         walks(crossed)
+        keys = [(ci, cj) for ci, cj, at in crossed._fill.chunks.slots.tolist() if at]
         field = ChunkedField(s, h)
-        field.table = table = _walk.ChunkTable(bits=12)
+        table = field._fill.chunks
+        while len(table.slots) < 4096:
+            table.count = len(table.slots) // 2
+            table.make_room()
         zeros = np.zeros((_walk.CHUNK + 1, _walk.CHUNK + 1))
 
         def home(ci, cj):
             return ((ci * _walk._HASH_I + cj * _walk._HASH_J) & _walk._U64) >> table.shift
 
-        for ci, cj in crossed._chunks:
+        for ci, cj in keys:
             decoy = next(c for c in itertools.count(2**40) if home(ci, c) == home(ci, cj))
-            table.insert(ci, decoy, zeros)
-        assert len(crossed._chunks) > 50
+            table.insert(ci, decoy, _walk._address(zeros))
+        assert len(keys) > 50
         for compiled, python in walks(field):
             assert _bits(compiled) == _bits(python)
-        assert len(table.slots) == 4096 and table.count == 2 * len(crossed._chunks)
+        assert len(table.slots) == 4096 and table.count == 2 * len(keys)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(-0.9, 0.9),
@@ -282,9 +286,9 @@ def library_calls(monkeypatch):
 
 
 class TestRoundTrips:
-    """Over filled chunks the compiled walks and probes stay in the library:
-    they return to Python only to fill a chunk or resolve a saddle cell.  A
-    fill calls it once for each layer it evaluates."""
+    """The compiled walks and probes stay in the library: they return to
+    Python only for room for a chunk, a fill without a compiled rule or a
+    saddle cell.  A fill asked for from Python is one library call."""
 
     S = single_harmonic_sum(delta=0.3, alpha=0.7)
     BUDGET = TraceBudget.for_potential(S, length_periods=10.0)
@@ -303,18 +307,68 @@ class TestRoundTrips:
         assert probe.state(level) == state
         assert dict(library_calls) == calls
 
-    @pytest.mark.parametrize("shared, calls", [(False, 2), (True, 1)], ids=["fresh", "stored"])
-    def test_a_fill_calls_once_per_layer_it_evaluates(self, library_calls, monkeypatch,
-                                                      shared, calls):
-        monkeypatch.setattr(tracer, "_FIRST_LAYER_STORE", {})
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "stored"])
+    def test_a_fill_is_one_library_call(self, library_calls, monkeypatch, shared):
+        store = {}
+        monkeypatch.setattr(tracer, "_FIRST_LAYER_STORE", store)
         token = tracer._SHARE_FIRST_LAYER.set(shared)
         try:
-            ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0)  # fills the store
+            want = ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0).copy()
             library_calls.clear()
-            ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0)
+            if shared:  # the next fill must read V from the store, not evaluate it
+                (held,) = store.values()
+                held._values[0] = np.nan
+            got = ChunkedField(self.S, self.BUDGET.cell_size)._chunk(0, 0)
         finally:
             tracer._SHARE_FIRST_LAYER.reset(token)
-        assert dict(library_calls) == {"layer_cos": calls}
+        assert dict(library_calls) == {"fill_chunk": 1}
+        assert np.isnan(got).all() if shared else np.array_equal(got, want)
+
+    @staticmethod
+    def counted_trace(field, seed, level, budget, monkeypatch):
+        """trace_level_line on field, recording for each return of a walk
+        for a chunk (_walk._enter) whether the fill it asked for had to make
+        room in the field's slab or table first, and counting the fills by
+        the NumPy twin."""
+        enters, numpy_fills = [], []
+        enter, fill_numpy = _walk._enter, _walk.ChunkFill.fill_numpy
+
+        def counted_enter(st, f):
+            room = len(f._fill.slabs), len(f._fill.chunks.slots)
+            enter(st, f)
+            enters.append(room != (len(f._fill.slabs), len(f._fill.chunks.slots)))
+
+        def counted_fill(fill, ci, cj):
+            numpy_fills.append((ci, cj))
+            return fill_numpy(fill, ci, cj)
+
+        monkeypatch.setattr(_walk, "_enter", counted_enter)
+        monkeypatch.setattr(_walk.ChunkFill, "fill_numpy", counted_fill)
+        before = field._fill.chunks.count
+        line = trace_level_line(field.s, seed, level, budget, field)
+        monkeypatch.undo()
+        return line, enters, numpy_fills, field._fill.chunks.count - before
+
+    @pytest.mark.parametrize("combiner", [None, "table"], ids=["Sum", "TableLookup"])
+    def test_walks_fill_the_chunks_they_enter_in_the_library(self, monkeypatch, combiner):
+        s = self.S
+        if combiner == "table":
+            vg, ug = (np.linspace(-b, b, 7) for b in (s.v.amplitude_bound(),
+                                                     s.u.amplitude_bound()))
+            s = SuperpositionPotential(s.v, s.u, s.transform,
+                                       TableLookup(vg, ug, np.add.outer(vg, ug)))
+        budget = TraceBudget.for_potential(s, length_periods=200.0)
+        seed = find_seeds(s, 0.05, self.WINDOW, budget.cell_size)[0]
+        field = ChunkedField(s, budget.cell_size)
+        line, enters, numpy_fills, filled = self.counted_trace(field, seed, 0.05, budget,
+                                                               monkeypatch)
+        assert not line.is_closed and filled > 40
+        if combiner is None:
+            # Only the chunk of the seed is filled outside the walks.
+            assert enters and all(enters) and len(enters) < filled / 4
+            assert numpy_fills == []
+        else:
+            assert not all(enters) and len(numpy_fills) == filled
 
     @pytest.mark.parametrize("level, walks", [(0.05, 2), (0.9, 1)], ids=["open", "closed"])
     def test_a_trace_over_filled_chunks_calls_once_per_walk(self, library_calls, level, walks):
