@@ -417,19 +417,19 @@ def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
 # seed_edges numbers a block's grid edges in int32, two per corner.
 MAX_BLOCK_CORNERS = 2**30
 
-# Seeds an uncapped scan makes room for; a block with more is scanned again.
+# Seeds a scan makes room for; a block with more is scanned again.
 SEED_ROOM = 1024
 
 
-def seed_edges(field, i0, j0, g, cap=None) -> list[tuple]:
+def seed_edges(field, i0, j0, g) -> list[tuple]:
     """tracer.find_seeds' seeds as (x, y, edge), from the residuals g of
-    f - level at the field's grid corners from (i0, j0) on; only the first
-    cap of them when cap is a count.  edge is the grid edge (orient, gi, gj)
-    the crossing (x, y) lies on; tracer._Walker.crossing(edge) gives (x, y)
-    back bit for bit.  g is left as it is."""
+    f - level at the field's grid corners from (i0, j0) on.  edge is the
+    grid edge (orient, gi, gj) the crossing (x, y) lies on;
+    tracer._Walker.crossing(edge) gives (x, y) back bit for bit.  g is left
+    as it is."""
     lib = kernel()
-    return (seed_edges_numpy(field, i0, j0, g)[:cap] if lib is None
-            else seed_edges_compiled(lib.seed_edges, field, i0, j0, g, cap))
+    return (seed_edges_numpy(field, i0, j0, g) if lib is None
+            else seed_edges_compiled(lib.seed_edges, field, i0, j0, g))
 
 
 def _scan_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,17 +441,16 @@ def _scan_block(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(g, dtype=np.float64), np.empty(2 * ni * nj, dtype=np.int32)
 
 
-def seed_edges_compiled(fn, field, i0, j0, g, cap):
+def seed_edges_compiled(fn, field, i0, j0, g):
     """seed_edges by the library's seed_edges, fn."""
     ni, nj = g.shape
     g, parent = _scan_block(g)
-    limit = 2**63 - 1 if cap is None else cap
-    room = min(limit, SEED_ROOM)
+    room = SEED_ROOM
     while True:
         xy = np.empty((room, 2))
         edges = np.empty((room, 3), dtype=np.int64)
-        # g holds the residuals already: level 0.0.
-        count = fn(_address(g), 0.0, ni, nj, i0, j0, field.h, field.delta, limit,
+        # g holds the residuals already: level 0.0.  Every seed: no cap.
+        count = fn(_address(g), 0.0, ni, nj, i0, j0, field.h, field.delta, 2**63 - 1,
                    _address(parent), _address(xy), _address(edges), room)
         if count <= room:
             break

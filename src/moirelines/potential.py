@@ -16,6 +16,7 @@ which ``is_commensurate`` detects by an exact integer search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,10 @@ class FourierTerm:
     phase: float = 0.0
 
     def __post_init__(self):
+        # A wave number that is not an integer makes a layer that is not
+        # periodic on its lattice, which periods and budgets assume.
+        if not all(isinstance(n, numbers.Integral) for n in (self.n1, self.n2)):
+            raise ValueError(f"Fourier wave numbers must be integers, got {self.n1!r}, {self.n2!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.phase)):
             raise ValueError("non-finite Fourier term")
 

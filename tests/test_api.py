@@ -4,18 +4,22 @@ A settable value is a defaulted parameter (or **kwargs) of a function or
 public method named in moirelines.__all__, or a defaulted init field of a
 dataclass named there.  Adding, removing or renaming one changes the list
 below, so every new knob shows up as a one-line diff.  The package's
-only runtime dependency is NumPy, which a fresh import also checks, no
-module imports a name it never uses, no private module-level name goes
-unread, and only _walk loads the compiled library.
+only runtime dependency is NumPy, which a fresh import also checks, a
+fresh import loads no module of the package, no module imports a name it
+never uses, no private module-level name goes unread, and only _walk
+loads the compiled library.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import moirelines
 
@@ -104,14 +108,47 @@ def test_settable_values_are_pinned():
     assert len(SETTABLE) == 43
 
 
-def test_import_loads_numpy_only(tmp_path):
+def _run_fresh(code, cache):
     src = str(Path(moirelines.__file__).resolve().parents[1])
-    # Nor does it build or load the walk kernel: the first walk does that.
-    code = ("import moirelines, sys; assert 'scipy' not in sys.modules; "
-            "assert moirelines._walk.kernel.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path)})
+                   env={**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(cache)})
+
+
+def test_import_loads_numpy_only(tmp_path):
+    # Every public name and _walk loaded, still no SciPy, and no walk
+    # kernel built or loaded: the first walk does that.
+    _run_fresh("from moirelines import *; from moirelines import _walk; import sys; "
+               "assert 'scipy' not in sys.modules; "
+               "assert _walk.kernel.cache_info().currsize == 0", tmp_path)
     assert not any(tmp_path.iterdir())
+
+
+def test_import_loads_no_submodule(tmp_path):
+    _run_fresh("import moirelines, sys; "
+               "assert [m for m in sys.modules if m.startswith('moirelines.')] == []", tmp_path)
+
+
+def test_each_public_name_is_its_modules_object():
+    assert moirelines.__all__ == ["__version__", *(
+        name for names in moirelines._PUBLIC.values() for name in names)]
+    for module, names in moirelines._PUBLIC.items():
+        defining = importlib.import_module(f"moirelines.{module}")
+        for name in names:
+            assert getattr(moirelines, name) is getattr(defining, name), name
+            assert vars(moirelines)[name] is getattr(defining, name), name
+    assert set(moirelines.__all__) <= set(dir(moirelines))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        moirelines.no_such_name
+
+
+def test_submodules_still_import_by_name():
+    from moirelines import _walk, sweep
+
+    assert sweep is sys.modules["moirelines.sweep"]
+    assert _walk is sys.modules["moirelines._walk"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -130,7 +167,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            # Its literal entries: the package's names past __version__
+            # come from its table of modules, which imports nothing.
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 

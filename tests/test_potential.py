@@ -95,6 +95,16 @@ class TestPeriodicPotential:
         with pytest.raises(ValueError):
             FourierTerm(1, 0, 1.0, float("inf"))
 
+    def test_wave_numbers_must_be_integers(self):
+        # (0.5, 0) on a 2*pi square lattice reads 1.0 at the origin and
+        # -1.0 one period away.
+        for n1, n2 in ((0.5, 0), (1, 2.0), (np.float64(1.0), 0), ("1", 0)):
+            with pytest.raises(ValueError, match="wave numbers must be integers"):
+                FourierTerm(n1, n2, 1.0)
+        rng = np.random.default_rng(0)
+        n1, n2 = rng.integers(-2, 3, size=2)
+        assert FourierTerm(n1, n2, 1.0).n1 == n1
+
     def test_amplitudes_whose_sum_overflows_are_refused(self):
         huge = (FourierTerm(1, 0, 1e308), FourierTerm(0, 1, -1e308))
         with pytest.raises(ValueError, match="beyond the float range"):

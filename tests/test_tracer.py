@@ -638,9 +638,8 @@ class TestSeedEdges:
                            st.tuples(st.integers(1, 24), st.integers(1, 24))),
            origin=st.tuples(*[st.sampled_from([0, 10**6, -10**6]).flatmap(
                lambda c: st.integers(c - 40, c + 40))] * 2),
-           sign=st.sampled_from(["mixed", "above", "below"]),
-           cap=st.integers(0, 16))
-    def test_compiled_scan_gives_the_numpy_seeds(self, data, shape, origin, sign, cap):
+           sign=st.sampled_from(["mixed", "above", "below"]))
+    def test_compiled_scan_gives_the_numpy_seeds(self, data, shape, origin, sign):
         field = ChunkedField(single_harmonic_sum(delta=0.3, alpha=0.7), TWO_PI / 16)
         delta = field.delta
         ties = [0.0, -0.0, delta, -delta, delta / 2, -delta / 2]
@@ -660,7 +659,6 @@ class TestSeedEdges:
         assert all(type(v) is int for _, _, edge in compiled for v in edge)
         if sign != "mixed":
             assert compiled == []
-        assert _seed_bits(_walk.seed_edges(field, i0, j0, g, cap)) == _seed_bits(compiled[:cap])
         assert g.tobytes() == before
 
     @pytest.mark.skipif(shutil.which(_walk.CC) is None, reason="no C compiler to build the library")
