@@ -98,6 +98,7 @@ typedef struct {
     int64_t code;           /* exit table index of a saddle cell */
     int64_t out;            /* exit side Python chose for it, else -1 */
     int64_t count;          /* vertices in xs and ys */
+    int64_t turns;          /* left less right quarter turns: +-4 on a loop */
 } walk_state;
 
 /* Residual of one corner; residuals within delta of zero count as +delta. */
@@ -130,7 +131,7 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
 {
     const double h = s->h;
     const double *v = s->v;
-    int64_t i = s->i, j = s->j, n = s->n, count = s->count;
+    int64_t i = s->i, j = s->j, n = s->n, count = s->count, turns = s->turns;
     int64_t first = s->first_jitter, code_base = s->code_base, out = s->out;
     double px = s->px, py = s->py, arc = s->arc;
     int stop;
@@ -178,6 +179,8 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
                 break;
             }
         }
+        /* (out - entry) mod 4 is 1 for a right turn, 2 straight on, 3 left. */
+        turns += ((out - code_base / 16) & 3) - 2;
         double qx, qy, t;
         if ((i == s->ia && j == s->ja && out == s->ea) ||
             (i == s->ib && j == s->jb && out == s->eb)) {
@@ -249,6 +252,7 @@ int walk_cells(walk_state *s, double *xs, double *ys, int64_t cap)
     s->first_jitter = first;
     s->code_base = code_base;
     s->out = out;
+    s->turns = turns;
     s->px = px;
     s->py = py;
     s->arc = arc;
@@ -360,9 +364,10 @@ int64_t seed_edges(const double *f, double level, int64_t ni, int64_t nj, int64_
    LEAVE, SADDLE  as walk_cells does, for the walk under way: fill the
                   chunk or resolve the saddle in w and call again;
    CELLS, BUDGET  that walk stopped open: the level carries an open line;
-   CLOSED         every walk closed; best is the seed of the longest one,
-                  the first of equal ones, or -1 when there are no seeds.
-   The caller sets seeds, next, walking, best and best_arc to -1, 0, 0, -1
+   CLOSED         every walk closed; turns is the turn count of the longest
+                  one, the first of equal ones: 4 counterclockwise, -4
+                  clockwise, or 0 when there are no seeds.
+   The caller sets seeds, next, walking, turns and best_arc to -1, 0, 0, 0
    and -1.0. */
 typedef struct {
     walk_state w;
@@ -375,7 +380,7 @@ typedef struct {
     int64_t seeds;          /* seeds found, -1 before the scan */
     int64_t next;           /* seed whose walk starts next */
     int64_t walking;        /* 1 while seed next - 1 is walked */
-    int64_t best;
+    int64_t turns;
     double best_arc;
 } probe_state;
 
@@ -407,7 +412,7 @@ static void start_walk(probe_state *p, int64_t k)
     s->p0x = s->px = p->xy[2 * k];
     s->p0y = s->py = p->xy[2 * k + 1];
     s->arc = 0.0;
-    s->n = s->first_jitter = s->count = 0;
+    s->n = s->first_jitter = s->count = s->turns = 0;
     s->out = -1;
     s->oi = s->i - (s->i & (CHUNK - 1));
     s->oj = s->j - (s->j & (CHUNK - 1));
@@ -435,7 +440,7 @@ int probe_level(probe_state *p)
             return stop;
         if (s->arc > p->best_arc) {
             p->best_arc = s->arc;
-            p->best = p->next - 1;
+            p->turns = s->turns;
         }
     }
 }

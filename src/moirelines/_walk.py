@@ -1,9 +1,10 @@
 """The compiled library _walk.c, and the twin of each of its routines.
 
 walk runs the marching-squares walk of one level line across a chunked
-field, seed_edges the scan of a block of corner residuals for one crossing
-per piece of the level set, probe the seed scan and forward walks of one
-interval probe level, ChunkFill.values fills a chunk's corner values, and
+field and counts its turns, seed_edges the scan of a block of corner
+residuals for one crossing per piece of the level set, probe the seed scan
+and forward walks of one interval probe level, down to the turn count of
+its longest loop, ChunkFill.values fills a chunk's corner values, and
 format_floats writes floats as format's .Pg does.  Each runs its C routine
 (walk_cells, seed_edges, probe_level, fill_chunk, format_g) where the
 library loads, else its twin (walk_python, seed_edges_numpy, probe_python,
@@ -119,7 +120,7 @@ class State(ctypes.Structure):
             "level", "delta", "h", "arc_limit", "p0x", "p0y", "px", "py", "arc")),
         *((name, _i64) for name in (
             "i", "j", "oi", "oj", "ia", "ja", "ea", "ib", "jb", "eb", "n",
-            "cell_limit", "first_jitter", "code_base", "code", "out", "count")),
+            "cell_limit", "first_jitter", "code_base", "code", "out", "count", "turns")),
     ]
 
 
@@ -131,7 +132,7 @@ class ProbeState(ctypes.Structure):
         ("f", ctypes.c_void_p),
         *((name, _i64) for name in ("ni", "nj", "i0", "j0")),
         *((name, ctypes.c_void_p) for name in ("parent", "xy", "edges")),
-        *((name, _i64) for name in ("cap", "seeds", "next", "walking", "best")),
+        *((name, _i64) for name in ("cap", "seeds", "next", "walking", "turns")),
         ("best_arc", _f64),
     ]
 
@@ -299,7 +300,7 @@ def walk_compiled(fn, walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_li
                 break
             st.count = 0
     xs, ys = np.concatenate(parts, axis=1)
-    return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None
+    return xs, ys, st.arc, _REASONS[stop], st.first_jitter or None, st.turns
 
 
 def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
@@ -326,7 +327,7 @@ def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
     code_base = 16 * entry
     oi, oj = i - i % CHUNK, j - j % CHUNK
     view = field.view(oi // CHUNK, oj // CHUNK)
-    n = 0
+    n = turns = 0
     while True:
         if n >= cell_limit:
             reason = "cells"
@@ -368,6 +369,8 @@ def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
             out = walker.saddle_exit(code, i, j)
             if walker.jitter_hits > hits:
                 first_jitter = first_jitter or n
+        # (out - entry) mod 4 is 1 for a right turn, 2 straight on, 3 left.
+        turns += (out - (code_base >> 4)) % 4 - 2
         if (i == ia and j == ja and out == ea) or (i == ib and j == jb and out == eb):
             add_x(p0x)
             add_y(p0y)
@@ -411,7 +414,7 @@ def walk_python(walker, i, j, entry, closing, p0x, p0y, arc_limit, cell_limit):
             soft_limit = -inf
     arc = float(arc_lengths([p0x] + xs, [p0y] + ys)[-1]) if xs else 0.0
     xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
-    return xs, ys, arc, reason, first_jitter
+    return xs, ys, arc, reason, first_jitter, turns
 
 
 # seed_edges numbers a block's grid edges in int32, two per corner.
@@ -529,19 +532,15 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             root = up
 
 
-# Outcomes of probe other than the index of a seed.
-OPEN, NO_SEEDS = -1, -2
-
-
 def probe(walker, i0, j0, f, cap, arc_limit, cell_limit):
     """The walks of one tracer._IntervalProbe level, walker's.  The first
     cap seeds that seed_edges finds in the residuals f - walker.level, f
     the grid corner values from (i0, j0) on, are walked forward from their
     edges as tracer._Walker.walk walks, storing no vertices, until a walk
-    does not close.  Returns (OPEN, None) when arc_limit or cell_limit
-    stops a walk, (NO_SEEDS, None) when there are no seeds, and else
-    (k, seed k) for the longest closed walk, the first of equal ones, with
-    seed k as seed_edges gives it."""
+    does not close.  Returns None when arc_limit or cell_limit stops a
+    walk, 0 when there are no seeds, and else the turns of the longest
+    closed walk, the first of equal ones: 4 if it runs counterclockwise,
+    -4 if clockwise."""
     args = (walker, i0, j0, f, cap, arc_limit, cell_limit)
     lib = kernel()
     return probe_python(*args) if lib is None else probe_compiled(lib.probe_level, *args)
@@ -555,7 +554,7 @@ def probe_compiled(fn, walker, i0, j0, f, cap, arc_limit, cell_limit):
     edges = np.empty((cap, 3), dtype=np.int64)
     st = ProbeState(w=_state(walker, arc_limit, cell_limit), f=_address(f), ni=ni, nj=nj,
                     i0=i0, j0=j0, parent=_address(parent), xy=_address(xy),
-                    edges=_address(edges), cap=cap, seeds=-1, best=-1, best_arc=-1.0)
+                    edges=_address(edges), cap=cap, seeds=-1, best_arc=-1.0)
     w = st.w  # shares st's memory
     while True:
         stop = fn(st)
@@ -564,28 +563,21 @@ def probe_compiled(fn, walker, i0, j0, f, cap, arc_limit, cell_limit):
         elif stop == SADDLE:
             w.out = walker.saddle_exit(w.code, w.i, w.j)
         else:
-            break
-    if stop != CLOSED:
-        return OPEN, None
-    k = st.best
-    if k < 0:
-        return NO_SEEDS, None
-    (x, y), edge = xy[k].tolist(), edges[k].tolist()
-    return k, (x, y, tuple(edge))
+            return st.turns if stop == CLOSED else None
 
 
 def probe_python(walker, i0, j0, f, cap, arc_limit, cell_limit):
     """probe by seed_edges_numpy and walk_python."""
     seeds = seed_edges_numpy(walker.field, i0, j0, f - walker.level)[:cap]
-    best, best_arc = NO_SEEDS, -1.0
-    for k, (x0, y0, edge) in enumerate(seeds):
-        arc, reason = walk_python(walker, *start(walker, edge, True), x0, y0,
-                                  arc_limit, cell_limit)[2:4]
+    turns, best_arc = 0, -1.0
+    for x0, y0, edge in seeds:
+        _, _, arc, reason, _, walked = walk_python(walker, *start(walker, edge, True), x0, y0,
+                                                   arc_limit, cell_limit)
         if reason != "closed":
-            return OPEN, None
+            return None
         if arc > best_arc:
-            best, best_arc = k, arc
-    return best, seeds[best] if seeds else None
+            turns, best_arc = walked, arc
+    return turns
 
 
 class LayerFill(ctypes.Structure):

@@ -176,10 +176,10 @@ class Rect:
     y1: float
 
     def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError(f"empty rectangle: {self}")
         if not all(map(math.isfinite, (self.x0, self.y0, self.x1, self.y1))):
             raise ValueError(f"rectangle bounds must be finite: {self}")
+        if not (self.x0 < self.x1 and self.y0 < self.y1):
+            raise ValueError(f"empty rectangle: {self}")
 
     def contains(self, p) -> bool:
         x, y = p

@@ -293,10 +293,14 @@ def is_commensurate(
     are returned as the common lattice.  Returns None otherwise.
 
     The shift plays no role: translating one layer never changes whether
-    the period groups intersect.
+    the period groups intersect.  Raises ValueError unless bound is a
+    positive integer and tol positive and finite.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    if not (bound >= 1 and float(bound).is_integer()):
+        raise ValueError(f"bound must be a positive integer, got {bound}")
+    bound = int(bound)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     rt = transform.rotation.T
     lat_u_plane = Lattice2(rt @ lat_u.e1, rt @ lat_u.e2)
     g1, g2 = reciprocal_basis(lat_u_plane)

@@ -354,12 +354,14 @@ class _Walker:
         """Walk from the crossing p0 on grid edge (orient, gi, gj), forward
         (f > level on the left) or backward, until a stop condition.
 
-        Returns (xs, ys, arc, reason, first_jitter), xs and ys as float64
-        arrays.  Vertex k is the crossing on the side cell k was left
-        through, computed as crossing() computes it; a closed walk ends on p0
-        itself.  reason is one of "closed", "budget" or "cells";
+        Returns (xs, ys, arc, reason, first_jitter, turns), xs and ys as
+        float64 arrays.  Vertex k is the crossing on the side cell k was
+        left through, computed as crossing() computes it; a closed walk ends
+        on p0 itself.  reason is one of "closed", "budget" or "cells";
         first_jitter is the 1-based index of the first cell whose residuals
-        were nudged, or None.
+        were nudged, or None.  turns is the walk's left quarter turns less
+        its right ones, one per cell left: 4 for a closed walk that runs
+        counterclockwise, -4 for one that runs clockwise.
         """
         return _walk.walk(self, *_walk.start(self, edge, forward), float(p0[0]),
                           float(p0[1]), arc_limit, cell_limit)
@@ -430,13 +432,13 @@ def trace_level_line(
     edge = _locate_start(walker, seed)
     p0 = p0x, p0y = walker.crossing(edge)
     start_jitter = walker.jitter_hits > 0
-    fx, fy, farc, freason, fjitter = _walk_forward(walker, edge, p0, budget)
+    fx, fy, farc, freason, fjitter, _ = _walk_forward(walker, edge, p0, budget)
     closed = freason == "closed"
     if closed:
         bx = by = np.empty(0)
         arc, bjitter = farc, None
     else:
-        bx, by, barc, _, bjitter = walker.walk(
+        bx, by, barc, _, bjitter, _ = walker.walk(
             edge, p0, False, budget.max_arc_length - farc, budget.max_cells - len(fx)
         )
         arc = farc + barc
@@ -488,13 +490,14 @@ class _IntervalProbe:
     """Sorts a level into below / above / inside the open-line range.
 
     A level is inside when some seeded line stays open for the full arc
-    budget.  Otherwise the orientation of the longest closed loop decides
-    the side: with values above the level kept on the left, loops around
-    minima run clockwise (the level still sits below the open range) and
-    loops around maxima run counterclockwise (above it).  Small loops of
-    both orientations coexist at almost every level; the longest one is the
-    one that tracks the large-scale connectivity, and its orientation flips
-    exactly when the level sweeps through the open range.
+    budget.  Otherwise the orientation of the longest closed loop, read
+    from its walk's turn count, decides the side: with values above the
+    level kept on the left, loops around minima run clockwise (the level
+    still sits below the open range) and loops around maxima run
+    counterclockwise (above it).  Small loops of both orientations coexist
+    at almost every level; the longest one is the one that tracks the
+    large-scale connectivity, and its orientation flips exactly when the
+    level sweeps through the open range.
     """
 
     def __init__(self, field: ChunkedField, window: Rect, budget: TraceBudget):
@@ -517,18 +520,13 @@ class _IntervalProbe:
         # bit: no need to locate it.  A trace is closed exactly when its
         # forward walk closes, and any open one decides the state: the
         # backward walk of a trace_level_line could never change it.
-        k, seed = _walk.probe(walker, self.i0, self.j0, self.block, _PROBE_SEEDS,
-                              *_forward_limits(self.trace_budget))
-        if k == _walk.OPEN:
+        turns = _walk.probe(walker, self.i0, self.j0, self.block, _PROBE_SEEDS,
+                            *_forward_limits(self.trace_budget))
+        if turns is None:
             return _OPEN
-        if k == _walk.NO_SEEDS:
+        if turns == 0:  # no seeds
             return _BELOW if level <= self.f_min else _ABOVE
-        # The longest loop, walked again for its vertices.
-        x0, y0, edge = seed
-        xs, ys, *_ = _walk_forward(walker, edge, (x0, y0), self.trace_budget)
-        area = signed_area(np.column_stack((np.concatenate(([x0], xs)),
-                                            np.concatenate(([y0], ys)))))
-        return _ABOVE if area > 0 else _BELOW
+        return _ABOVE if turns > 0 else _BELOW
 
 
 def energy_interval(

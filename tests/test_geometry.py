@@ -145,7 +145,10 @@ class TestVectorsAndRect:
         assert not r.contains((2.1, 0.0))
         with pytest.raises(ValueError):
             Rect(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="empty rectangle"):
+        # NaN compares false, so it would read as empty: finiteness comes first.
+        with pytest.raises(ValueError, match="rectangle bounds must be finite"):
+            Rect(math.nan, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="rectangle bounds must be finite"):
             Rect(0.0, math.nan, 1.0, 1.0)
         # An infinite bound is not empty, but no grid of cells covers it.
         for bounds in ((0.0, 0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0, 1.0),

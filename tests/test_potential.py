@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,24 @@ class TestCommensurate:
         assert common is not None
         det = abs(common.e1[0] * common.e2[1] - common.e1[1] * common.e2[0])
         assert det == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bound": 1.5}, "bound must be a positive integer, got 1.5"),
+        ({"bound": 0}, "bound must be a positive integer, got 0"),
+        ({"bound": math.nan}, "bound must be a positive integer, got nan"),
+        ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+        ({"tol": -1.0}, "tol must be positive and finite, got -1.0"),
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": math.inf}, "tol must be positive and finite, got inf"),
+    ], ids=["bound-frac", "bound-0", "bound-nan", "tol-nan", "tol-neg", "tol-0", "tol-inf"])
+    def test_invalid_input_raises(self, kwargs, message):
+        # With bound 1.5 the search would combine V's basis with
+        # half-integers, and return ((0.5, -0.5), (0.5, 0.5)) for periods 1
+        # and 0.5, which is no period lattice of V; a NaN or negative tol
+        # would find no common lattice.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            is_commensurate(square_lattice(1.0), square_lattice(0.5), EuclideanTransform(0.0),
+                            **kwargs)
 
 
 class TestFactories:

@@ -511,7 +511,7 @@ def forward_walk(field, seed, level, budget):
     edge = _locate_start(walker, np.asarray(seed, dtype=float))
     p0 = walker.crossing(edge)
     start_jitter = walker.jitter_hits > 0
-    xs, ys, _, reason, first_jitter = tracer._walk_forward(walker, edge, p0, budget)
+    xs, ys, _, reason, first_jitter, _ = tracer._walk_forward(walker, edge, p0, budget)
     return p0, xs, ys, reason, first_jitter, start_jitter
 
 
@@ -575,6 +575,23 @@ class TestTraceInvariants:
                 # A loop is its forward walk alone, from the start crossing.
                 assert len(pts) == len(xs) + 1
                 assert pts[-1].tobytes() == pts[0].tobytes()
+            # Both walks count the forward walk's turns alike; a loop turns
+            # left four times more than right when it runs counterclockwise,
+            # right four times more when it runs clockwise.
+            turns = {forward_turns(field, seed, level, budget, kernel)
+                     for kernel in (_walk.kernel, lambda: None)}
+            assert len(turns) == 1
+            if line.is_closed:
+                assert turns == {math.copysign(4, signed_area(pts))}
+
+
+def forward_turns(field, seed, level, budget, kernel):
+    """The turns of forward_walk's walk, with _walk.kernel replaced by kernel."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_walk, "kernel", kernel)
+        walker = _Walker(field, level)
+        edge = _locate_start(walker, np.asarray(seed, dtype=float))
+        return tracer._walk_forward(walker, edge, walker.crossing(edge), budget)[5]
 
 
 _SEED_CASES = given(seed=st.integers(0, 2**32 - 1),
@@ -847,23 +864,33 @@ class TestIntervalProbe:
                 s, level, window, budget, field)[0], level
 
     def test_every_seed_a_probe_starts_is_walked_once(self, monkeypatch):
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(_Walker, "walk", counted("walks", _Walker.walk))
-        monkeypatch.setattr(tracer, "_walk_forward", counted("seeds", tracer._walk_forward))
+        # A probe level reads its side from the walks it made: under the
+        # kernel no walk runs outside the library, and under the Python walk
+        # each seed probe_python starts is walked once.
+        walks, started, walked = [], [], []
+        monkeypatch.setattr(_Walker, "walk", lambda *args: walks.append(args))
         s = single_harmonic_sum(delta=0.3, alpha=0.7)
         budget = TraceBudget.for_potential(s, length_periods=10.0)
         res = energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3)
         # Open levels were probed, so some probe traces were open.
         assert res.found and not res.degenerate
-        assert calls["seeds"] > 0
-        assert calls["walks"] == calls["seeds"]
+        assert walks == []
+
+        start, walk_python = _walk.start, _walk.walk_python
+
+        def counted_start(*args):
+            started.append(start(*args))
+            return started[-1]
+
+        def counted_walk(walker, i, j, entry, closing, *rest):
+            walked.append((i, j, entry, closing))
+            return walk_python(walker, i, j, entry, closing, *rest)
+
+        monkeypatch.setattr(_walk, "kernel", lambda: None)
+        monkeypatch.setattr(_walk, "start", counted_start)
+        monkeypatch.setattr(_walk, "walk_python", counted_walk)
+        assert energy_interval(s, self.WINDOW, budget, -1.0, 1.0, tol_eps=5e-3) == res
+        assert walks == [] and started and walked == started
 
     def test_states_match_full_traces_far_from_the_origin(self):
         # Past 2**19 cells a crossing may round onto a grid corner.

@@ -6,6 +6,7 @@ probe level what the Python probe gives; where it cannot be built, tracing
 falls back to the Python walk and the NumPy scan with the same outputs.
 """
 
+import ctypes
 import itertools
 import math
 import shutil
@@ -61,12 +62,56 @@ def test_library_compiles_without_warnings(tmp_path):
     assert built.returncode == 0, built.stderr
 
 
+# The structs of _walk.c that _walk.py mirrors with ctypes: each mirror, and
+# the C member of each of its fields whose name differs.
+_MIRRORS = {
+    "walk_state": (_walk.State, {}),
+    "probe_state": (_walk.ProbeState, {}),
+    "layer_fill": (_walk.LayerFill, {}),
+    "chunk_table": (_walk.ChunkTable, {"address": "slots"}),
+    "chunk_store": (_walk.ChunkStore, {"address": "table.slots", "shift": "table.shift",
+                                       "count": "table.count"}),
+    "chunk_field": (_walk.ChunkFill, {}),
+}
+
+
+@needs_kernel
+def test_ctypes_mirrors_lay_out_as_the_c_structs(tmp_path):
+    # A harness built with _walk.c prints each struct's size and each
+    # member's offset and size, as the C compiler lays them out.
+    want, prints = {}, []
+    for c_name, (mirror, members) in _MIRRORS.items():
+        want[c_name, "-"] = (0, ctypes.sizeof(mirror))
+        prints.append(f'printf("{c_name} - 0 %zu\\n", sizeof({c_name}));')
+        # A subclass's fields follow those of its base.
+        names = [f[0] for c in reversed(mirror.__mro__) for f in vars(c).get("_fields_", ())]
+        for name in names:
+            member = members.get(name, name)
+            want[c_name, name] = (getattr(mirror, name).offset, getattr(mirror, name).size)
+            prints.append(f'printf("{c_name} {name} %zu %zu\\n", offsetof({c_name}, {member}), '
+                          f'sizeof((({c_name} *)0)->{member}));')
+    harness = tmp_path / "layout.c"
+    harness.write_text("#include <stddef.h>\n#include <stdio.h>\n"
+                       f'#include "{_walk.SOURCE}"\n'
+                       "int main(void)\n{\n" + "\n".join(prints) + "\nreturn 0;\n}\n")
+    built = subprocess.run([_walk.CC, f"-DCHUNK={_walk.CHUNK}", "-o", str(tmp_path / "layout"),
+                            str(harness), "-lm"], capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+    ran = subprocess.run([str(tmp_path / "layout")], capture_output=True, text=True,
+                         timeout=60, check=True)
+    got = {}
+    for line in ran.stdout.splitlines():
+        c_name, name, offset, size = line.split()
+        got[c_name, name] = (int(offset), int(size))
+    assert got == want
+
+
 def _bits(walk):
-    xs, ys, arc, reason, first_jitter = walk
+    xs, ys, arc, reason, first_jitter, turns = walk
     # Both walks return their vertices as float64 arrays of one shape.
     for a in (xs, ys):
         assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (len(xs),)
-    return xs.tobytes(), ys.tobytes(), struct.pack("<d", arc), reason, first_jitter
+    return xs.tobytes(), ys.tobytes(), struct.pack("<d", arc), reason, first_jitter, turns
 
 
 def _both(walker, edge, p0, forward, arc_limit, cell_limit):
@@ -294,18 +339,17 @@ class TestRoundTrips:
     BUDGET = TraceBudget.for_potential(S, length_periods=10.0)
     WINDOW = Rect.centered((0.0, 0.0), 1.5 * TWO_PI)
 
-    @pytest.mark.parametrize("level, state, calls", [
-        (0.05, "open", {"probe_level": 1}),  # nothing to walk again
-        (0.9, "above", {"probe_level": 1, "walk_cells": 1}),  # the longest loop again
-        (-0.9, "below", {"probe_level": 1, "walk_cells": 1}),
-    ], ids=["open", "above", "below"])
-    def test_a_probe_over_filled_chunks_calls_once(self, library_calls, level, state, calls):
+    @pytest.mark.parametrize("level, state", [(0.05, "open"), (0.9, "above"), (-0.9, "below")],
+                             ids=["open", "above", "below"])
+    def test_a_probe_over_filled_chunks_calls_once(self, library_calls, level, state):
+        # The side of a closed level comes from the turns its walks counted:
+        # nothing is walked again.
         probe = _IntervalProbe(ChunkedField(self.S, self.BUDGET.cell_size), self.WINDOW,
                                self.BUDGET)
         assert probe.state(level) == state  # fills every chunk the level's walks cross
         library_calls.clear()
         assert probe.state(level) == state
-        assert dict(library_calls) == calls
+        assert dict(library_calls) == {"probe_level": 1}
 
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "stored"])
     def test_a_fill_is_one_library_call(self, library_calls, monkeypatch, shared):
